@@ -3,12 +3,14 @@
 Substructure rows are encoded into a latent space, landmarks are fitted by
 k-means, and each graph is summarized by how its parts map onto landmarks
 (densities p, type profiles M) and how those parts interconnect (interaction
-C and its normalized form).
+C and its normalized form). Batches of graphs run through one forward pass
+over their stacked rows; the per-graph matrices are recomputed here with the
+plain-array reference formulas.
 """
 import numpy as np
 
 from slim import model as M
-from slim.landmarks import assign_values, init_landmarks, target_distribution
+from slim.landmarks import init_landmarks, target_distribution
 from slim.pooling import graph_feature, pooled_features
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
@@ -19,13 +21,17 @@ graphs = M.prepare_bundle(bundle, cfg.substructure())
 state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
                    bundle.class_count, np.random.default_rng(0))
 
-# fit landmarks on the pooled embeddings of every graph
-stacked = np.vstack([M.forward_values(g, state)[0] for g in graphs])
+# fit landmarks on the embeddings of every graph, encoded chunk by chunk
+stacked = np.vstack([fwd.h.value for fwd in M.forward_chunks(graphs, state, pooled=False)])
 state.landmarks.u.value = init_landmarks(stacked, cfg.k, seed=0)
 print(f"{stacked.shape[0]} substructure instances -> {cfg.k} landmarks")
 
+batch = M.batch_forward(graphs[:4], state.frozen())
+print(f"batch of 4 graphs: rows {batch.bounds}, feature rows {batch.features.shape}")
+
 data = graphs[0]
-h, w, pf = M.forward_values(data, state)
+w = batch.w.value[: data.z.shape[0]]
+pf = pooled_features(data.x, w, data.adjacency)
 print(f"\ngraph 0: {data.z.shape[0]} nodes, class {data.label}")
 print("soft assignment row 0:", np.round(w[0], 3))
 print("sharpened target row 0:", np.round(target_distribution(w)[0], 3))

@@ -13,7 +13,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -72,23 +72,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
     def __neg__(self):
         return mul(self, Tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
@@ -177,35 +165,6 @@ def _sink_matmul_grad(va, g, b, block_rows: int = 1 << 15):
         b.grad_sink(r0, r1, va[:, r0:r1].T @ g)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g.T)
-
-    return _make(a.value.T, (a,), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    old = a.value.shape
-
-    def backward(g):
-        a._accumulate(g.reshape(old))
-
-    return _make(a.value.reshape(shape), (a,), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = list(parts)
-    sizes = [p.value.shape[0] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def backward(g):
-        for p, r0, r1 in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[r0:r1])
-
-    return _make(np.concatenate([p.value for p in parts], axis=0), parts, backward)
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops
 
@@ -242,15 +201,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(va * vb, (a, b), backward)
 
 
-def reciprocal(a: Tensor) -> Tensor:
-    v = 1.0 / a.value
-
-    def backward(g):
-        a._accumulate(-g * v * v)
-
-    return _make(v, (a,), backward)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.value
     v = np.empty_like(x)
@@ -274,15 +224,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make(v, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0
-
-    def backward(g):
-        a._accumulate(g * mask)
-
-    return _make(np.where(mask, a.value, 0.0), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
 # reductions and row ops
 
@@ -296,46 +237,12 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(a.value.sum(), (a,), backward)
 
 
-def column_sums(a: Tensor) -> Tensor:
-    n = a.value.shape[0]
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, (n,) + g.shape).copy())
-
-    return _make(a.value.sum(axis=0), (a,), backward)
-
-
 def row_normalize(a: Tensor) -> Tensor:
     r = a.value.sum(axis=1, keepdims=True)
     v = a.value / r
 
     def backward(g):
         a._accumulate((g - (g * v).sum(axis=1, keepdims=True)) / r)
-
-    return _make(v, (a,), backward)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    _check_finite("softmax_rows", a.value)
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    v = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        a._accumulate(v * (g - (g * v).sum(axis=1, keepdims=True)))
-
-    return _make(v, (a,), backward)
-
-
-def log_softmax_rows(a: Tensor) -> Tensor:
-    _check_finite("log_softmax_rows", a.value)
-    z = a.value - a.value.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    v = z - lse
-    p = np.exp(v)
-
-    def backward(g):
-        a._accumulate(g - p * g.sum(axis=1, keepdims=True))
 
     return _make(v, (a,), backward)
 
@@ -474,25 +381,13 @@ def _builders():
 
     reg = {}
     reg["matmul"] = lambda rng: (lambda a, b: matmul(a, b), two(rng))
-    reg["transpose"] = lambda rng: (transpose, [rng.standard_normal((3, 4))])
-    reg["reshape"] = lambda rng: (lambda a: reshape(a, (2, 6)), [rng.standard_normal((3, 4))])
-    reg["concat_rows"] = lambda rng: (
-        lambda a, b: concat_rows([a, b]),
-        [rng.standard_normal((2, 3)), rng.standard_normal((4, 3))],
-    )
     reg["add"] = lambda rng: (add, [rng.standard_normal((3, 4)), rng.standard_normal(4)])
     reg["sub"] = lambda rng: (sub, [rng.standard_normal((3, 4)), rng.standard_normal(4)])
     reg["mul"] = lambda rng: (mul, [rng.standard_normal((3, 4)), rng.standard_normal((3, 1))])
-    reg["reciprocal"] = lambda rng: (reciprocal, [rng.uniform(0.5, 2.0, (3, 4))])
     reg["sigmoid"] = lambda rng: (sigmoid, [rng.standard_normal((3, 4))])
     reg["tanh"] = lambda rng: (tanh, [rng.standard_normal((3, 4))])
-    # keep relu inputs away from the kink where finite differences are invalid
-    reg["relu"] = lambda rng: (relu, [rng.choice([-1.0, 1.0], (3, 4)) * rng.uniform(0.2, 1.5, (3, 4))])
     reg["sum_all"] = lambda rng: (sum_all, [rng.standard_normal((3, 4))])
-    reg["column_sums"] = lambda rng: (column_sums, [rng.standard_normal((5, 3))])
     reg["row_normalize"] = lambda rng: (row_normalize, [rng.uniform(0.2, 2.0, (4, 5))])
-    reg["softmax_rows"] = lambda rng: (softmax_rows, [rng.standard_normal((4, 5))])
-    reg["log_softmax_rows"] = lambda rng: (log_softmax_rows, [rng.standard_normal((4, 5))])
 
     def ce(rng):
         logits = rng.standard_normal((5, 3))

@@ -23,6 +23,7 @@ from . import model as M
 from . import training
 from .autodiff import check_registered_ops, grad_check
 from .datasets import DatasetError, load_tu_dataset, make_folds
+from .pooling import pooled_features
 from .substructure import Variant
 
 EXIT_OK = 0
@@ -102,10 +103,13 @@ def _load_config_file(path: str | None) -> dict:
 def _coerce(value: str, like):
     if isinstance(like, bool):
         return value.strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
+    try:
+        if isinstance(like, int):
+            return int(value)
+        if isinstance(like, float):
+            return float(value)
+    except ValueError as exc:
+        raise ConfigError(f"expected a {type(like).__name__}, got {value!r}") from exc
     return value
 
 
@@ -124,11 +128,11 @@ def build_train_config(args) -> training.TrainConfig:
             kwargs[name] = cli_value
         elif name in file_values:
             kwargs[name] = _coerce(file_values[name], getattr(defaults, name))
-    if "variant" in kwargs:
-        kwargs["variant"] = Variant(kwargs["variant"])
     if "hidden" in kwargs and isinstance(kwargs["hidden"], str) and kwargs["hidden"].isdigit():
         kwargs["hidden"] = int(kwargs["hidden"])
     try:
+        if "variant" in kwargs:
+            kwargs["variant"] = Variant(kwargs["variant"])
         return training.TrainConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -136,6 +140,15 @@ def build_train_config(args) -> training.TrainConfig:
 
 def _load_bundle(args):
     return load_tu_dataset(data_root(args), args.dataset)
+
+
+def _fold_plan(bundle, folds: int, cfg: training.TrainConfig):
+    if cfg.epochs < 1:
+        raise ConfigError("cross-validation needs at least one epoch")
+    try:
+        return make_folds(bundle, folds, cfg.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _config_dict(cfg: training.TrainConfig) -> dict:
@@ -150,10 +163,8 @@ def _config_dict(cfg: training.TrainConfig) -> dict:
 
 def cmd_cv(args) -> int:
     cfg = build_train_config(args)
-    if args.folds < 2:
-        raise ConfigError("fold count must be at least 2")
     bundle = _load_bundle(args)
-    plan = make_folds(bundle, args.folds, cfg.seed)
+    plan = _fold_plan(bundle, args.folds, cfg)
     manifest = _start_manifest("cv", args, _config_dict(cfg),
                                ["cv_result.json", "epochs.jsonl"], seed=cfg.seed)
     result = training.cross_validate(
@@ -203,10 +214,8 @@ def cmd_sweep_k(args) -> int:
     k_values = _parse_int_list(args.ks)
     if any(k < 1 for k in k_values):
         raise ConfigError("K values must be positive")
-    if args.folds < 2:
-        raise ConfigError("fold count must be at least 2")
     bundle = _load_bundle(args)
-    plan = make_folds(bundle, args.folds, cfg.seed)
+    plan = _fold_plan(bundle, args.folds, cfg)
     manifest = _start_manifest("sweep-k", args, _config_dict(cfg), ["sweep.csv"],
                                seed=cfg.seed)
     rows = training.sweep_k(bundle, cfg, k_values, plan, jobs=args.jobs)
@@ -229,6 +238,8 @@ def cmd_coherence(args) -> int:
     if args.analytic_only:
         if args.d < 2:
             raise ConfigError("analytic bound requires dimension >= 2")
+        if args.K < 2:
+            raise ConfigError("analytic bound requires K >= 2")
         bound = coh.bound_from_ratio(args.d, args.K, args.cdcp_over_umax2)
         print(f"theorem lower bound (d={args.d}, K={args.K}): {bound:.4f}")
         return EXIT_OK
@@ -240,6 +251,12 @@ def cmd_coherence(args) -> int:
         components=args.components, scale=args.scale, points=args.points
     )
     k_values = _parse_int_list(args.ks)
+    if min(k_values) < 1 or len({k for k in k_values if k >= 2}) < 2:
+        raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
+    if max(k_values) > args.points:
+        raise ConfigError("--points must be at least the largest K")
+    if args.seeds < 1 or args.components < 1:
+        raise ConfigError("--seeds and --components must be positive")
     seed0 = 0 if args.seed is None else args.seed
     seeds = list(range(seed0, seed0 + args.seeds))
     manifest = _start_manifest("coherence", args,
@@ -287,8 +304,7 @@ def _end_to_end_report(step: float, tolerance: float):
                                 bundle.class_count, rng)
     state.landmarks.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.5
     data = graphs[0]
-    _, w0, _ = M.forward_values(data, state)
-    target = L.target_distribution(w0)
+    target = L.target_distribution(M.batch_forward([data], state.frozen()).w.value)
     params = state.parameters()
 
     def loss_direct(*flat):
@@ -309,7 +325,10 @@ def _end_to_end_report(step: float, tolerance: float):
 def cmd_inspect(args) -> int:
     if not os.path.isfile(args.model):
         raise DatasetError(f"model file not found: {args.model}")
-    state = M.load_model(args.model)
+    try:
+        state = M.load_model(args.model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     bundle = _load_bundle(args)
     cfg_meta = state.meta.get("config", {})
     sub_cfg = training.TrainConfig(
@@ -320,7 +339,8 @@ def cmd_inspect(args) -> int:
     if not 0 <= args.graph < len(bundle.graphs):
         raise ConfigError(f"graph index {args.graph} out of range")
     data = M.prepare_graph(bundle.graphs[args.graph], bundle.node_label_count, sub_cfg)
-    _, w, pf = M.forward_values(data, state)
+    w = M.batch_forward([data], state.frozen(), [False]).w.value
+    pf = pooled_features(data.x, w, data.adjacency)
     manifest = _start_manifest("inspect", args, {"graph": args.graph},
                                [f"graph{args.graph}_{name}.csv"
                                 for name in ("W", "p", "M", "C", "C_norm")])
@@ -464,9 +484,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DatasetError as exc:

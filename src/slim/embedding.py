@@ -3,12 +3,14 @@
 The encoder maps substructure rows to a d-dimensional latent space,
 H = act(act(Z T1 + b1) T2 + b2). The co-occurrence loss is a full softmax
 over the nodes of one graph: connected substructures are pushed to have
-large inner products relative to everything else in that graph.
+large inner products relative to everything else in that graph. Both run
+over the rows of a whole batch of graphs at once.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,23 +59,52 @@ def encode(z: Tensor, params: EncoderParams) -> Tensor:
 
 
 def encode_values(z: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Tape-free encoder forward (used for evaluation and target refreshes)."""
+    """Tape-free encoder forward; a reference for tests and demos."""
     return encode(ad.constant(z), params).value
 
 
-def cooccurrence_loss(h: Tensor, adjacency: np.ndarray) -> Tensor:
-    """Negated co-occurrence log-likelihood of one graph.
+def cooccurrence_loss(h: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.ndarray]:
+    """Negated co-occurrence log-likelihood of one graph, and the row softmax.
 
     For every directed neighbor pair (i, j), the log-probability of j under a
     softmax over all nodes of the same graph (including i) is accumulated; the
     loss is the negated sum, so it is 0 for graphs without edges and positive
-    otherwise.
+    otherwise. The softmax P of the scores H H' is returned for the backward.
     """
-    if h.value.shape[0] != adjacency.shape[0]:
+    if h.shape[0] != adjacency.shape[0]:
         raise ValueError("embedding row count must match node count")
-    scores = ad.matmul(h, ad.transpose(h))
-    logp = ad.log_softmax_rows(scores)
-    return ad.mul(ad.sum_all(ad.mul(logp, ad.constant(adjacency))), ad.constant(-1.0))
+    scores = h @ h.T
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=1, keepdims=True)
+    logp = z - np.log(sums)
+    return -float((logp * adjacency).sum()), e / sums
+
+
+def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],
+                    adjacencies: Sequence[np.ndarray]) -> Tensor:
+    """Sum of ``cooccurrence_loss`` over the graphs stacked in ``h``.
+
+    Graph i owns the rows ``bounds[i]``. One tape node: per graph it keeps
+    only the softmax P, since dL/dS = -(A - deg P) for the scores S = H H'
+    and dL/dH = (dS + dS') H.
+    """
+    hv = h.value
+    ad._check_finite("cooccurrence_op", hv)
+    total, probs = 0.0, []
+    for (r0, r1), adjacency in zip(bounds, adjacencies, strict=True):
+        loss, p = cooccurrence_loss(hv[r0:r1], adjacency)
+        total += loss
+        probs.append(p)
+
+    def backward(g):
+        dh = np.zeros_like(hv)
+        for (r0, r1), adjacency, p in zip(bounds, adjacencies, probs):
+            ds = adjacency.sum(axis=1, keepdims=True) * p - adjacency
+            dh[r0:r1] = (ds + ds.T) @ hv[r0:r1]
+        h._accumulate(g * dh)
+
+    return ad._make(total, (h,), backward)
 
 
 def cooccurrence_loss_reference(h: np.ndarray, adjacency: np.ndarray) -> float:
@@ -89,3 +120,16 @@ def cooccurrence_loss_reference(h: np.ndarray, adjacency: np.ndarray) -> float:
             log_denom = m + math.log(sum(math.exp(s - m) for s in scores))
             total += float(h[i] @ h[j]) - log_denom
     return -total
+
+
+def _cooccurrence_op_case(rng):
+    """Gradient-check input: a 5-node graph, an edgeless pair and a 3-node
+    path; rows 7 and 8 belong to a graph the op does not see."""
+    a = np.triu(rng.random((5, 5)) < 0.5, 1)
+    path = np.eye(3, k=1) + np.eye(3, k=-1)
+    adjs = [(a | a.T).astype(float), np.zeros((2, 2)), path]
+    bounds = [(0, 5), (5, 7), (9, 12)]
+    return lambda h: cooccurrence_op(h, bounds, adjs), [rng.standard_normal((12, 3))]
+
+
+ad.OP_REGISTRY["cooccurrence"] = _cooccurrence_op_case

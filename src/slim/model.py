@@ -1,15 +1,18 @@
 """The full differentiable pipeline and its parameter container.
 
-Per graph: substructure rows -> encoder -> soft landmark assignment ->
-pooled interaction features. Per batch: pooled feature rows are stacked and
-classified by a one-hidden-layer FC network. The joint loss combines the
-classification cross-entropy with the weighted co-occurrence and clustering
-terms.
+A batch of graphs is run as one disjoint union: the substructure rows of
+all graphs are stacked, encoded and softly assigned to the landmarks in one
+pass, and fused ops pool each graph's row range into its interaction
+features, which a one-hidden-layer FC network classifies. The joint loss
+combines the classification cross-entropy with the weighted co-occurrence
+and clustering terms. Training, evaluation, target refresh and inspection
+all use this one forward pass, with or without a tape.
 """
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -81,6 +84,19 @@ class ModelState:
         for p in self.parameters():
             p.zero_grad()
 
+    def frozen(self) -> ModelState:
+        """The same model with constant parameters (sharing their arrays), so
+        forward passes through it build no tape."""
+        def const(obj, *names):
+            return replace(obj, **{n: ad.constant(getattr(obj, n).value) for n in names})
+
+        return replace(
+            self,
+            encoder=const(self.encoder, "t1", "b1", "t2", "b2"),
+            landmarks=const(self.landmarks, "u"),
+            classifier=const(self.classifier, "w_hidden", "b_hidden", "w_out", "b_out"),
+        )
+
 
 def classifier_logits(features: Tensor, params: ClassifierParams,
                       center: np.ndarray | None = None) -> Tensor:
@@ -94,12 +110,36 @@ def classifier_logits(features: Tensor, params: ClassifierParams,
     return ad.add(ad.matmul(hidden, params.w_out), params.b_out)
 
 
-def graph_terms(data: GraphData, state: ModelState):
-    """Tape for one graph: (pooled feature row, assignment W, embedding H)."""
-    h = embedding.encode(ad.constant(data.z), state.encoder)
+@dataclass
+class BatchForward:
+    """One forward pass over the disjoint union of a batch of graphs."""
+
+    bounds: list[tuple[int, int]]  # rows of each graph in h and w
+    h: Tensor                      # stacked embeddings
+    w: Tensor                      # stacked soft assignments
+    features: Tensor | None        # one pooled row per pooled graph, in batch order
+
+
+def batch_forward(batch: list[GraphData], state: ModelState,
+                  pooled: list[bool] | None = None) -> BatchForward:
+    """Encoder, assignment and pooling over all rows of ``batch`` at once.
+
+    Builds a tape when ``state`` holds trainable parameters and none for
+    ``state.frozen()``. Only graphs with ``pooled[i]`` set (default: all)
+    get a feature row.
+    """
+    ends = np.cumsum([data.z.shape[0] for data in batch]).tolist()
+    bounds = list(zip([0] + ends[:-1], ends))
+    h = embedding.encode(ad.constant(np.vstack([data.z for data in batch])),
+                         state.encoder)
     w = landmarks.assign(h, state.landmarks)
-    feat = pooling.graph_feature_op(w, data.x, data.adjacency, state.include_means)
-    return feat, w, h
+    keep = [i for i in range(len(batch)) if pooled is None or pooled[i]]
+    features = None
+    if keep:
+        features = pooling.graph_feature_op(
+            w, [bounds[i] for i in keep], [batch[i].x for i in keep],
+            [batch[i].adjacency for i in keep], state.include_means)
+    return BatchForward(bounds, h, w, features)
 
 
 @dataclass
@@ -123,52 +163,30 @@ def joint_loss(batch: list[GraphData], state: ModelState,
     """
     if not batch:
         raise ValueError("joint_loss: batch must be non-empty")
-    labeled = [True] * len(batch) if labeled is None else labeled
-    rows, labels, embed_terms, cluster_terms = [], [], [], []
-    for i, data in enumerate(batch):
-        h = embedding.encode(ad.constant(data.z), state.encoder)
-        w = landmarks.assign(h, state.landmarks)
-        if labeled[i]:
-            rows.append(pooling.graph_feature_op(w, data.x, data.adjacency,
-                                                 state.include_means))
-            labels.append(data.label)
-        if lambda_embed > 0:
-            embed_terms.append(embedding.cooccurrence_loss(h, data.adjacency))
-        if lambda_cluster > 0 and targets_w is not None:
-            cluster_terms.append(landmarks.cluster_loss(w, targets_w[i]))
-
+    labeled = [True] * len(batch) if labeled is None else list(labeled)
+    if len(labeled) != len(batch):
+        raise ValueError("joint_loss: one labeled flag per graph")
+    fwd = batch_forward(batch, state, labeled)
     parts = []
-    ce_value = 0.0
-    if rows:
-        logits = classifier_logits(ad.concat_rows(rows), state.classifier,
-                                   state.feature_center)
-        ce = ad.cross_entropy(logits, np.asarray(labels))
+    ce_value = embed_value = cluster_value = 0.0
+    if fwd.features is not None:
+        logits = classifier_logits(fwd.features, state.classifier, state.feature_center)
+        ce = ad.cross_entropy(logits, [d.label for d, lab in zip(batch, labeled) if lab])
         ce_value = float(ce.value)
         parts.append(ce)
-    embed_value = cluster_value = 0.0
-    if embed_terms:
-        tot = embed_terms[0]
-        for t in embed_terms[1:]:
-            tot = ad.add(tot, t)
-        embed_value = float(tot.value)
-        parts.append(ad.mul(tot, ad.constant(lambda_embed)))
-    if cluster_terms:
-        tot = cluster_terms[0]
-        for t in cluster_terms[1:]:
-            tot = ad.add(tot, t)
-        cluster_value = float(tot.value)
-        parts.append(ad.mul(tot, ad.constant(lambda_cluster)))
+    if lambda_embed > 0:
+        embed = embedding.cooccurrence_op(fwd.h, fwd.bounds,
+                                          [d.adjacency for d in batch])
+        embed_value = float(embed.value)
+        parts.append(ad.mul(embed, ad.constant(lambda_embed)))
+    if lambda_cluster > 0 and targets_w is not None:
+        cluster = landmarks.cluster_loss(fwd.w, np.vstack(targets_w))
+        cluster_value = float(cluster.value)
+        parts.append(ad.mul(cluster, ad.constant(lambda_cluster)))
     if not parts:
         raise ValueError("joint_loss: no labeled graphs and no active unsupervised terms")
-    total = parts[0]
-    for t in parts[1:]:
-        total = ad.add(total, t)
-    breakdown = LossBreakdown(
-        total=float(total.value),
-        cross_entropy=ce_value,
-        embed=embed_value,
-        cluster=cluster_value,
-    )
+    total = functools.reduce(ad.add, parts)
+    breakdown = LossBreakdown(float(total.value), ce_value, embed_value, cluster_value)
     if not np.isfinite(breakdown.total):
         raise ad.NumericError(
             f"non-finite joint loss: ce={ce_value} embed={embed_value} "
@@ -178,45 +196,53 @@ def joint_loss(batch: list[GraphData], state: ModelState,
 
 
 # ---------------------------------------------------------------------------
-# tape-free forward paths (evaluation, target refresh, inspection)
+# tape-free passes (evaluation, target refresh, feature centre, k-means init)
+
+# rows per tape-free chunk: large enough to amortize the per-op overhead of a
+# batch of small graphs, small enough that the assignment temporaries stay in
+# cache when graphs have thousands of nodes
+CHUNK_ROWS = 512
+# feature rows per evaluation classifier call: one call per graph rereads the
+# whole first-layer weight each time, one call for a whole dataset streams a
+# feature matrix far larger than the cache
+CLASSIFY_ROWS = 16
 
 
-def forward_values(data: GraphData, state: ModelState):
-    """(H, W, PooledFeatures) without building a tape."""
-    h = embedding.encode_values(data.z, state.encoder)
-    w = landmarks.assign_values(h, state.landmarks.u.value, state.landmarks.dof)
-    return h, w, pooling.pooled_features(data.x, w, data.adjacency)
-
-
-def predict_logits(data: GraphData, state: ModelState) -> np.ndarray:
-    _, _, pf = forward_values(data, state)
-    v = pooling.graph_feature(pf, state.include_means)
-    if state.feature_center is not None:
-        v = v - state.feature_center
-    cp = state.classifier
-    hidden = np.tanh(v @ cp.w_hidden.value + cp.b_hidden.value)
-    return hidden @ cp.w_out.value + cp.b_out.value
-
-
-def predict(data: GraphData, state: ModelState) -> int:
-    return int(np.argmax(predict_logits(data, state)))
+def forward_chunks(graphs: list[GraphData], state: ModelState, pooled: bool = True):
+    """Yield the tape-free BatchForward of consecutive chunks of ``graphs``,
+    each of at most CHUNK_ROWS rows or a single larger graph."""
+    frozen = state.frozen()
+    start = 0
+    while start < len(graphs):
+        stop, rows = start + 1, graphs[start].z.shape[0]
+        while stop < len(graphs) and rows + graphs[stop].z.shape[0] <= CHUNK_ROWS:
+            rows += graphs[stop].z.shape[0]
+            stop += 1
+        chunk = graphs[start:stop]
+        yield batch_forward(chunk, frozen, [pooled] * len(chunk))
+        start = stop
 
 
 def accuracy(graphs: list[GraphData], state: ModelState) -> float:
-    """Fraction of graphs predicted correctly (one batched classifier pass)."""
+    """Fraction of graphs predicted correctly."""
     if not graphs:
         return float("nan")
-    feats = np.stack([
-        pooling.graph_feature(forward_values(g, state)[2], state.include_means)
-        for g in graphs
-    ])
-    if state.feature_center is not None:
-        feats = feats - state.feature_center
-    cp = state.classifier
-    hidden = np.tanh(feats @ cp.w_hidden.value + cp.b_hidden.value)
-    logits = hidden @ cp.w_out.value + cp.b_out.value
-    labels = np.array([g.label for g in graphs])
-    return float((logits.argmax(axis=1) == labels).mean())
+    clf = state.frozen().classifier
+    preds, rows = [], []
+
+    def classify():
+        feats = rows[0] if len(rows) == 1 else np.vstack(rows)
+        logits = classifier_logits(ad.constant(feats), clf, state.feature_center)
+        preds.extend(logits.value.argmax(axis=1))
+        rows.clear()
+
+    for fwd in forward_chunks(graphs, state):
+        rows.append(fwd.features.value)
+        if sum(map(len, rows)) >= CLASSIFY_ROWS:
+            classify()
+    if rows:
+        classify()
+    return float((np.array(preds) == np.array([g.label for g in graphs])).mean())
 
 
 # ---------------------------------------------------------------------------

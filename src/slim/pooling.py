@@ -9,12 +9,13 @@ per-node structure onto the K landmarks:
   C_norm  interaction normalized by densities            (K, K)
 
 All quantities are permutation invariant because node identity enters only
-through sums over rows. Plain-array versions live here; the differentiable
-feature path is assembled from the same formulas via autodiff ops.
+through sums over rows. The plain-array versions here are the reference for
+the fused differentiable op that pools a whole batch of graphs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -82,65 +83,73 @@ def feature_width(k: int, c: int, include_means: bool = False) -> int:
     return k * k + (k + c * k if include_means else 0)
 
 
-def graph_feature_op(w: Tensor, x: np.ndarray, adjacency: np.ndarray,
+def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
+                     xs: Sequence[np.ndarray], adjacencies: Sequence[np.ndarray],
                      include_means: bool = False) -> Tensor:
-    """Differentiable pooled feature row (1 x width) from the assignment tensor.
+    """Differentiable pooled feature rows (len(bounds) x width) of a batch.
+
+    ``w`` stacks the assignments of several graphs; graph i owns the rows
+    ``bounds[i]`` and has node types ``xs[i]`` and adjacency
+    ``adjacencies[i]``. Rows outside every bound get no gradient.
 
     Fused into a single tape node: the K x K intermediates dominate time and
-    memory at large K, so the backward works directly on the upstream row
-    instead of composing elementwise ops.
+    memory at large K, so the backward works directly on the upstream rows
+    instead of composing elementwise ops. Without a backward the cheaper
+    (W'A)W order is used and A W is not kept.
     """
-    n, k = w.value.shape
     wv = w.value
-    p = wv.sum(axis=0)
-    s = 1.0 / (p + DENSITY_EPS)
-    aw = adjacency @ wv
-    c = wv.T @ aw
-    c_norm = (c * s) * s[:, None]
-    if include_means:
-        m0 = x.T @ wv
-        value = np.concatenate([c_norm.reshape(-1), p, (m0 * s).reshape(-1)])[None, :]
-    else:
-        value = c_norm.reshape(1, -1)
+    k = wv.shape[1]
+    keep = w.requires_grad
+    out = np.empty((len(bounds), feature_width(k, xs[0].shape[1], include_means)))
+    saved = []
+    for row, (r0, r1), x, adjacency in zip(out, bounds, xs, adjacencies, strict=True):
+        wg = wv[r0:r1]
+        if wg.shape[0] != adjacency.shape[0]:
+            raise ValueError("assignment and adjacency disagree on node count")
+        p = wg.sum(axis=0)
+        s = 1.0 / (p + DENSITY_EPS)
+        aw = adjacency @ wg if keep else None
+        c = wg.T @ aw if keep else (wg.T @ adjacency) @ wg
+        np.multiply(c * s, s[:, None], out=row[: k * k].reshape(k, k))
+        m0 = None
+        if include_means:
+            m0 = x.T @ wg
+            row[k * k : k * k + k] = p
+            row[k * k + k :] = (m0 * s).reshape(-1)
+        if keep:
+            saved.append((s, aw, c, m0))
 
     def backward(g):
-        row = g[0]
-        g_tilde = row[: k * k].reshape(k, k)
-        g_c = (g_tilde * s) * s[:, None]
-        t = g_tilde * c
-        ds = t @ s + t.T @ s
-        dp = None
-        if include_means:
-            g_p = row[k * k : k * k + k]
-            g_m = row[k * k + k :].reshape(-1, k)
-            ds = ds + (g_m * m0).sum(axis=0)
-            dp = g_p.copy()
-        dq = -(s * s) * ds
-        dp = dq if dp is None else dp + dq
-        dw = aw @ (g_c + g_c.T) + dp[None, :]
-        if include_means:
-            dw = dw + x @ (g_m * s)
+        dw = np.zeros_like(wv)
+        for row, (r0, r1), x, (s, aw, c, m0) in zip(g, bounds, xs, saved):
+            g_tilde = row[: k * k].reshape(k, k)
+            g_c = (g_tilde * s) * s[:, None]
+            t = g_tilde * c
+            ds = t @ s + t.T @ s
+            dp = 0.0
+            if include_means:
+                g_m = row[k * k + k :].reshape(-1, k)
+                ds = ds + (g_m * m0).sum(axis=0)
+                dp = row[k * k : k * k + k]
+            block = aw @ (g_c + g_c.T) + (dp - (s * s) * ds)
+            if include_means:
+                block += x @ (g_m * s)
+            dw[r0:r1] += block
         w._accumulate(dw)
 
-    return ad._make(value, (w,), backward)
+    return ad._make(out, (w,), backward)
 
 
-def _register_feature_op():
-    def build(include_means):
-        def builder(rng):
-            n, k, c = 6, 4, 3
-            labels = rng.integers(0, c, n)
-            x = np.eye(c)[labels]
-            a = (rng.random((n, n)) < 0.4).astype(float)
-            a = np.triu(a, 1)
-            a = a + a.T
-            fn = lambda w: graph_feature_op(w, x, a, include_means)
-            return fn, [rng.uniform(0.1, 1.0, (n, k))]
-
-        return builder
-
-    ad.OP_REGISTRY["graph_feature"] = build(False)
-    ad.OP_REGISTRY["graph_feature_with_means"] = build(True)
+def _feature_op_case(rng, include_means):
+    """Gradient-check input: graphs of 6 nodes, 1 node and 4 nodes; rows 7
+    and 8 belong to a graph that is not pooled."""
+    bounds = [(0, 6), (6, 7), (9, 13)]
+    xs = [np.eye(3)[rng.integers(0, 3, r1 - r0)] for r0, r1 in bounds]
+    upper = [np.triu(rng.random((r1 - r0, r1 - r0)) < 0.4, 1) for r0, r1 in bounds]
+    adjs = [(a | a.T).astype(float) for a in upper]
+    return (lambda w: graph_feature_op(w, bounds, xs, adjs, include_means),
+            [rng.uniform(0.1, 1.0, (13, 4))])
 
 
-_register_feature_op()
+ad.OP_REGISTRY["graph_feature"] = lambda rng: _feature_op_case(rng, False)
+ad.OP_REGISTRY["graph_feature_with_means"] = lambda rng: _feature_op_case(rng, True)

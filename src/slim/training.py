@@ -18,12 +18,11 @@ import numpy as np
 from . import model as M
 from .autodiff import Tensor
 from .datasets import DatasetBundle, FoldPlan
-from .embedding import init_encoder
+from .embedding import ACTIVATIONS, init_encoder
 from .landmarks import LandmarkSet, init_landmarks, target_distribution
-from .pooling import feature_width, graph_feature
+from .pooling import feature_width
 from .substructure import SubstructureConfig, Variant
 
-LEARNING_RATE_GRID = (1e-2, 5e-2, 1e-3, 5e-3, 1e-4)
 DIVERGENCE_LIMIT = 1e6
 # parameters above this many elements use the chunked in-place update path
 CHUNKED_PARAM_ELEMENTS = 1 << 25
@@ -63,6 +62,10 @@ class TrainConfig:
             raise ValueError("optimizer must be 'sgd' or 'adagrad'")
         if self.k < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("k, epochs and batch_size must be positive")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
+        self.resolve_hidden(1)  # rejects an unknown width name
+        self.substructure()     # rejects hops and layer_decay out of range
 
     def substructure(self) -> SubstructureConfig:
         return SubstructureConfig(hops=self.hops, variant=self.variant,
@@ -181,10 +184,10 @@ def init_state(cfg: TrainConfig, width_in: int, c: int, classes: int,
 
 
 def refresh_targets(graphs: list[M.GraphData], state: M.ModelState) -> list[np.ndarray]:
+    """Sharpened clustering target of every graph at the current parameters."""
     targets = []
-    for data in graphs:
-        _, w, _ = M.forward_values(data, state)
-        targets.append(target_distribution(w))
+    for fwd in M.forward_chunks(graphs, state, pooled=False):
+        targets.extend(target_distribution(fwd.w.value[r0:r1]) for r0, r1 in fwd.bounds)
     return targets
 
 
@@ -209,7 +212,8 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     labeled_mask = [True] * len(train_graphs) + [False] * len(unlabeled_graphs or [])
 
     # landmark initialization on epoch-0 embeddings
-    stacked = np.vstack([M.forward_values(d, state)[0] for d in pool])
+    stacked = np.vstack([fwd.h.value
+                         for fwd in M.forward_chunks(pool, state, pooled=False)])
     k = min(cfg.k, len(stacked))
     if k < cfg.k:
         warnings.warn(f"only {len(stacked)} substructure rows; lowering K to {k}",
@@ -220,10 +224,9 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     state.landmarks.u.value = init_landmarks(
         stacked, k, int(kmeans_seed.generate_state(1)[0]), restarts=cfg.kmeans_restarts
     )
-    center = None
-    for d in pool:  # running mean; a stacked copy would not fit at large K
-        v = graph_feature(M.forward_values(d, state)[2], cfg.include_means)
-        center = v if center is None else center + v
+    center = 0.0
+    for fwd in M.forward_chunks(pool, state):  # a stacked copy would not fit at large K
+        center = center + fwd.features.value.sum(axis=0)
     state.feature_center = center / len(pool)
 
     opt = make_optimizer(cfg.optimizer, state.parameters(), cfg.learning_rate)

@@ -18,11 +18,15 @@ class TestRegisteredOps:
 
     def test_registry_covers_the_pipeline_ops(self):
         needed = {
-            "matmul", "sigmoid", "softmax_rows", "log_softmax_rows",
+            "matmul", "add", "sub", "mul", "sigmoid", "tanh",
             "cross_entropy", "kl_div", "squared_distance_rows",
-            "student_t_kernel", "row_normalize", "concat_rows",
+            "student_t_kernel", "row_normalize", "graph_feature",
+            "graph_feature_with_means", "cooccurrence",
         }
         assert needed <= set(ad.OP_REGISTRY)
+        unused = {"relu", "reciprocal", "column_sums", "reshape", "softmax_rows",
+                  "concat_rows", "transpose", "log_softmax_rows"}
+        assert not unused & (set(ad.OP_REGISTRY) | set(vars(ad)))
 
 
 class TestMatmul:
@@ -66,8 +70,8 @@ class TestSigmoid:
 class TestSoftmaxFamily:
     def test_uniform_row(self):
         m = 5
-        out = ad.softmax_rows(Tensor(np.zeros((2, m))))
-        np.testing.assert_allclose(out.value, np.full((2, m), 1 / m))
+        out = ad.cross_entropy(Tensor(np.zeros((2, m))), np.array([0, 3]))
+        assert out.value.item() == pytest.approx(np.log(m), rel=1e-15)
 
     def test_kl_of_identical_is_zero(self, rng):
         p = rng.uniform(0.1, 1.0, (4, 3))
@@ -86,10 +90,8 @@ class TestSoftmaxFamily:
 
     def test_non_finite_input_raises(self):
         bad = np.array([[0.0, np.nan]])
-        with pytest.raises(NumericError, match="softmax_rows"):
-            ad.softmax_rows(Tensor(bad))
-        with pytest.raises(NumericError, match="log_softmax_rows"):
-            ad.log_softmax_rows(Tensor(bad))
+        with pytest.raises(NumericError, match="cross_entropy"):
+            ad.cross_entropy(Tensor(bad), np.array([0]))
 
 
 class TestGradCheckHarness:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from slim import training
 from slim.cli import main
 from slim.datasets import save_tu_dataset
 from slim.synthetic import make_bundle
@@ -84,6 +85,36 @@ class TestCv:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1   # from file
         assert manifest["config"]["k"] == 4        # flag beats file
+
+
+class TestErrorMapping:
+    def test_value_error_inside_training_is_not_a_configuration_error(
+            self, tu_root, tmp_path, monkeypatch, capsys):
+        def broken_train(*args, **kwargs):
+            raise ValueError("shape mismatch inside training")
+
+        monkeypatch.setattr(training, "train", broken_train)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                 "--out", tmp_path / "o"] + FAST)
+        assert "configuration error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["variant = bogus", "hidden = 3D", "activation = relu",
+                                      "k = many", "hops = 11", "layer_decay = 2"])
+    def test_bad_config_value_is_configuration_error(self, tu_root, tmp_path, capsys, line):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[train]\n{line}\n", encoding="utf-8")
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--config", cfg_file, "--out", tmp_path / "o"])
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--analytic-only", "--K", "1"], ["--ks", "4"],
+                                      ["--ks", "2,8", "--points", "4"],
+                                      ["--ks", "2,8", "--seeds", "0"]])
+    def test_bad_coherence_arguments_are_configuration_errors(self, tmp_path, capsys, argv):
+        assert run(["coherence", "--out", tmp_path / "o"] + argv) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestSweepK:

@@ -7,6 +7,7 @@ from slim import autodiff as ad
 from slim.autodiff import Tensor, grad_check
 from slim.landmarks import (
     LandmarkSet,
+    _lloyd,
     assign,
     assign_values,
     cluster_loss,
@@ -195,6 +196,33 @@ class TestInitLandmarks:
         np.testing.assert_array_equal(
             init_landmarks(points, 4, seed=5), init_landmarks(points, 4, seed=5)
         )
+
+    def test_lloyd_sums_bit_identical_to_add_at(self, rng):
+        # the per-column bincount must add rows in the same order as
+        # np.add.at, so the centroids stay bit-identical
+        def lloyd_add_at(points, centers, tol, max_iter):
+            pp = (points * points).sum(axis=1)
+            for _ in range(max_iter):
+                d2 = (pp[:, None] + (centers * centers).sum(axis=1)[None, :]
+                      - 2.0 * points @ centers.T)
+                nearest = d2.argmin(axis=1)
+                new = centers.copy()
+                sums = np.zeros_like(centers)
+                np.add.at(sums, nearest, points)
+                sizes = np.bincount(nearest, minlength=len(centers))
+                occupied = sizes > 0
+                new[occupied] = sums[occupied] / sizes[occupied, None]
+                shift = np.linalg.norm(new - centers, axis=1).max()
+                centers = new
+                if shift < tol:
+                    break
+            return centers
+
+        points = rng.standard_normal((2000, 8)) * rng.uniform(0.1, 100.0, 8)
+        start = points[rng.choice(len(points), 40, replace=False)]
+        for max_iter in (1, 5):
+            np.testing.assert_array_equal(_lloyd(points, start, 1e-6, max_iter),
+                                          lloyd_add_at(points, start, 1e-6, max_iter))
 
 
 class TestSelfTrainingConsistency:

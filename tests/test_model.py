@@ -24,6 +24,21 @@ def small_setup(rng):
     return bundle, cfg, graphs, state
 
 
+def sharpened_targets(batch, state):
+    """Per-graph clustering targets from the plain-array reference paths."""
+    return [
+        target_distribution(assign_values(encode_values(g.z, state.encoder),
+                                          state.landmarks.u.value, state.landmarks.dof))
+        for g in batch
+    ]
+
+
+def tape_free_logits(graphs, state):
+    feats = np.vstack([f.features.value for f in M.forward_chunks(graphs, state)])
+    return M.classifier_logits(ad.constant(feats), state.frozen().classifier,
+                               state.feature_center).value
+
+
 def manual_joint_loss(batch, state, lam_e, lam_c, targets):
     """Standalone recomputation of each term with the plain-array paths."""
     feats, labels = [], []
@@ -51,7 +66,7 @@ class TestJointLoss:
     def test_matches_standalone_term_evaluators(self, small_setup):
         bundle, cfg, graphs, state = small_setup
         batch = graphs[:4]
-        targets = [target_distribution(M.forward_values(g, state)[1]) for g in batch]
+        targets = sharpened_targets(batch, state)
         total, parts = M.joint_loss(batch, state, 0.01, 0.01, targets)
         expected, ce, embed, cluster = manual_joint_loss(batch, state, 0.01, 0.01, targets)
         assert total.value.item() == pytest.approx(expected, abs=1e-10)
@@ -74,7 +89,7 @@ class TestJointLoss:
         data = M.prepare_graph(g, 1, cfg.substructure())
         state = init_state(cfg, data.z.shape[1], 1, 2, rng)
         state.classifier.b_out.value = np.array([40.0, -40.0])
-        _, w, _ = M.forward_values(data, state)
+        w = M.batch_forward([data], state.frozen()).w.value
         total, _ = M.joint_loss([data, data], state, 0.01, 0.01,
                                 [w.copy(), w.copy()])
         assert total.value.item() == pytest.approx(0.0, abs=1e-12)
@@ -93,7 +108,7 @@ class TestJointLoss:
     def test_unlabeled_graphs_skip_classification(self, small_setup):
         _, _, graphs, state = small_setup
         batch = graphs[:3]
-        targets = [target_distribution(M.forward_values(g, state)[1]) for g in batch]
+        targets = sharpened_targets(batch, state)
         _, parts_all = M.joint_loss(batch, state, 0.01, 0.01, targets)
         _, parts_unl = M.joint_loss(batch, state, 0.01, 0.01, targets,
                                     labeled=[True, False, False])
@@ -105,12 +120,20 @@ class TestJointLoss:
 class TestPredictPaths:
     def test_predict_matches_tape_logits(self, small_setup, rng):
         _, _, graphs, state = small_setup
-        for data in graphs[:3]:
-            feat, _, _ = M.graph_terms(data, state)
-            logits = M.classifier_logits(feat, state.classifier)
-            np.testing.assert_allclose(
-                M.predict_logits(data, state), logits.value[0], rtol=1e-12
-            )
+        state.feature_center = rng.standard_normal(state.classifier.w_hidden.shape[0])
+        fwd = M.batch_forward(graphs, state)
+        assert fwd.features.requires_grad
+        logits = M.classifier_logits(fwd.features, state.classifier, state.feature_center)
+        np.testing.assert_allclose(tape_free_logits(graphs, state), logits.value,
+                                   rtol=1e-12)
+        labels = np.array([g.label for g in graphs])
+        assert M.accuracy(graphs, state) == (logits.value.argmax(axis=1) == labels).mean()
+
+    def test_tape_free_pass_builds_no_tape(self, small_setup):
+        _, _, graphs, state = small_setup
+        for fwd in M.forward_chunks(graphs, state):
+            assert not (fwd.h.requires_grad or fwd.w.requires_grad
+                        or fwd.features.requires_grad)
 
     def test_accuracy_bounds(self, small_setup):
         _, _, graphs, state = small_setup
@@ -129,8 +152,8 @@ class TestSerialization:
             np.testing.assert_array_equal(a.value, b.value)
         assert loaded.landmarks.dof == state.landmarks.dof
         assert loaded.meta["dataset"] == "unit-test"
-        for data in graphs[:3]:
-            assert M.predict(data, state) == M.predict(data, loaded)
+        np.testing.assert_array_equal(tape_free_logits(graphs, state),
+                                      tape_free_logits(graphs, loaded))
 
     def test_version_check(self, small_setup, tmp_path):
         import json

@@ -145,7 +145,7 @@ def _pipeline_features(g, x, encoder, u, include_means=False):
     """Differentiable substructure-to-feature pipeline used for grad checks."""
     h = encode(ad.constant(x), encoder)
     w = assign(h, LandmarkSet(u, dof=1.0))
-    return graph_feature_op(w, x, g.adjacency, include_means)
+    return graph_feature_op(w, [(0, g.node_count)], [x], [g.adjacency], include_means)
 
 
 class TestPermutationInvariance:
@@ -201,7 +201,7 @@ class TestDifferentiablePath:
 
         def fn(h, u):
             w = assign(h, LandmarkSet(u, dof=1.0))
-            return graph_feature_op(w, x, g.adjacency, include_means)
+            return graph_feature_op(w, [(0, g.node_count)], [x], [g.adjacency], include_means)
 
         report = grad_check(
             fn,
