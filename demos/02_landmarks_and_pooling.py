@@ -40,4 +40,5 @@ print("interaction matrix C (sum = 2|E| =", int(pf.c.sum() + 0.5), "):")
 print(np.round(pf.c, 2))
 print("normalized interaction:")
 print(np.round(pf.c_norm, 3))
-print("\nclassifier feature vector length:", graph_feature(pf).shape[0])
+print("\nclassifier feature vector length (upper triangle of C_norm, K(K+1)/2):",
+      graph_feature(pf).shape[0])

@@ -25,7 +25,7 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A node of the differentiation tape."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "grad_sink")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -33,9 +33,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
-        # Optional hook(row0, row1, grad_block) used instead of materializing
-        # .grad for huge parameters; see training.ChunkedUpdate.
-        self.grad_sink = None
 
     @property
     def shape(self):
@@ -51,7 +48,8 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed=None):
-        """Run the backward sweep from this (scalar) tensor."""
+        """Run the backward sweep from this tensor, seeded with d(out)/d(self)
+        (default 1, for a scalar)."""
         if seed is None:
             if self.value.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -149,20 +147,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(g @ vb.T)
         if b.requires_grad:
-            if b.grad_sink is not None:
-                _sink_matmul_grad(va, g, b)
-            else:
-                b._accumulate(va.T @ g)
+            b._accumulate(va.T @ g)
 
     return _make(va @ vb, (a, b), backward)
-
-
-def _sink_matmul_grad(va, g, b, block_rows: int = 1 << 15):
-    """Feed a^T @ g to b.grad_sink in row blocks instead of materializing it."""
-    n = va.shape[1]
-    for r0 in range(0, n, block_rows):
-        r1 = min(n, r0 + block_rows)
-        b.grad_sink(r0, r1, va[:, r0:r1].T @ g)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +213,6 @@ def tanh(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # reductions and row ops
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.value.shape
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, shape).copy())
-
-    return _make(a.value.sum(), (a,), backward)
 
 
 def row_normalize(a: Tensor) -> Tensor:
@@ -338,7 +316,9 @@ def grad_check(fn: Callable[..., Tensor], inputs, step: float = 1e-5,
     """Compare the analytic gradient of ``fn`` with central finite differences.
 
     The (possibly matrix-valued) output is scalarized against a fixed random
-    projection so transposed or permuted backward rules cannot cancel out.
+    projection so transposed or permuted backward rules cannot cancel out;
+    seeding the backward sweep with that projection gives the analytic
+    gradient of the scalarized output.
     """
     if step <= 0:
         raise ValueError("grad_check: step must be positive")
@@ -351,8 +331,7 @@ def grad_check(fn: Callable[..., Tensor], inputs, step: float = 1e-5,
     def scalarize(vals):
         return float((fn(*[Tensor(v) for v in vals]).value * proj).sum())
 
-    loss = sum_all(mul(out, constant(proj)))
-    loss.backward()
+    out.backward(proj)
     max_err = 0.0
     for i, base in enumerate(arrays):
         analytic = tensors[i].grad
@@ -386,7 +365,6 @@ def _builders():
     reg["mul"] = lambda rng: (mul, [rng.standard_normal((3, 4)), rng.standard_normal((3, 1))])
     reg["sigmoid"] = lambda rng: (sigmoid, [rng.standard_normal((3, 4))])
     reg["tanh"] = lambda rng: (tanh, [rng.standard_normal((3, 4))])
-    reg["sum_all"] = lambda rng: (sum_all, [rng.standard_normal((3, 4))])
     reg["row_normalize"] = lambda rng: (row_normalize, [rng.uniform(0.2, 2.0, (4, 5))])
 
     def ce(rng):

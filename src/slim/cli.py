@@ -327,15 +327,15 @@ def cmd_inspect(args) -> int:
         raise DatasetError(f"model file not found: {args.model}")
     try:
         state = M.load_model(args.model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        cfg_meta = state.meta.get("config", {})
+        sub_cfg = training.TrainConfig(
+            hops=int(cfg_meta.get("hops", 3)),
+            variant=Variant(cfg_meta.get("variant", "node_distribution")),
+            layer_decay=float(cfg_meta.get("layer_decay", 0.5)),
+        ).substructure()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model {args.model}: {exc}") from exc
     bundle = _load_bundle(args)
-    cfg_meta = state.meta.get("config", {})
-    sub_cfg = training.TrainConfig(
-        hops=int(cfg_meta.get("hops", 3)),
-        variant=Variant(cfg_meta.get("variant", "node_distribution")),
-        layer_decay=float(cfg_meta.get("layer_decay", 0.5)),
-    ).substructure()
     if not 0 <= args.graph < len(bundle.graphs):
         raise ConfigError(f"graph index {args.graph} out of range")
     data = M.prepare_graph(bundle.graphs[args.graph], bundle.node_label_count, sub_cfg)

@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .datasets import DatasetBundle, Graph, one_hot_features
 from .substructure import SubstructureConfig, build_substructures
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)

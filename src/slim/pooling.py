@@ -11,9 +11,16 @@ per-node structure onto the K landmarks:
 All quantities are permutation invariant because node identity enters only
 through sums over rows. The plain-array versions here are the reference for
 the fused differentiable op that pools a whole batch of graphs.
+
+C is symmetric (every graph is undirected), so the classifier reads only the
+upper triangle of C_norm, row-major, with each off-diagonal entry scaled by
+sqrt(2). The scale keeps the feature's euclidean norm equal to the Frobenius
+norm of C_norm, and a linear layer on the triangle then takes the same SGD
+steps as one on the full symmetric flattening.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,20 +74,33 @@ def pooled_features(x: np.ndarray, w: np.ndarray, adjacency: np.ndarray) -> Pool
     )
 
 
+@functools.lru_cache(maxsize=4)
+def upper_triangle(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """K x K mask of the upper triangle (indexing with it reads the entries
+    row-major, in the order of ``np.triu_indices(k)``) and the feature scale
+    of each entry: 1 on the diagonal, sqrt(2) off it."""
+    mask = np.triu(np.ones((k, k), dtype=bool))
+    scale = np.where(np.eye(k, dtype=bool)[mask], 1.0, np.sqrt(2.0))
+    mask.setflags(write=False)  # shared by every caller through the cache
+    scale.setflags(write=False)
+    return mask, scale
+
+
 def graph_feature(pf: PooledFeatures, include_means: bool = False) -> np.ndarray:
-    """Classifier feature vector: row-major flattened C_norm.
+    """Classifier feature vector: the scaled upper triangle of C_norm.
 
     With ``include_means`` the densities and flattened landmark means are
-    appended (length K^2 + K + c*K instead of K^2).
+    appended (length K(K+1)/2 + K + c*K instead of K(K+1)/2).
     """
-    flat = pf.c_norm.reshape(-1)
+    mask, scale = upper_triangle(pf.c_norm.shape[0])
+    tri = pf.c_norm[mask] * scale
     if include_means:
-        return np.concatenate([flat, pf.p, pf.m.reshape(-1)])
-    return flat
+        return np.concatenate([tri, pf.p, pf.m.reshape(-1)])
+    return tri
 
 
 def feature_width(k: int, c: int, include_means: bool = False) -> int:
-    return k * k + (k + c * k if include_means else 0)
+    return k * (k + 1) // 2 + (k + c * k if include_means else 0)
 
 
 def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
@@ -99,6 +119,8 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
     """
     wv = w.value
     k = wv.shape[1]
+    mask, scale = upper_triangle(k)
+    n_tri = len(scale)
     keep = w.requires_grad
     out = np.empty((len(bounds), feature_width(k, xs[0].shape[1], include_means)))
     saved = []
@@ -110,27 +132,28 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
         s = 1.0 / (p + DENSITY_EPS)
         aw = adjacency @ wg if keep else None
         c = wg.T @ aw if keep else (wg.T @ adjacency) @ wg
-        np.multiply(c * s, s[:, None], out=row[: k * k].reshape(k, k))
+        row[:n_tri] = ((c * s) * s[:, None])[mask] * scale
         m0 = None
         if include_means:
             m0 = x.T @ wg
-            row[k * k : k * k + k] = p
-            row[k * k + k :] = (m0 * s).reshape(-1)
+            row[n_tri : n_tri + k] = p
+            row[n_tri + k :] = (m0 * s).reshape(-1)
         if keep:
             saved.append((s, aw, c, m0))
 
     def backward(g):
         dw = np.zeros_like(wv)
+        g_tilde = np.zeros((k, k))
         for row, (r0, r1), x, (s, aw, c, m0) in zip(g, bounds, xs, saved):
-            g_tilde = row[: k * k].reshape(k, k)
+            g_tilde[mask] = row[:n_tri] * scale
             g_c = (g_tilde * s) * s[:, None]
             t = g_tilde * c
             ds = t @ s + t.T @ s
             dp = 0.0
             if include_means:
-                g_m = row[k * k + k :].reshape(-1, k)
+                g_m = row[n_tri + k :].reshape(-1, k)
                 ds = ds + (g_m * m0).sum(axis=0)
-                dp = row[k * k : k * k + k]
+                dp = row[n_tri : n_tri + k]
             block = aw @ (g_c + g_c.T) + (dp - (s * s) * ds)
             if include_means:
                 block += x @ (g_m * s)

@@ -24,8 +24,6 @@ from .pooling import feature_width
 from .substructure import SubstructureConfig, Variant
 
 DIVERGENCE_LIMIT = 1e6
-# parameters above this many elements use the chunked in-place update path
-CHUNKED_PARAM_ELEMENTS = 1 << 25
 
 
 class DivergenceError(RuntimeError):
@@ -97,19 +95,6 @@ class SGD:
             g *= self.lr             # grads are never reused after a step
             np.subtract(p.value, g, out=p.value)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-    def make_sink(self, p: Tensor):
-        lr = self.lr
-
-        def sink(r0, r1, g_block):
-            g_block *= lr
-            np.subtract(p.value[r0:r1], g_block, out=p.value[r0:r1])
-
-        return sink
-
 
 class Adagrad:
     """Adagrad with the accumulator initialized at 1e-8."""
@@ -125,23 +110,6 @@ class Adagrad:
                 continue
             acc += p.grad * p.grad
             p.value -= self.lr * p.grad / np.sqrt(acc)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
-    def make_sink(self, p: Tensor):
-        acc = np.full_like(p.value, 1e-8)
-        lr = self.lr
-
-        def sink(r0, r1, g_block):
-            a = acc[r0:r1]
-            a += g_block * g_block
-            g_block *= lr
-            g_block /= np.sqrt(a)
-            np.subtract(p.value[r0:r1], g_block, out=p.value[r0:r1])
-
-        return sink
 
 
 def make_optimizer(name: str, params: list[Tensor], lr: float):
@@ -230,15 +198,6 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     state.feature_center = center / len(pool)
 
     opt = make_optimizer(cfg.optimizer, state.parameters(), cfg.learning_rate)
-    wh = state.classifier.w_hidden
-    if wh.value.size >= CHUNKED_PARAM_ELEMENTS:
-        if cfg.optimizer != "sgd":
-            raise ValueError(
-                "classifier weight too large for materialized optimizer state; "
-                "use optimizer='sgd' for this K"
-            )
-        wh.grad_sink = opt.make_sink(wh)
-
     shuffle_rng = np.random.default_rng(shuffle_seed)
     history: list[EpochMetrics] = []
     for epoch in range(cfg.epochs):
@@ -253,7 +212,7 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
             batch_labeled = [labeled_mask[i] for i in idx]
             if not any(batch_labeled) and cfg.lambda_embed == 0 and cfg.lambda_cluster == 0:
                 continue
-            opt.zero_grad()
+            state.zero_grad()
             loss, parts = M.joint_loss(batch, state, cfg.lambda_embed,
                                        cfg.lambda_cluster, batch_targets,
                                        batch_labeled)

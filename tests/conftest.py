@@ -84,3 +84,29 @@ def require_benchmark(name):
             pytrace=False,
         )
     return root
+
+
+def unfold_triangle(v, k):
+    """Inverse of the classifier's triangle layout on the leading axis: the
+    first K(K+1)/2 entries of ``v`` become K*K row-major entries of a
+    symmetric matrix (off-diagonal entries divided by sqrt(2)); the rest
+    of ``v`` follows unchanged."""
+    rows, cols = np.triu_indices(k)
+    n_tri = len(rows)
+    tri = v[:n_tri] / np.where(rows == cols, 1.0, np.sqrt(2.0)).reshape(
+        (-1,) + (1,) * (v.ndim - 1))
+    full = np.zeros((k, k) + v.shape[1:])
+    full[rows, cols] = tri
+    full[cols, rows] = tri
+    return np.concatenate([full.reshape((k * k,) + v.shape[1:]), v[n_tri:]])
+
+
+def fold_triangle(g, k):
+    """Transpose of ``unfold_triangle``: maps a gradient taken in the full
+    K*K layout to the triangle layout."""
+    rows, cols = np.triu_indices(k)
+    full = g[: k * k].reshape((k, k) + g.shape[1:])
+    sym = full + full.swapaxes(0, 1)
+    tri = sym[rows, cols] * np.where(rows == cols, 0.5, 1.0 / np.sqrt(2.0)).reshape(
+        (-1,) + (1,) * (g.ndim - 1))
+    return np.concatenate([tri, g[k * k:]])

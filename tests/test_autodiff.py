@@ -25,7 +25,7 @@ class TestRegisteredOps:
         }
         assert needed <= set(ad.OP_REGISTRY)
         unused = {"relu", "reciprocal", "column_sums", "reshape", "softmax_rows",
-                  "concat_rows", "transpose", "log_softmax_rows"}
+                  "concat_rows", "transpose", "log_softmax_rows", "sum_all"}
         assert not unused & (set(ad.OP_REGISTRY) | set(vars(ad)))
 
 
@@ -34,7 +34,7 @@ class TestMatmul:
         b = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
         out = ad.matmul(Tensor(np.eye(3)), b)
         np.testing.assert_array_equal(out.value, b.value)
-        ad.sum_all(out).backward()
+        out.backward(np.ones_like(out.value))
         np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
 
     def test_scalar_product_rule(self):
@@ -56,14 +56,14 @@ class TestSigmoid:
         x = Tensor(np.zeros((1, 1)), requires_grad=True)
         y = ad.sigmoid(x)
         assert y.value.item() == 0.5
-        ad.sum_all(y).backward()
+        y.backward(np.ones_like(y.value))
         assert x.grad.item() == pytest.approx(0.25)
 
     def test_saturation(self):
         x = Tensor(np.array([[1e3]]), requires_grad=True)
         y = ad.sigmoid(x)
         assert abs(y.value.item() - 1.0) < 1e-12
-        ad.sum_all(y).backward()
+        y.backward(np.ones_like(y.value))
         assert abs(x.grad.item()) < 1e-12
 
 
@@ -140,12 +140,12 @@ class TestTapeMechanics:
     def test_gradients_accumulate_across_branches(self, rng):
         x = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
         out = ad.add(ad.mul(x, ad.constant(2.0)), ad.mul(x, x))
-        ad.sum_all(out).backward()
+        out.backward(np.ones_like(out.value))
         np.testing.assert_allclose(x.grad, 2.0 + 2.0 * x.value)
 
     def test_zero_grad_resets(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        ad.sum_all(ad.mul(x, x)).backward()
+        ad.mul(x, x).backward(np.ones_like(x.value))
         assert x.grad is not None
         x.zero_grad()
         assert x.grad is None
@@ -164,7 +164,7 @@ class TestTapeMechanics:
     def test_constants_receive_no_grad(self):
         c = ad.constant(np.ones((2, 2)))
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        ad.sum_all(ad.mul(c, x)).backward()
+        ad.mul(c, x).backward(np.ones_like(x.value))
         assert c.grad is None
         assert x.grad is not None
 

@@ -3,8 +3,10 @@
 ``old_joint_loss`` below is the per-graph training tape as it stood before
 batches were run as one disjoint union: one encoder, assignment and fused
 pooling node per graph, the co-occurrence loss composed from elementary ops,
-and the feature rows concatenated. It is kept here as the parity oracle,
-with the ops it needs that the pipeline no longer has.
+and the feature rows concatenated. It also feeds the classifier the full
+row-major K*K flattening of C_norm, not the scaled upper triangle. It is kept
+here as the parity oracle, with the ops it needs that the pipeline no longer
+has; ``unfolded`` gives it the full-layout copy of a model.
 """
 import itertools
 
@@ -16,12 +18,16 @@ from hypothesis import strategies as st
 from slim import autodiff as ad
 from slim import embedding, landmarks
 from slim import model as M
+from slim import training
+from slim.autodiff import Tensor
 from slim.datasets import Graph
 from slim.landmarks import target_distribution
 from slim.pooling import DENSITY_EPS
 from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
+
+from conftest import fold_triangle, unfold_triangle
 
 
 def old_graph_feature_op(w, x, adjacency, include_means=False):
@@ -90,9 +96,27 @@ def old_log_softmax_rows(a):
     return ad._make(v, (a,), backward)
 
 
+def old_sum_all(a):
+    shape = a.value.shape
+
+    def backward(g):
+        a._accumulate(np.broadcast_to(g, shape).copy())
+
+    return ad._make(a.value.sum(), (a,), backward)
+
+
 def old_cooccurrence_loss(h, adjacency):
     logp = old_log_softmax_rows(ad.matmul(h, old_transpose(h)))
-    return ad.mul(ad.sum_all(ad.mul(logp, ad.constant(adjacency))), ad.constant(-1.0))
+    return ad.mul(old_sum_all(ad.mul(logp, ad.constant(adjacency))), ad.constant(-1.0))
+
+
+def old_logits(batch, state):
+    rows = [old_graph_feature_op(landmarks.assign(embedding.encode(
+                ad.constant(data.z), state.encoder), state.landmarks),
+                data.x, data.adjacency, state.include_means)
+            for data in batch]
+    return M.classifier_logits(old_concat_rows(rows), state.classifier,
+                               state.feature_center).value
 
 
 def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
@@ -136,6 +160,28 @@ def make_state(graphs, c, classes, rng, include_means=False, k=5):
     return state
 
 
+def unfolded(state):
+    """An independent copy of ``state`` whose classifier reads the full K*K
+    layout: W_ij = W_ji = v_ij / sqrt(2), W_ii = v_ii, and the same for the
+    feature centre. Its logits equal those of ``state``."""
+    k = state.landmarks.u.shape[0]
+
+    def copy(t, full=False):
+        return Tensor(unfold_triangle(t.value, k) if full else t.value.copy(),
+                      requires_grad=True)
+
+    enc, lm, clf = state.encoder, state.landmarks, state.classifier
+    return M.ModelState(
+        encoder=embedding.EncoderParams(copy(enc.t1), copy(enc.b1), copy(enc.t2),
+                                        copy(enc.b2), activation=enc.activation),
+        landmarks=landmarks.LandmarkSet(copy(lm.u), dof=lm.dof),
+        classifier=M.ClassifierParams(copy(clf.w_hidden, full=True), copy(clf.b_hidden),
+                                      copy(clf.w_out), copy(clf.b_out)),
+        include_means=state.include_means,
+        feature_center=unfold_triangle(state.feature_center, k),
+    )
+
+
 def grads_of(total, state):
     state.zero_grad()
     total.backward()
@@ -170,14 +216,43 @@ class TestParityWithPerGraphTape:
                        if mixed else None)
             if mixed:
                 labeled[0] = True
-            old = old_joint_loss(batch, state, lam_e, lam_c, targets, labeled)
-            old_grads = grads_of(old, state)
+            full = unfolded(state)
+            old = old_joint_loss(batch, full, lam_e, lam_c, targets, labeled)
+            old_grads = grads_of(old, full)
+            old_grads[5] = fold_triangle(old_grads[5], state.landmarks.u.shape[0])
             new, parts = M.joint_loss(batch, state, lam_e, lam_c, targets, labeled)
             assert new.value.item() == pytest.approx(old.value.item(), rel=0, abs=1e-10)
             assert parts.total == new.value.item()
             for name, g_new, g_old in zip("t1 b1 t2 b2 u wh bh wo bo".split(),
                                           grads_of(new, state), old_grads):
                 np.testing.assert_allclose(g_new, g_old, rtol=0, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("include_means", [False, True])
+    def test_one_sgd_step_matches_the_full_layout(self, standin, include_means):
+        # under SGD a classifier on the scaled triangle moves exactly like
+        # one on the full symmetric flattening
+        bundle, graphs = standin
+        rng = np.random.default_rng(8)
+        state = make_state(graphs, bundle.node_label_count, bundle.class_count, rng,
+                           include_means)
+        full = unfolded(state)
+        batch, probe = graphs[:12], graphs[12:]
+
+        def logits(s):
+            return M.classifier_logits(M.batch_forward(probe, s.frozen()).features,
+                                       s.classifier, s.feature_center).value
+
+        before = logits(state)
+        np.testing.assert_allclose(before, old_logits(probe, full), rtol=0, atol=1e-10)
+        targets = frozen_targets(batch, state)
+        new, _ = M.joint_loss(batch, state, 0.01, 0.01, targets)
+        grads_of(new, state)
+        training.SGD(state.parameters(), lr=0.5).step()
+        grads_of(old_joint_loss(batch, full, 0.01, 0.01, targets), full)
+        training.SGD(full.parameters(), lr=0.5).step()
+        after = logits(state)
+        assert np.abs(after - before).max() > 1e-3
+        np.testing.assert_allclose(after, old_logits(probe, full), rtol=0, atol=1e-10)
 
     def test_no_two_parameter_grads_share_memory(self, standin):
         # SGD.step scales p.grad in place, so a buffer handed to two leaves

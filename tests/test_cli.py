@@ -203,6 +203,26 @@ class TestInspect:
         assert cmat.sum() == pytest.approx(2.0 * g.edge_count, abs=1e-6)
         assert not (out / "graph0_Z.csv").exists()
 
+    @pytest.mark.parametrize("bad", [{"hops": 11}, {"variant": "bogus"},
+                                     {"layer_decay": 0}, {"hops": None}])
+    def test_corrupt_model_config_is_configuration_error(self, tu_root, tmp_path,
+                                                         capsys, bad):
+        from slim import model as M
+
+        model_dir = tmp_path / "m"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", model_dir] + FAST) == 0
+        state = M.load_model(str(model_dir / "model.npz"))
+        state.meta["config"].update(bad)
+        corrupt = tmp_path / "corrupt.npz"
+        M.save_model(str(corrupt), state)
+        capsys.readouterr()
+        code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", corrupt, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "corrupt.npz" in err
+
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
                     "--model", tmp_path / "absent.npz", "--out", tmp_path / "o"])

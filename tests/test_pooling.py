@@ -17,7 +17,7 @@ from slim.pooling import (
     pooled_features,
 )
 
-from conftest import random_graph
+from conftest import random_graph, unfold_triangle
 
 TRIANGLE = np.ones((3, 3)) - np.eye(3)
 
@@ -120,16 +120,28 @@ class TestGraphFeature:
         assert v.shape == (1,)
         assert v[0] == pytest.approx(2.0 / 3.0, rel=1e-6)
 
-    def test_feature_symmetry(self, rng):
+    @pytest.mark.parametrize("include_means", [False, True])
+    def test_triangle_layout(self, rng, include_means):
+        # the row holds the sqrt(2)-scaled upper triangle of C_norm, which
+        # unfolds back to the symmetric matrix and keeps its Frobenius norm
         g = random_graph(rng)
-        x = one_hot_features(g, int(g.node_labels.max()) + 1)
+        c = int(g.node_labels.max()) + 1
+        x = one_hot_features(g, c)
+        k = 5
         w = assign_values(rng.standard_normal((g.node_count, 3)),
-                          rng.standard_normal((4, 3)))
-        v = graph_feature(pooled_features(x, w, g.adjacency))
-        k = 4
-        for i in range(k):
-            for j in range(k):
-                assert v[i * k + j] == pytest.approx(v[j * k + i], abs=1e-9)
+                          rng.standard_normal((k, 3)))
+        pf = pooled_features(x, w, g.adjacency)
+        v = graph_feature(pf, include_means)
+        n_tri = k * (k + 1) // 2
+        assert v.shape == (n_tri + (k + c * k if include_means else 0),)
+        assert v.shape == (feature_width(k, c, include_means),)
+        unfolded = unfold_triangle(v, k)
+        np.testing.assert_allclose(unfolded[: k * k].reshape(k, k), pf.c_norm,
+                                   rtol=1e-12, atol=1e-15)
+        assert np.linalg.norm(v[:n_tri]) == pytest.approx(
+            np.linalg.norm(pf.c_norm), rel=1e-12)
+        if include_means:
+            np.testing.assert_array_equal(v[n_tri:], np.concatenate([pf.p, pf.m.ravel()]))
 
     def test_include_means_width(self, rng):
         g = random_graph(rng)

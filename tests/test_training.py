@@ -253,24 +253,3 @@ class TestConfig:
             state, _ = train(graphs, cfg, 2, bundle.node_label_count)
         assert state.landmarks.u.value.shape[0] < 200
 
-
-class TestChunkedUpdatePath:
-    def test_chunked_sgd_matches_materialized_sgd(self, monkeypatch):
-        # force the big-parameter path onto a small model and require bitwise
-        # agreement with the ordinary gradient route
-        bundle = make_bundle(n_graphs=12, seed=6)
-        cfg = tiny_cfg(epochs=3, k=6, optimizer="sgd", learning_rate=0.05)
-        graphs = M.prepare_bundle(bundle, cfg.substructure())
-        plain, _ = train(graphs, cfg, 2, bundle.node_label_count)
-        monkeypatch.setattr(training, "CHUNKED_PARAM_ELEMENTS", 1)
-        chunked, _ = train(graphs, cfg, 2, bundle.node_label_count)
-        for a, b in zip(plain.parameters(), chunked.parameters()):
-            np.testing.assert_allclose(a.value, b.value, rtol=1e-12, atol=1e-15)
-
-    def test_chunked_path_requires_sgd(self, monkeypatch):
-        bundle = make_bundle(n_graphs=12, seed=6)
-        cfg = tiny_cfg(epochs=1, k=6, optimizer="adagrad")
-        graphs = M.prepare_bundle(bundle, cfg.substructure())
-        monkeypatch.setattr(training, "CHUNKED_PARAM_ELEMENTS", 1)
-        with pytest.raises(ValueError, match="sgd"):
-            train(graphs, cfg, 2, bundle.node_label_count)
