@@ -1,8 +1,8 @@
 """Build per-node substructure descriptors for a toy molecule.
 
 Each node of a graph contributes one substructure instance: the node-type
-counts inside its k-hop BFS ball. The four layouts trade off how much of the
-layer structure is kept.
+counts inside its k-hop ball, read off the exact-j-hop shells. The four
+layouts trade off how much of the layer structure is kept.
 """
 import numpy as np
 
@@ -31,5 +31,5 @@ print("\nexactly-2-hops shell:\n", exact_layer_adjacency(mol.adjacency, 2).astyp
 for variant in Variant:
     cfg = SubstructureConfig(hops=2, variant=variant)
     z = build_substructures(mol, x, cfg)
-    print(f"\n{variant.value} (width {z.feature_width}):")
-    print(np.round(z.values, 2))
+    print(f"\n{variant.value} (width {z.shape[1]}):")
+    print(np.round(z, 2))

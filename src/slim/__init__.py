@@ -43,7 +43,6 @@ from .pooling import (
 )
 from .substructure import (
     SubstructureConfig,
-    SubstructureMatrix,
     Variant,
     build_substructures,
     exact_layer_adjacency,

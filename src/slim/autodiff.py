@@ -66,22 +66,8 @@ class Tensor:
                 node._backward = None
                 node._parents = ()
 
-    # Operator sugar; constants are wrapped as non-grad tensors.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
-
     def __repr__(self):
         return f"Tensor(shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(x) -> Tensor:

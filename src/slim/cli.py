@@ -339,6 +339,11 @@ def cmd_inspect(args) -> int:
     if not 0 <= args.graph < len(bundle.graphs):
         raise ConfigError(f"graph index {args.graph} out of range")
     data = M.prepare_graph(bundle.graphs[args.graph], bundle.node_label_count, sub_cfg)
+    width_in = state.encoder.t1.value.shape[0]
+    if data.z.shape[1] != width_in:
+        raise ConfigError(f"model {args.model}: its {sub_cfg.variant.value} config gives "
+                          f"{data.z.shape[1]}-wide substructure rows on {bundle.name}, "
+                          f"but the encoder takes {width_in}")
     w = M.batch_forward([data], state.frozen(), [False]).w.value
     pf = pooled_features(data.x, w, data.adjacency)
     manifest = _start_manifest("inspect", args, {"graph": args.graph},
@@ -381,7 +386,8 @@ def _add_common(p, dataset=True):
 
 def _add_train_flags(p):
     p.add_argument("--k", type=int, default=None, help="landmark count (default: 100)")
-    p.add_argument("--hops", type=int, default=None, help="BFS hops (default: 3)")
+    p.add_argument("--hops", type=int, default=None,
+                   help="substructure radius in hops (default: 3)")
     p.add_argument("--variant", choices=[v.value for v in Variant], default=None,
                    help="substructure layout (default: node_distribution)")
     p.add_argument("--latent", type=int, default=None, help="embedding width (default: 32)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .landmarks import init_landmarks
+from .landmarks import init_landmarks, pairwise_sq_distances
 
 
 def mutual_coherence(u: np.ndarray) -> float:
@@ -111,8 +111,7 @@ def distortion(h: np.ndarray, u: np.ndarray) -> float:
     """Mean euclidean distance (not squared) to the nearest landmark."""
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
     u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    d2 = (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T
-    return float(np.sqrt(np.maximum(d2, 0.0)).min(axis=1).mean())
+    return float(np.sqrt(pairwise_sq_distances(h, u)).min(axis=1).mean())
 
 
 # ---------------------------------------------------------------------------

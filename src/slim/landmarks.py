@@ -41,11 +41,15 @@ def assign(h: Tensor, landmarks: LandmarkSet) -> Tensor:
     return ad.row_normalize(ad.student_t_kernel(d2, landmarks.dof))
 
 
+def pairwise_sq_distances(h: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """|h_j - u_k|^2 for every row pair, clipped at 0 against rounding."""
+    d2 = (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T
+    return np.maximum(d2, 0.0)
+
+
 def assign_values(h: np.ndarray, u: np.ndarray, dof: float = 1.0) -> np.ndarray:
     """Tape-free assignment on plain arrays; a reference for tests."""
-    d2 = np.maximum(
-        (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T, 0.0
-    )
+    d2 = pairwise_sq_distances(h, u)
     kernel = (1.0 + d2 / dof) ** (-(dof + 1.0) / 2.0)
     return kernel / kernel.sum(axis=1, keepdims=True)
 
@@ -67,8 +71,7 @@ def cluster_loss(w: Tensor, target: np.ndarray) -> Tensor:
 
 def hard_distortion(h: np.ndarray, u: np.ndarray) -> float:
     """Sum of squared distances to the nearest landmark (the hard objective)."""
-    d2 = (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T
-    return float(np.maximum(d2, 0.0).min(axis=1).sum())
+    return float(pairwise_sq_distances(h, u).min(axis=1).sum())
 
 
 def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,7 @@ class GraphData:
 
 def prepare_graph(g: Graph, c: int, cfg: SubstructureConfig) -> GraphData:
     x = one_hot_features(g, c)
-    z = build_substructures(g, x, cfg).values
+    z = build_substructures(g, x, cfg)
     return GraphData(z=z, x=x, adjacency=g.adjacency, label=g.class_label)
 
 

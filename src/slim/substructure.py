@@ -1,9 +1,10 @@
-"""Per-node substructure descriptors from k-hop BFS neighborhoods.
+"""Per-node substructure descriptors from k-hop shells.
 
 Each node contributes one substructure instance: the multiset of node types
 inside its k-hop ball, arranged by one of four layouts (rows of the matrix Z).
-Hop distances come from BFS on the adjacency list, not matrix powers, so exact
-per-layer shells are available.
+The exact-j-hop shells S_1..S_k of every source come from one frontier
+recurrence, S_j = (S_{j-1} A > 0) minus everything reached before, which
+touches the adjacency only as the right-hand factor of a product.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .datasets import Graph
 
 MAX_HOPS = 10
 
@@ -34,6 +37,8 @@ class SubstructureConfig:
         if not 0.0 < self.layer_decay <= 1.0:
             raise ValueError("layer_decay must be in (0, 1]")
         object.__setattr__(self, "variant", Variant(self.variant))
+        if self.variant is Variant.LAYER_WISE and self.hops < 1:
+            raise ValueError(f"{self.variant.value} requires hops >= 1")
 
     def feature_width(self, c: int) -> int:
         if self.variant is Variant.CENTER_EMPHASIS:
@@ -43,85 +48,68 @@ class SubstructureConfig:
         return c
 
 
-def bfs_distances(adjacency: np.ndarray, source: int, limit: int) -> np.ndarray:
-    """Hop distance from ``source`` to every node, -1 beyond ``limit``."""
-    n = adjacency.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    depth = 0
-    while frontier and depth < limit:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adjacency[u]):
-                if dist[v] < 0:
-                    dist[v] = depth
-                    nxt.append(int(v))
-        frontier = nxt
-    return dist
+def hop_shells(adjacency: np.ndarray, hops: int) -> list[np.ndarray]:
+    """Boolean shells S_1..S_hops: S_j[p, q] iff the hop distance p -> q is j."""
+    a = adjacency > 0
+    a32 = a.astype(np.float32)
+    reach = np.eye(a.shape[0], dtype=bool)
+    shells = []
+    for j in range(hops):
+        # float32 is exact here: a product of 0/1 matrices counts paths, and
+        # every count stays below 2**24 for graphs under 2**24 nodes
+        frontier = a if j == 0 else shells[-1].astype(np.float32) @ a32 > 0
+        shell = frontier & ~reach
+        reach |= shell
+        shells.append(shell)
+    return shells
 
 
-def _all_distances(adjacency: np.ndarray, limit: int) -> np.ndarray:
-    n = adjacency.shape[0]
-    return np.stack([bfs_distances(adjacency, s, limit) for s in range(n)])
+def _ball(shells: list[np.ndarray], n: int) -> np.ndarray:
+    """The 0/1 matrix I + S_1 + ... + S_k of distances at most k."""
+    ball = np.eye(n, dtype=bool)
+    for shell in shells:
+        ball |= shell
+    return ball.astype(np.float64)
 
 
 def khop_adjacency(adjacency: np.ndarray, k: int) -> np.ndarray:
-    """Reachability matrix: entry (p, q) is 1 iff BFS distance <= k.
+    """Reachability matrix: entry (p, q) is 1 iff the hop distance is <= k.
 
     Distance zero counts, so the diagonal is all ones for every k >= 0.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    dist = _all_distances(adjacency, k)
-    return ((dist >= 0) & (dist <= k)).astype(np.float64)
+    return _ball(hop_shells(adjacency, k), adjacency.shape[0])
 
 
 def exact_layer_adjacency(adjacency: np.ndarray, j: int) -> np.ndarray:
-    """Shell matrix: entry (p, q) is 1 iff BFS distance is exactly j >= 1."""
+    """Shell matrix: entry (p, q) is 1 iff the hop distance is exactly j >= 1."""
     if j < 1:
         raise ValueError("layer index must be >= 1")
-    dist = _all_distances(adjacency, j)
-    return (dist == j).astype(np.float64)
+    return hop_shells(adjacency, j)[-1].astype(np.float64)
 
 
-@dataclass(frozen=True)
-class SubstructureMatrix:
-    values: np.ndarray
-    variant: Variant
-    hops: int
-
-    @property
-    def feature_width(self) -> int:
-        return self.values.shape[1]
-
-
-def build_substructures(graph, x: np.ndarray, cfg: SubstructureConfig) -> SubstructureMatrix:
-    """Assemble the n x D substructure matrix for one graph (or adjacency).
+def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) -> np.ndarray:
+    """Assemble the n x D substructure matrix Z for one graph.
 
     node_distribution     A(k) X                      width c
     center_emphasis       [X ; A(k) X]                width 2c
-    layer_wise            [L1 X ; ... ; Lk X]         width k*c
-    weighted_layer_sum    X + sum_j decay^j Lj X      width c
-    where Lj is the exact-j-hop shell matrix.
+    layer_wise            [S1 X ; ... ; Sk X]         width k*c
+    weighted_layer_sum    X + sum_j decay^j Sj X      width c
+    where Sj is the exact-j-hop shell and A(k) = I + S1 + ... + Sk.
     """
-    adjacency = getattr(graph, "adjacency", graph)
-    if x.shape[0] != adjacency.shape[0]:
+    n = graph.adjacency.shape[0]
+    if x.shape[0] != n:
         raise ValueError("feature matrix and adjacency disagree on node count")
-    k, variant = cfg.hops, cfg.variant
-    if variant is Variant.LAYER_WISE and k < 1:
-        raise ValueError(f"{variant.value} requires hops >= 1")
-    dist = _all_distances(adjacency, max(k, 1))
-    reach = ((dist >= 0) & (dist <= k)).astype(np.float64)
-    if variant is Variant.NODE_DISTRIBUTION:
-        z = reach @ x
-    elif variant is Variant.CENTER_EMPHASIS:
-        z = np.hstack([x, reach @ x])
-    elif variant is Variant.LAYER_WISE:
-        z = np.hstack([(dist == j).astype(np.float64) @ x for j in range(1, k + 1)])
-    else:
+    shells = hop_shells(graph.adjacency, cfg.hops)
+    if cfg.variant is Variant.LAYER_WISE:
+        return np.hstack([s.astype(np.float64) @ x for s in shells])
+    if cfg.variant is Variant.WEIGHTED_LAYER_SUM:
         z = x.copy()
-        for j in range(1, k + 1):
-            z += cfg.layer_decay**j * ((dist == j).astype(np.float64) @ x)
-    return SubstructureMatrix(values=z, variant=variant, hops=k)
+        for j, s in enumerate(shells, 1):
+            z += cfg.layer_decay**j * (s.astype(np.float64) @ x)
+        return z
+    reach_x = _ball(shells, n) @ x
+    if cfg.variant is Variant.CENTER_EMPHASIS:
+        return np.hstack([x, reach_x])
+    return reach_x

@@ -168,13 +168,6 @@ class TestTapeMechanics:
         assert c.grad is None
         assert x.grad is not None
 
-    def test_operator_sugar(self):
-        x = Tensor(np.full((1, 1), 3.0), requires_grad=True)
-        y = (-x) * 2.0 + 10.0
-        assert y.value.item() == 4.0
-        y.backward(np.ones((1, 1)))
-        assert x.grad.item() == -2.0
-
 
 class TestKlDiv:
     def test_zero_times_log_zero_convention(self):

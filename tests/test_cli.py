@@ -109,6 +109,14 @@ class TestErrorMapping:
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
 
+    def test_layer_wise_without_hops_is_configuration_error(self, tu_root, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--variant", "layer_wise", "--hops", "0", "--out", out] + FAST)
+        assert code == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("argv", [["--analytic-only", "--K", "1"], ["--ks", "4"],
                                       ["--ks", "2,8", "--points", "4"],
                                       ["--ks", "2,8", "--seeds", "0"]])
@@ -204,7 +212,10 @@ class TestInspect:
         assert not (out / "graph0_Z.csv").exists()
 
     @pytest.mark.parametrize("bad", [{"hops": 11}, {"variant": "bogus"},
-                                     {"layer_decay": 0}, {"hops": None}])
+                                     {"layer_decay": 0}, {"hops": None},
+                                     {"variant": "layer_wise", "hops": 0},
+                                     # trained as node_distribution: Z is 3x too wide
+                                     {"variant": "layer_wise"}])
     def test_corrupt_model_config_is_configuration_error(self, tu_root, tmp_path,
                                                          capsys, bad):
         from slim import model as M
@@ -222,6 +233,7 @@ class TestInspect:
         assert code == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "corrupt.npz" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,

@@ -13,6 +13,7 @@ from slim.landmarks import (
     cluster_loss,
     hard_distortion,
     init_landmarks,
+    pairwise_sq_distances,
     target_distribution,
 )
 
@@ -223,6 +224,27 @@ class TestInitLandmarks:
         for max_iter in (1, 5):
             np.testing.assert_array_equal(_lloyd(points, start, 1e-6, max_iter),
                                           lloyd_add_at(points, start, 1e-6, max_iter))
+
+
+class TestPairwiseSqDistances:
+    def test_callers_bit_identical_to_their_inline_formulas(self, rng):
+        from slim.coherence import distortion
+
+        h = rng.standard_normal((300, 6)) * 10.0
+        u = np.vstack([h[:3], rng.standard_normal((20, 6))])  # exact zeros clip
+        raw = (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T
+        d2 = np.maximum(raw, 0.0)
+        np.testing.assert_array_equal(pairwise_sq_distances(h, u), d2)
+        kernel = (1.0 + d2 / 1.5) ** (-(1.5 + 1.0) / 2.0)
+        np.testing.assert_array_equal(assign_values(h, u, 1.5),
+                                      kernel / kernel.sum(axis=1, keepdims=True))
+        assert hard_distortion(h, u) == float(d2.min(axis=1).sum())
+        assert distortion(h, u) == float(np.sqrt(d2).min(axis=1).mean())
+
+    def test_matches_direct_differences(self, rng):
+        h, u = rng.standard_normal((7, 3)), rng.standard_normal((4, 3))
+        direct = ((h[:, None, :] - u[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_allclose(pairwise_sq_distances(h, u), direct, rtol=1e-12)
 
 
 class TestSelfTrainingConsistency:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim.datasets import Graph, one_hot_features
 from slim.substructure import (
@@ -9,6 +11,7 @@ from slim.substructure import (
     exact_layer_adjacency,
     khop_adjacency,
 )
+from slim.synthetic import make_bundle
 
 from conftest import random_graph
 
@@ -89,7 +92,7 @@ class TestBuildSubstructures:
     def test_p3_node_distribution_hand_case(self):
         g = p3_graph()
         x = one_hot_features(g, 2)
-        z = build_substructures(g, x, SubstructureConfig(hops=1)).values
+        z = build_substructures(g, x, SubstructureConfig(hops=1))
         np.testing.assert_array_equal(z, [[1, 1], [2, 1], [1, 1]])
 
     def test_single_node_any_variant(self):
@@ -105,7 +108,7 @@ class TestBuildSubstructures:
         }
         for variant in Variant:
             cfg = SubstructureConfig(hops=2, variant=variant)
-            z = build_substructures(g, x, cfg).values
+            z = build_substructures(g, x, cfg)
             assert z.shape == (1, cfg.feature_width(3))
             np.testing.assert_array_equal(z, expected[variant])
 
@@ -113,7 +116,7 @@ class TestBuildSubstructures:
         for _ in range(5):
             g = random_graph(rng)
             x = one_hot_features(g, int(g.node_labels.max()) + 1)
-            z = build_substructures(g, x, SubstructureConfig(hops=2)).values
+            z = build_substructures(g, x, SubstructureConfig(hops=2))
             balls = khop_adjacency(g.adjacency, 2).sum(axis=1)
             np.testing.assert_allclose(z.sum(axis=1), balls)
 
@@ -122,7 +125,7 @@ class TestBuildSubstructures:
         x = one_hot_features(g, 2)
         z = build_substructures(
             g, x, SubstructureConfig(hops=1, variant=Variant.CENTER_EMPHASIS)
-        ).values
+        )
         assert z.shape == (3, 4)
         np.testing.assert_array_equal(z[:, :2], x)
         np.testing.assert_array_equal(z[:, 2:], [[1, 1], [2, 1], [1, 1]])
@@ -132,7 +135,7 @@ class TestBuildSubstructures:
         x = one_hot_features(g, 2)
         z = build_substructures(
             g, x, SubstructureConfig(hops=2, variant=Variant.LAYER_WISE)
-        ).values
+        )
         assert z.shape == (3, 4)
         np.testing.assert_array_equal(z[:, :2], P3 @ x)
         np.testing.assert_array_equal(z[:, 2:], exact_layer_adjacency(P3, 2) @ x)
@@ -141,22 +144,21 @@ class TestBuildSubstructures:
         g = p3_graph()
         x = one_hot_features(g, 2)
         cfg = SubstructureConfig(hops=2, variant=Variant.WEIGHTED_LAYER_SUM, layer_decay=0.5)
-        z = build_substructures(g, x, cfg).values
+        z = build_substructures(g, x, cfg)
         expected = x + 0.5 * (P3 @ x) + 0.25 * (exact_layer_adjacency(P3, 2) @ x)
         np.testing.assert_allclose(z, expected)
 
     def test_layer_wise_rejects_zero_hops(self):
-        g = p3_graph()
-        x = one_hot_features(g, 2)
+        # a configuration error, caught before any graph is built
         with pytest.raises(ValueError, match="hops"):
-            build_substructures(g, x, SubstructureConfig(hops=0, variant=Variant.LAYER_WISE))
+            SubstructureConfig(hops=0, variant=Variant.LAYER_WISE)
 
     def test_monotone_in_hops(self, rng):
         for _ in range(5):
             g = random_graph(rng)
             x = one_hot_features(g, int(g.node_labels.max()) + 1)
-            z1 = build_substructures(g, x, SubstructureConfig(hops=1)).values
-            z2 = build_substructures(g, x, SubstructureConfig(hops=2)).values
+            z1 = build_substructures(g, x, SubstructureConfig(hops=1))
+            z2 = build_substructures(g, x, SubstructureConfig(hops=2))
             assert np.all(z2 >= z1)
 
     def test_permutation_equivariance(self, rng):
@@ -169,8 +171,8 @@ class TestBuildSubstructures:
             xp = one_hot_features(gp, c)
             for variant in Variant:
                 cfg = SubstructureConfig(hops=2, variant=variant)
-                z = build_substructures(g, x, cfg).values
-                zp = build_substructures(gp, xp, cfg).values
+                z = build_substructures(g, x, cfg)
+                zp = build_substructures(gp, xp, cfg)
                 np.testing.assert_array_equal(zp, z[perm])
 
     def test_hops_guard(self):
@@ -181,5 +183,104 @@ class TestBuildSubstructures:
         g = random_graph(rng)
         x = one_hot_features(g, int(g.node_labels.max()) + 1)
         for variant in Variant:
-            z = build_substructures(g, x, SubstructureConfig(hops=3, variant=variant)).values
+            z = build_substructures(g, x, SubstructureConfig(hops=3, variant=variant))
             assert np.all(z >= 0)
+
+
+# ---------------------------------------------------------------------------
+# parity with the per-source BFS that the shell recurrence replaced
+
+
+def old_bfs_distances(adjacency, source, limit):
+    """Hop distance from ``source`` to every node, -1 beyond ``limit``."""
+    n = adjacency.shape[0]
+    dist = np.full(n, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = [source]
+    depth = 0
+    while frontier and depth < limit:
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in np.flatnonzero(adjacency[u]):
+                if dist[v] < 0:
+                    dist[v] = depth
+                    nxt.append(int(v))
+        frontier = nxt
+    return dist
+
+
+def old_all_distances(adjacency, limit):
+    n = adjacency.shape[0]
+    return np.stack([old_bfs_distances(adjacency, s, limit) for s in range(n)])
+
+
+def old_build_substructures(adjacency, x, cfg):
+    """The BFS-distance layouts, kept as the oracle."""
+    k, variant = cfg.hops, cfg.variant
+    dist = old_all_distances(adjacency, max(k, 1))
+    reach = ((dist >= 0) & (dist <= k)).astype(np.float64)
+    if variant is Variant.NODE_DISTRIBUTION:
+        return reach @ x
+    if variant is Variant.CENTER_EMPHASIS:
+        return np.hstack([x, reach @ x])
+    if variant is Variant.LAYER_WISE:
+        return np.hstack([(dist == j).astype(np.float64) @ x for j in range(1, k + 1)])
+    z = x.copy()
+    for j in range(1, k + 1):
+        z += cfg.layer_decay**j * ((dist == j).astype(np.float64) @ x)
+    return z
+
+
+def assert_matches_oracle(g, c, hops, decay):
+    x = one_hot_features(g, c)
+    for variant in Variant:
+        if variant is Variant.LAYER_WISE and hops == 0:
+            continue
+        cfg = SubstructureConfig(hops=hops, variant=variant, layer_decay=decay)
+        np.testing.assert_array_equal(build_substructures(g, x, cfg),
+                                      old_build_substructures(g.adjacency, x, cfg))
+
+
+TYPES = 4
+
+
+@st.composite
+def graphs_strategy(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    types = draw(st.lists(st.integers(0, TYPES - 1), min_size=n, max_size=n))
+    return Graph(a, np.array(types), 0)
+
+
+def _graph(n, edges, types):
+    a = np.zeros((n, n))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    return Graph(a, np.array(types), 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_strategy(), st.integers(0, 4), st.floats(0.01, 1.0))
+@example(_graph(1, [], [2]), 3, 0.5)                                   # single node
+@example(_graph(5, [], [0, 1, 2, 3, 0]), 4, 0.5)                       # edgeless
+@example(_graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)], [0, 1, 2, 3, 0, 1, 2]), 4, 0.3)
+def test_every_layout_equals_the_bfs_oracle(g, hops, decay):
+    assert_matches_oracle(g, TYPES, hops, decay)
+    dist = old_all_distances(g.adjacency, max(hops, 1))
+    np.testing.assert_array_equal(khop_adjacency(g.adjacency, hops),
+                                  ((dist >= 0) & (dist <= hops)).astype(float))
+    if hops >= 1:
+        np.testing.assert_array_equal(exact_layer_adjacency(g.adjacency, hops),
+                                      (dist == hops).astype(float))
+
+
+def test_every_layout_equals_the_bfs_oracle_on_the_standin():
+    bundle = make_bundle(seed=0)
+    for g in bundle.graphs:
+        for hops in range(5):
+            assert_matches_oracle(g, bundle.node_label_count, hops, 0.5)
