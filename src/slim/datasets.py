@@ -120,6 +120,46 @@ def _densify(raw: np.ndarray) -> np.ndarray:
     return np.array([lookup[int(v)] for v in raw], dtype=np.int64)
 
 
+def _edge_pairs(path: str, indicator: np.ndarray) -> np.ndarray:
+    """Endpoints of every non-empty line of a TU edge file: one 1-indexed
+    (u, v) row per line, in file order.
+
+    Raises ParseError naming the first line that is not "i, j", names an
+    unknown node, or joins two graphs.
+    """
+    n_nodes = len(indicator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt on a file with no data
+        try:
+            pairs = np.loadtxt(path, dtype=np.int64, delimiter=",", comments=None,
+                               ndmin=2, encoding="utf-8")
+        except ValueError:
+            pairs = None
+    if pairs is not None and pairs.size == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    if pairs is not None and pairs.shape[1] == 2:
+        known = ((pairs >= 1) & (pairs <= n_nodes)).all()
+        if known and np.array_equal(indicator[pairs[:, 0] - 1], indicator[pairs[:, 1] - 1]):
+            return pairs
+    # some line is malformed, or uses a spelling only int() accepts: read
+    # line by line to report the first bad line
+    rows = []
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            left, right = line.split(",")
+            u, v = int(left), int(right)
+        except ValueError:
+            raise ParseError(f"{path} line {line_no}: expected 'i, j', got {line!r}") from None
+        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
+            raise ParseError(f"{path} line {line_no}: edge endpoint {max(u, v)} unknown")
+        if indicator[u - 1] != indicator[v - 1]:
+            raise ParseError(f"{path} line {line_no}: edge joins two different graphs")
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
 def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
     """Load one TU-format dataset from ``root_path/name``.
 
@@ -151,31 +191,21 @@ def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
     local_index = np.empty(n_nodes, dtype=np.int64)
     local_index[order] = np.arange(n_nodes) - offsets[indicator[order] - 1]
 
+    pairs = _edge_pairs(_require(f"{prefix}_A.txt"), indicator)
+    loops = pairs[:, 0] == pairs[:, 1]
+    self_loops = int(loops.sum())
+    # unique directed pairs as 0-based (u, v), sorted by u then v
+    keys = np.unique((pairs[~loops, 0] - 1) * n_nodes + (pairs[~loops, 1] - 1))
+    duplicates = len(pairs) - self_loops - len(keys)
+    u, v = np.divmod(keys, n_nodes)
+    graph_of = indicator[u] - 1
     adj = [np.zeros((c, c), dtype=np.float64) for c in counts]
-    duplicates = self_loops = 0
-    seen: set[tuple[int, int]] = set()
-    for line_no, line in enumerate(_read_lines(_require(f"{prefix}_A.txt")), start=1):
-        if not line:
-            continue
-        try:
-            left, right = line.split(",")
-            u, v = int(left), int(right)
-        except ValueError:
-            raise ParseError(f"{prefix}_A.txt line {line_no}: expected 'i, j', got {line!r}") from None
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise ParseError(f"{prefix}_A.txt line {line_no}: edge endpoint {max(u, v)} unknown")
-        if indicator[u - 1] != indicator[v - 1]:
-            raise ParseError(f"{prefix}_A.txt line {line_no}: edge joins two different graphs")
-        if u == v:
-            self_loops += 1
-            continue
-        if (u, v) in seen:
-            duplicates += 1
-            continue
-        seen.add((u, v))
-        g = indicator[u - 1] - 1
-        adj[g][local_index[u - 1], local_index[v - 1]] = 1.0
-        adj[g][local_index[v - 1], local_index[u - 1]] = 1.0
+    by_graph = np.argsort(graph_of, kind="stable")
+    ends = np.cumsum(np.bincount(graph_of, minlength=n_graphs))[:-1]
+    for a, members in zip(adj, np.split(by_graph, ends)):
+        lu, lv = local_index[u[members]], local_index[v[members]]
+        a[lu, lv] = 1.0
+        a[lv, lu] = 1.0
     if duplicates or self_loops:
         warnings.warn(
             f"{name}: dropped {duplicates} duplicate edge(s) and {self_loops} self-loop(s)",

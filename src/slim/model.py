@@ -27,12 +27,21 @@ MODEL_FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class GraphData:
-    """Per-graph constants, computed once per dataset and configuration."""
+    """Per-graph constants, computed once per dataset and configuration.
+
+    ``edges`` is derived from ``adjacency``: the 2 x 2E directed edge list
+    of ``pooling.directed_edges``, in row-major (CSR) order, which pooling
+    reads instead of the dense matrix.
+    """
 
     z: np.ndarray          # n x D substructure matrix
     x: np.ndarray          # n x c one-hot node types
     adjacency: np.ndarray  # n x n
     label: int
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", pooling.directed_edges(self.adjacency))
 
 
 def prepare_graph(g: Graph, c: int, cfg: SubstructureConfig) -> GraphData:
@@ -138,7 +147,7 @@ def batch_forward(batch: list[GraphData], state: ModelState,
     if keep:
         features = pooling.graph_feature_op(
             w, [bounds[i] for i in keep], [batch[i].x for i in keep],
-            [batch[i].adjacency for i in keep], state.include_means)
+            [batch[i].edges for i in keep], state.include_means)
     return BatchForward(bounds, h, w, features)
 
 

@@ -10,7 +10,10 @@ per-node structure onto the K landmarks:
 
 All quantities are permutation invariant because node identity enters only
 through sums over rows. The plain-array versions here are the reference for
-the fused differentiable op that pools a whole batch of graphs.
+the fused differentiable op that pools a whole batch of graphs. That op reads
+each graph's directed edge list instead of A: with S = diag(p)^-1 (guarded),
+C_norm = S W' A W S = (WS)' A (WS) is a sum over the edges of outer products
+of density-scaled rows, so no n x n operand appears.
 
 C is symmetric (every graph is undirected), so the classifier reads only the
 upper triangle of C_norm, row-major, with each off-diagonal entry scaled by
@@ -103,19 +106,40 @@ def feature_width(k: int, c: int, include_means: bool = False) -> int:
     return k * (k + 1) // 2 + (k + c * k if include_means else 0)
 
 
+def directed_edges(adjacency: np.ndarray) -> np.ndarray:
+    """2 x 2E array of the directed edges (i, j) with A_ij != 0, one column
+    each, in row-major (CSR) order: the graph input of ``graph_feature_op``."""
+    # flat positions in a boolean mask: np.nonzero of the float matrix is
+    # several times slower on graphs of a thousand nodes
+    return np.array(np.divmod(np.flatnonzero(adjacency != 0), adjacency.shape[1]))
+
+
+def _neighbour_sums(y: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """A y for the adjacency whose directed edges are (src, dst): row i sums
+    the rows y[j] of its edges (i, j), in edge order, and is 0 without edges."""
+    k = y.shape[1]
+    # one flat bin per (node, column): unlike np.add.reduceat over per-node
+    # segments, this runs one inner loop for all edges and needs no care
+    # for nodes without edges
+    bins = (src[:, None] * k + np.arange(k)).ravel()
+    return np.bincount(bins, weights=y[dst].ravel(), minlength=y.size).reshape(y.shape)
+
+
 def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
-                     xs: Sequence[np.ndarray], adjacencies: Sequence[np.ndarray],
+                     xs: Sequence[np.ndarray], edges: Sequence[np.ndarray],
                      include_means: bool = False) -> Tensor:
     """Differentiable pooled feature rows (len(bounds) x width) of a batch.
 
     ``w`` stacks the assignments of several graphs; graph i owns the rows
-    ``bounds[i]`` and has node types ``xs[i]`` and adjacency
-    ``adjacencies[i]``. Rows outside every bound get no gradient.
+    ``bounds[i]`` and has node types ``xs[i]`` and the directed edge list
+    ``edges[i]`` of ``directed_edges``, which holds every edge in both
+    directions and no self-loops. Rows outside every bound get no gradient.
 
-    Fused into a single tape node: the K x K intermediates dominate time and
-    memory at large K, so the backward works directly on the upstream rows
-    instead of composing elementwise ops. Without a backward the cheaper
-    (W'A)W order is used and A W is not kept.
+    Fused into a single tape node that works from the edge lists: with the
+    density-scaled rows V = W diag(s), s = 1/(p + eps), C_norm = V'AV is
+    P + P' for P = V[i]'V[j] over the edges with i < j, and the backward
+    needs only AV, the neighbour sums of V. Nothing is n x n, and the
+    backward keeps only s and V per graph.
     """
     wv = w.value
     k = wv.shape[1]
@@ -124,54 +148,54 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
     keep = w.requires_grad
     out = np.empty((len(bounds), feature_width(k, xs[0].shape[1], include_means)))
     saved = []
-    for row, (r0, r1), x, adjacency in zip(out, bounds, xs, adjacencies, strict=True):
+    for row, (r0, r1), x, (src, dst) in zip(out, bounds, xs, edges, strict=True):
         wg = wv[r0:r1]
-        if wg.shape[0] != adjacency.shape[0]:
-            raise ValueError("assignment and adjacency disagree on node count")
+        if wg.shape[0] != x.shape[0]:
+            raise ValueError("assignment and graph disagree on node count")
         p = wg.sum(axis=0)
         s = 1.0 / (p + DENSITY_EPS)
-        aw = adjacency @ wg if keep else None
-        c = wg.T @ aw if keep else (wg.T @ adjacency) @ wg
-        row[:n_tri] = ((c * s) * s[:, None])[mask] * scale
-        m0 = None
+        v = wg * s
+        upper = src < dst
+        half = v[src[upper]].T @ v[dst[upper]]
+        row[:n_tri] = (half + half.T)[mask] * scale
         if include_means:
-            m0 = x.T @ wg
             row[n_tri : n_tri + k] = p
-            row[n_tri + k :] = (m0 * s).reshape(-1)
+            row[n_tri + k :] = (x.T @ v).reshape(-1)
         if keep:
-            saved.append((s, aw, c, m0))
+            saved.append((s, v))
 
     def backward(g):
         dw = np.zeros_like(wv)
         g_tilde = np.zeros((k, k))
-        for row, (r0, r1), x, (s, aw, c, m0) in zip(g, bounds, xs, saved):
+        for row, (r0, r1), x, (src, dst), (s, v) in zip(g, bounds, xs, edges, saved):
             g_tilde[mask] = row[:n_tri] * scale
-            g_c = (g_tilde * s) * s[:, None]
-            t = g_tilde * c
-            ds = t @ s + t.T @ s
+            dv = _neighbour_sums(v, src, dst) @ (g_tilde + g_tilde.T)
             dp = 0.0
             if include_means:
-                g_m = row[n_tri + k :].reshape(-1, k)
-                ds = ds + (g_m * m0).sum(axis=0)
+                dv += x @ row[n_tri + k :].reshape(-1, k)
                 dp = row[n_tri : n_tri + k]
-            block = aw @ (g_c + g_c.T) + (dp - (s * s) * ds)
-            if include_means:
-                block += x @ (g_m * s)
-            dw[r0:r1] += block
+            # V = W diag(s) and s = 1/(p + eps) with p the column sums of W
+            ds = np.einsum("ik,ik->k", dv, wv[r0:r1])
+            dw[r0:r1] += dv * s + (dp - (s * s) * ds)
         w._accumulate(dw)
 
     return ad._make(out, (w,), backward)
 
 
 def _feature_op_case(rng, include_means):
-    """Gradient-check input: graphs of 6 nodes, 1 node and 4 nodes; rows 7
-    and 8 belong to a graph that is not pooled."""
-    bounds = [(0, 6), (6, 7), (9, 13)]
+    """Gradient-check input: graphs of 6 nodes, 1 node and 4 nodes with
+    random edges; rows 7 and 8 belong to a graph that is not pooled. Then a
+    5-node graph whose nodes 2 and 4 have no edges (one between nodes with
+    edges, one after them) and an edgeless graph of 3 nodes."""
+    bounds = [(0, 6), (6, 7), (9, 13), (13, 18), (18, 21)]
     xs = [np.eye(3)[rng.integers(0, 3, r1 - r0)] for r0, r1 in bounds]
-    upper = [np.triu(rng.random((r1 - r0, r1 - r0)) < 0.4, 1) for r0, r1 in bounds]
-    adjs = [(a | a.T).astype(float) for a in upper]
-    return (lambda w: graph_feature_op(w, bounds, xs, adjs, include_means),
-            [rng.uniform(0.1, 1.0, (13, 4))])
+    upper = [np.triu(rng.random((r1 - r0, r1 - r0)) < 0.4, 1) for r0, r1 in bounds[:3]]
+    gapped = np.zeros((5, 5), dtype=bool)
+    gapped[0, 1] = gapped[1, 3] = gapped[0, 3] = True
+    upper += [gapped, np.zeros((3, 3), dtype=bool)]
+    edges = [directed_edges(a | a.T) for a in upper]
+    return (lambda w: graph_feature_op(w, bounds, xs, edges, include_means),
+            [rng.uniform(0.1, 1.0, (21, 4))])
 
 
 ad.OP_REGISTRY["graph_feature"] = lambda rng: _feature_op_case(rng, False)

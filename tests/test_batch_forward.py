@@ -22,7 +22,8 @@ from slim import training
 from slim.autodiff import Tensor
 from slim.datasets import Graph
 from slim.landmarks import target_distribution
-from slim.pooling import DENSITY_EPS
+from slim.pooling import (DENSITY_EPS, directed_edges, graph_feature, graph_feature_op,
+                          pooled_features)
 from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
@@ -268,6 +269,40 @@ class TestParityWithPerGraphTape:
         assert all(g is not None for g in grads)
         for a, b in itertools.combinations(grads, 2):
             assert not np.shares_memory(a, b)
+
+
+def tree_plus_chords(rng, n):
+    """Sparse graph: a random recursive tree plus n/4 random chords."""
+    a = np.zeros((n, n))
+    parents = (rng.random(n - 1) * np.arange(1, n)).astype(int)
+    a[np.arange(1, n), parents] = 1.0
+    u, v = rng.integers(0, n, (2, n // 4))
+    a[u, v] = 1.0
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("include_means", [False, True])
+def test_edge_list_pooling_on_thousands_of_nodes(include_means):
+    # the op sums over 2E edges, the oracles multiply by the dense n x n A
+    rng = np.random.default_rng(21)
+    n, k, c = 3000, 12, 4
+    a = tree_plus_chords(rng, n)
+    x = np.eye(c)[rng.integers(0, c, n)]
+    w0 = rng.random((n, k)) ** 4
+    w0 /= w0.sum(axis=1, keepdims=True)
+    w = Tensor(w0, requires_grad=True)
+    out = graph_feature_op(w, [(0, n)], [x], [directed_edges(a)], include_means)
+    expected = graph_feature(pooled_features(x, w0, a), include_means)
+    np.testing.assert_allclose(out.value[0], expected, rtol=1e-12, atol=0)
+
+    seed = rng.standard_normal(out.value.shape)
+    out.backward(seed)
+    old_w = Tensor(w0, requires_grad=True)
+    old_graph_feature_op(old_w, x, a, include_means).backward(
+        unfold_triangle(seed[0], k)[None, :])
+    np.testing.assert_allclose(w.grad, old_w.grad, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,191 @@ class TestFolds:
             plan = make_folds(bundle, 4, seed=0)
         sizes = np.bincount(plan.assignments, minlength=4)
         assert sizes.max() - sizes.min() <= 1
+
+
+# ---------------------------------------------------------------------------
+# the vectorized edge reader against the line-by-line loader it replaced
+
+def old_load_tu_dataset(root_path, name):
+    """``load_tu_dataset`` as it stood with one Python step per edge line."""
+    from slim.datasets import (DEGREE_LABEL_CAP, DatasetBundle, Graph, _densify,
+                               _int_column, _read_lines, _require)
+    import warnings
+
+    base = os.path.join(root_path, name)
+    if not os.path.isdir(base):
+        raise DatasetError(f"dataset directory not found: {base}")
+    prefix = os.path.join(base, name)
+
+    indicator = _int_column(_require(f"{prefix}_graph_indicator.txt"))
+    raw_class = _int_column(_require(f"{prefix}_graph_labels.txt"))
+    n_graphs = len(raw_class)
+    n_nodes = len(indicator)
+
+    if n_nodes == 0 or indicator.min() < 1 or indicator.max() > n_graphs:
+        raise ParseError(f"graph indicator out of range in {prefix}_graph_indicator.txt")
+    counts = np.bincount(indicator, minlength=n_graphs + 1)[1 : n_graphs + 1]
+    if np.any(counts == 0):
+        empty = int(np.flatnonzero(counts == 0)[0]) + 1
+        raise ParseError(f"graph {empty} has zero nodes in {prefix}_graph_indicator.txt")
+
+    offsets = np.zeros(n_graphs + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    order = np.argsort(indicator, kind="stable")
+    local_index = np.empty(n_nodes, dtype=np.int64)
+    local_index[order] = np.arange(n_nodes) - offsets[indicator[order] - 1]
+
+    adj = [np.zeros((c, c), dtype=np.float64) for c in counts]
+    duplicates = self_loops = 0
+    seen = set()
+    for line_no, line in enumerate(_read_lines(_require(f"{prefix}_A.txt")), start=1):
+        if not line:
+            continue
+        try:
+            left, right = line.split(",")
+            u, v = int(left), int(right)
+        except ValueError:
+            raise ParseError(f"{prefix}_A.txt line {line_no}: expected 'i, j', got {line!r}") from None
+        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
+            raise ParseError(f"{prefix}_A.txt line {line_no}: edge endpoint {max(u, v)} unknown")
+        if indicator[u - 1] != indicator[v - 1]:
+            raise ParseError(f"{prefix}_A.txt line {line_no}: edge joins two different graphs")
+        if u == v:
+            self_loops += 1
+            continue
+        if (u, v) in seen:
+            duplicates += 1
+            continue
+        seen.add((u, v))
+        g = indicator[u - 1] - 1
+        adj[g][local_index[u - 1], local_index[v - 1]] = 1.0
+        adj[g][local_index[v - 1], local_index[u - 1]] = 1.0
+    if duplicates or self_loops:
+        warnings.warn(
+            f"{name}: dropped {duplicates} duplicate edge(s) and {self_loops} self-loop(s)",
+            stacklevel=2,
+        )
+
+    node_label_path = f"{prefix}_node_labels.txt"
+    if os.path.isfile(node_label_path):
+        raw_node = _int_column(node_label_path)
+        if len(raw_node) != n_nodes:
+            raise ParseError(f"{node_label_path}: {len(raw_node)} labels for {n_nodes} nodes")
+    else:
+        degrees = np.concatenate([a.sum(axis=1) for a in adj])
+        raw_node = np.minimum(degrees, DEGREE_LABEL_CAP - 1).astype(np.int64)
+
+    node_labels = _densify(raw_node)
+    class_labels = _densify(raw_class)
+
+    graphs = []
+    for g in range(n_graphs):
+        members = order[offsets[g] : offsets[g + 1]]
+        graph = Graph(adj[g], node_labels[members].copy(), int(class_labels[g]))
+        graph.validate()
+        graphs.append(graph)
+    return DatasetBundle(
+        name=name,
+        graphs=graphs,
+        node_label_count=int(node_labels.max()) + 1,
+        class_count=int(class_labels.max()) + 1,
+    )
+
+
+def random_tu_lines(rng):
+    """Edge lines, graph indicator and labels of a few random graphs whose
+    nodes are interleaved across graphs, with edges listed in one or both
+    directions, repeated, and mixed with self-loops and blank lines."""
+    sizes = rng.integers(1, 9, int(rng.integers(1, 6)))
+    indicator = rng.permutation(np.repeat(np.arange(1, len(sizes) + 1), sizes))
+    lines = []
+    for g in range(1, len(sizes) + 1):
+        nodes = np.flatnonzero(indicator == g) + 1
+        for _ in range(int(rng.integers(0, 3 * len(nodes)))):
+            u, v = rng.choice(nodes, 2)
+            lines.append(f"{u}, {v}")
+            if rng.random() < 0.5:
+                lines.append(f"{v},{u}")
+            if rng.random() < 0.2:
+                lines.append(f" {u} , {v} ")
+            if rng.random() < 0.1:
+                lines.append("")
+    order = rng.permutation(len(lines))
+    return ([lines[i] for i in order], indicator.tolist(),
+            rng.integers(0, 3, len(sizes)).tolist(), rng.integers(0, 4, len(indicator)).tolist())
+
+
+def write_raw(tmp_path, name, lines, indicator, graph_labels, node_labels):
+    root = write_tu_files(tmp_path, name, [], indicator, graph_labels, node_labels)
+    (tmp_path / name / f"{name}_A.txt").write_text("".join(f"{x}\n" for x in lines))
+    return root
+
+
+def load_both(root, name):
+    """(bundle or ParseError message, warning messages) of the loader and the oracle."""
+    import warnings
+
+    results = []
+    for load in (load_tu_dataset, old_load_tu_dataset):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = load(root, name)
+            except ParseError as exc:
+                out = str(exc)
+        results.append((out, [str(w.message) for w in caught]))
+    return results
+
+
+def assert_same_bundle(a, b):
+    assert (a.name, a.node_label_count, a.class_count) == (b.name, b.node_label_count,
+                                                           b.class_count)
+    assert len(a.graphs) == len(b.graphs)
+    for ga, gb in zip(a.graphs, b.graphs):
+        np.testing.assert_array_equal(ga.adjacency, gb.adjacency)
+        np.testing.assert_array_equal(ga.node_labels, gb.node_labels)
+        assert ga.class_label == gb.class_label
+
+
+class TestEdgeReaderMatchesLineLoop:
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("with_node_labels", [True, False])
+    def test_same_bundle_and_warnings(self, tmp_path, seed, with_node_labels):
+        lines, indicator, graph_labels, node_labels = random_tu_lines(
+            np.random.default_rng(seed))
+        root = write_raw(tmp_path, "RND", lines, indicator, graph_labels,
+                         node_labels if with_node_labels else None)
+        (new, new_warn), (old, old_warn) = load_both(root, "RND")
+        assert_same_bundle(new, old)
+        assert new_warn == old_warn
+
+    @pytest.mark.parametrize("bad", ["1 2", "1, 2, 3", "1,", "x, 1", "1.0, 2", "0, 1",
+                                     "1, 99", "-1, 2", "# 1, 2", "1, 2 # c", "cross"])
+    def test_same_parse_error_on_a_bad_line(self, tmp_path, bad):
+        lines, indicator, graph_labels, node_labels = random_tu_lines(
+            np.random.default_rng(3))
+        if bad == "cross":
+            a = indicator.index(1) + 1
+            b = next(i for i, g in enumerate(indicator, start=1) if g != 1)
+            bad = f"{a}, {b}"
+        at = len(lines) // 2
+        lines = lines[:at] + [bad] + lines[at:] + ["7, 7, 7"]
+        root = write_raw(tmp_path, "BAD", lines, indicator, graph_labels, node_labels)
+        (new, _), (old, _) = load_both(root, "BAD")
+        assert isinstance(new, str) and new == old
+        assert f"line {at + 1}:" in new
+
+    def test_spellings_only_int_reads_fall_back(self, tmp_path):
+        # int() reads "1_0" and full-width digits; the line loop keeps them
+        indicator = [1] * 12
+        lines = ["1_0, 2", "３, 4", "5, 6"]
+        root = write_raw(tmp_path, "ODD", lines, indicator, [0], [0] * 12)
+        (new, _), (old, _) = load_both(root, "ODD")
+        assert_same_bundle(new, old)
+        assert new.graphs[0].adjacency[9, 1] == 1.0 and new.graphs[0].adjacency[2, 3] == 1.0
+
+    def test_empty_edge_file(self, tmp_path):
+        root = write_raw(tmp_path, "NOEDGE", [], [1, 1, 2], [0, 1], [0, 1, 0])
+        (new, new_warn), (old, old_warn) = load_both(root, "NOEDGE")
+        assert_same_bundle(new, old)
+        assert new_warn == old_warn == []

@@ -8,6 +8,7 @@ from slim.embedding import EncoderParams, encode, init_encoder
 from slim.landmarks import LandmarkSet, assign, assign_values
 from slim.pooling import (
     density,
+    directed_edges,
     feature_width,
     graph_feature,
     graph_feature_op,
@@ -157,7 +158,8 @@ def _pipeline_features(g, x, encoder, u, include_means=False):
     """Differentiable substructure-to-feature pipeline used for grad checks."""
     h = encode(ad.constant(x), encoder)
     w = assign(h, LandmarkSet(u, dof=1.0))
-    return graph_feature_op(w, [(0, g.node_count)], [x], [g.adjacency], include_means)
+    return graph_feature_op(w, [(0, g.node_count)], [x], [directed_edges(g.adjacency)],
+                            include_means)
 
 
 class TestPermutationInvariance:
@@ -213,7 +215,8 @@ class TestDifferentiablePath:
 
         def fn(h, u):
             w = assign(h, LandmarkSet(u, dof=1.0))
-            return graph_feature_op(w, [(0, g.node_count)], [x], [g.adjacency], include_means)
+            return graph_feature_op(w, [(0, g.node_count)], [x],
+                                    [directed_edges(g.adjacency)], include_means)
 
         report = grad_check(
             fn,
