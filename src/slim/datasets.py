@@ -53,7 +53,7 @@ class Graph:
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency must have a zero diagonal")
-        if not np.isin(a, (0.0, 1.0)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency must be binary")
         if self.node_labels.shape != (a.shape[0],) or np.any(self.node_labels < 0):
             raise ValueError("node_labels must be one non-negative int per node")
@@ -100,8 +100,29 @@ def _require(path: str):
     return path
 
 
+def _load_ints(path: str, delimiter: str | None = None) -> np.ndarray | None:
+    """The integers of a text file as a 2-D array (one row per non-empty
+    line), or None when some line does not parse as ``np.loadtxt`` reads it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt on a file with no data
+        try:
+            return np.loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None,
+                              ndmin=2, encoding="utf-8")
+        except ValueError:
+            return None
+
+
 def _int_column(path: str) -> np.ndarray:
-    """One integer per non-empty line."""
+    """One integer per non-empty line.
+
+    Raises ParseError naming the first line that is not one integer.
+    """
+    values = _load_ints(path)
+    # a 2-D read keeps a one-line "1 2" file from passing as a column of two
+    if values is not None and values.shape[1] == 1:
+        return values[:, 0]
+    # some line is malformed, or uses a spelling only int() accepts: read
+    # line by line to report the first bad line
     values = []
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line:
@@ -115,9 +136,7 @@ def _int_column(path: str) -> np.ndarray:
 
 def _densify(raw: np.ndarray) -> np.ndarray:
     """Map arbitrary integer labels onto a contiguous range starting at 0."""
-    values = np.unique(raw)
-    lookup = {int(v): i for i, v in enumerate(values)}
-    return np.array([lookup[int(v)] for v in raw], dtype=np.int64)
+    return np.unique(raw, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
 def _edge_pairs(path: str, indicator: np.ndarray) -> np.ndarray:
@@ -128,13 +147,7 @@ def _edge_pairs(path: str, indicator: np.ndarray) -> np.ndarray:
     unknown node, or joins two graphs.
     """
     n_nodes = len(indicator)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt on a file with no data
-        try:
-            pairs = np.loadtxt(path, dtype=np.int64, delimiter=",", comments=None,
-                               ndmin=2, encoding="utf-8")
-        except ValueError:
-            pairs = None
+    pairs = _load_ints(path, delimiter=",")
     if pairs is not None and pairs.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     if pairs is not None and pairs.shape[1] == 2:

@@ -70,15 +70,23 @@ def cooccurrence_loss(h: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.n
     softmax over all nodes of the same graph (including i) is accumulated; the
     loss is the negated sum, so it is 0 for graphs without edges and positive
     otherwise. The softmax P of the scores H H' is returned for the backward.
+
+    One n x n buffer holds the shifted scores z, then exp(z), then P. P is
+    the quotient exp(z) / sum_j exp(z) of the plain formula, formed by the
+    same ufuncs on the same values, so it is bit-identical to it. The loss
+    -sum_ij A_ij (z_ij - log s_i) is regrouped as sum_i deg_i log s_i -
+    sum_ij A_ij z_ij: z <= 0 and s_i >= 1, so both terms are non-negative
+    and their difference cancels nothing.
     """
     if h.shape[0] != adjacency.shape[0]:
         raise ValueError("embedding row count must match node count")
-    scores = h @ h.T
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    sums = e.sum(axis=1, keepdims=True)
-    logp = z - np.log(sums)
-    return -float((logp * adjacency).sum()), e / sums
+    z = h @ h.T
+    z -= z.max(axis=1, keepdims=True)
+    link = np.vdot(adjacency, z)
+    np.exp(z, out=z)
+    sums = z.sum(axis=1, keepdims=True)
+    z /= sums
+    return float(adjacency.sum(axis=1) @ np.log(sums[:, 0]) - link), z
 
 
 def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],

@@ -89,16 +89,28 @@ def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Lloyd iterations from ``centers`` until no center moves ``tol`` or more.
+
+    The distances are (|p|^2 + |c|^2) - P (2C)'. Scaling by 2 is exact at
+    every rounding step of the product, so P (2C)' and (2P) C' are both
+    exactly 2 (P C'), and d2 is bit-for-bit that of the direct formula
+    |p|^2 + |c|^2 - 2 P C', in two n x K passes instead of three. The
+    centroid sums come from one flat bincount over the points in row-major
+    order, which visits the rows of each (center, column) bin in row order:
+    the same additions in the same order as one bincount per column, or as
+    ``np.add.at``.
+    """
+    d, k = points.shape[1], len(centers)
     pp = (points * points).sum(axis=1)
+    flat, bins = points.ravel(), np.arange(d)
     for _ in range(max_iter):
-        d2 = pp[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * points @ centers.T
+        d2 = np.add.outer(pp, (centers * centers).sum(axis=1))
+        d2 -= points @ (2.0 * centers).T
         nearest = d2.argmin(axis=1)
         new = centers.copy()
-        # one bincount per column sums in row order, exactly as np.add.at
-        # would, at about half its cost
-        sums = np.stack([np.bincount(nearest, weights=col, minlength=len(centers))
-                         for col in points.T], axis=1)
-        sizes = np.bincount(nearest, minlength=len(centers))
+        sums = np.bincount((nearest[:, None] * d + bins).ravel(), weights=flat,
+                           minlength=k * d).reshape(k, d)
+        sizes = np.bincount(nearest, minlength=k)
         occupied = sizes > 0
         new[occupied] = sums[occupied] / sizes[occupied, None]
         shift = np.linalg.norm(new - centers, axis=1).max()

@@ -110,3 +110,67 @@ def fold_triangle(g, k):
     tri = sym[rows, cols] * np.where(rows == cols, 0.5, 1.0 / np.sqrt(2.0)).reshape(
         (-1,) + (1,) * (g.ndim - 1))
     return np.concatenate([tri, g[k * k:]])
+
+
+# ---------------------------------------------------------------------------
+# oracles: the direct forms that the shipped kernels must reproduce bit for bit
+
+
+def lloyd_oracle(points, centers, tol, max_iter):
+    """``landmarks._lloyd`` in its direct form: three n x K passes for the
+    distances and one bincount per column for the centroid sums."""
+    pp = (points * points).sum(axis=1)
+    for _ in range(max_iter):
+        d2 = pp[:, None] + (centers * centers).sum(axis=1)[None, :] - 2.0 * points @ centers.T
+        nearest = d2.argmin(axis=1)
+        new = centers.copy()
+        sums = np.stack([np.bincount(nearest, weights=col, minlength=len(centers))
+                         for col in points.T], axis=1)
+        sizes = np.bincount(nearest, minlength=len(centers))
+        occupied = sizes > 0
+        new[occupied] = sums[occupied] / sizes[occupied, None]
+        shift = np.linalg.norm(new - centers, axis=1).max()
+        centers = new
+        if shift < tol:
+            break
+    return centers
+
+
+def cooccurrence_loss_oracle(h, adjacency):
+    """``embedding.cooccurrence_loss`` in its direct form: separate score,
+    exp and log-probability arrays, and the loss as -sum(logp * A)."""
+    if h.shape[0] != adjacency.shape[0]:
+        raise ValueError("embedding row count must match node count")
+    scores = h @ h.T
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    sums = e.sum(axis=1, keepdims=True)
+    logp = z - np.log(sums)
+    return -float((logp * adjacency).sum()), e / sums
+
+
+def int_column_oracle(path):
+    """``datasets._int_column`` as one ``int()`` per non-empty line."""
+    from slim.datasets import ParseError, _read_lines
+
+    values = []
+    for line_no, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            values.append(int(line))
+        except ValueError:
+            raise ParseError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
+    return np.array(values, dtype=np.int64)
+
+
+def densify_oracle(raw):
+    """``datasets._densify`` as a dict lookup per value."""
+    values = np.unique(raw)
+    lookup = {int(v): i for i, v in enumerate(values)}
+    return np.array([lookup[int(v)] for v in raw], dtype=np.int64)
+
+
+def is_binary_oracle(a):
+    """The binarity test of ``Graph.validate`` as ``np.isin``."""
+    return bool(np.isin(a, (0.0, 1.0)).all())

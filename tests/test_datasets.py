@@ -2,10 +2,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slim.datasets import (
     DatasetError,
+    Graph,
     ParseError,
+    _densify,
+    _int_column,
     load_tu_dataset,
     make_folds,
     one_hot_features,
@@ -13,7 +18,7 @@ from slim.datasets import (
 )
 from slim.synthetic import make_bundle
 
-from conftest import write_tu_files
+from conftest import densify_oracle, int_column_oracle, is_binary_oracle, write_tu_files
 
 
 class TestLoader:
@@ -409,3 +414,93 @@ class TestEdgeReaderMatchesLineLoop:
         (new, new_warn), (old, old_warn) = load_both(root, "NOEDGE")
         assert_same_bundle(new, old)
         assert new_warn == old_warn == []
+
+
+# ---------------------------------------------------------------------------
+# the vectorized column reader, label densifier and binarity test against
+# the per-line and per-value forms they replaced
+
+def read_column_both(path):
+    """(array or (exception type, message)) of the reader and the oracle."""
+    results = []
+    for read in (_int_column, int_column_oracle):
+        try:
+            results.append(read(str(path)))
+        except (ParseError, OverflowError) as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+def assert_same_column(path):
+    new, old = read_column_both(path)
+    if isinstance(old, tuple):
+        assert new == old
+    else:
+        assert new.dtype == old.dtype == np.int64 and new.shape == old.shape
+        np.testing.assert_array_equal(new, old)
+    return new
+
+
+class TestColumnReaderMatchesLineLoop:
+    @pytest.mark.parametrize("text", [
+        "1\n2\n3\n", "5", "+1\n-2\n", "\n\n1\n\n\n2\n\n", "", "\n \n",
+        " 7 \n\t8\t\n", "1\r\n2\r\n", "1\x0c2\n", "\u20281\n",
+    ])
+    def test_same_values(self, tmp_path, text):
+        path = tmp_path / "col.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert not isinstance(assert_same_column(path), tuple)
+
+    @pytest.mark.parametrize("text", [
+        "# 1\n", "1\n# comment\n", "1 # c\n", "1 2\n", "1 2\n3 4\n", "1\n2 3\n",
+        "1, 2\n", "1.0\n", "1e3\n", "0x10\n", "x\n", "99999999999999999999\n",
+    ])
+    def test_same_error(self, tmp_path, text):
+        path = tmp_path / "col.txt"
+        path.write_text("4\n" + text, encoding="utf-8")
+        assert isinstance(assert_same_column(path), tuple)
+
+    @pytest.mark.parametrize("text", ["1_000\n2\n", "\uff13\n4\n"])
+    def test_spellings_only_int_reads_fall_back(self, tmp_path, text):
+        path = tmp_path / "col.txt"
+        path.write_text(text, encoding="utf-8")
+        assert assert_same_column(path)[0] in (1000, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(-10**6, 10**6).map(str),
+        st.sampled_from(["", " ", "+3", "-0", " 12 ", "1 2", "#", "1_0", "2.5"]),
+    ), max_size=20))
+    def test_random_lines(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("col") / "col.txt"
+        path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        assert_same_column(path)
+
+    def test_loaded_labels_unchanged(self, tmp_path):
+        # the whole loader on a file set whose columns take the fast path
+        root = write_tu_files(tmp_path, "COLS", [(1, 2), (2, 1), (4, 5), (5, 4)],
+                              [1, 1, 1, 2, 2], [7, -3], [10, 30, 10, 20, 30])
+        bundle = load_tu_dataset(root, "COLS")
+        assert [g.class_label for g in bundle.graphs] == [1, 0]
+        np.testing.assert_array_equal(np.concatenate([g.node_labels for g in bundle.graphs]),
+                                      [0, 2, 0, 1, 2])
+
+
+class TestDensifyAndBinarity:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-2**62, 2**62), max_size=40))
+    def test_densify_matches_dict_lookup(self, raw):
+        raw = np.array(raw, dtype=np.int64)
+        new, old = _densify(raw), densify_oracle(raw)
+        assert new.dtype == old.dtype == np.int64 and new.shape == old.shape
+        np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 2.0, 0.5, -1.0, np.inf, 1e-300])
+    def test_binarity_matches_isin(self, value):
+        a = np.array([[0.0, 1.0, value], [1.0, 0.0, 0.0], [value, 0.0, 0.0]])
+        graph = Graph(a, np.zeros(3, dtype=np.int64), 0)
+        if is_binary_oracle(a):
+            graph.validate()
+        else:
+            with pytest.raises(ValueError, match="must be binary"):
+                graph.validate()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import autodiff as ad
 from slim.autodiff import Tensor, grad_check
@@ -15,7 +17,7 @@ from slim.embedding import (
     init_encoder,
 )
 
-from conftest import random_graph
+from conftest import cooccurrence_loss_oracle, random_graph
 
 
 def cooc(h, adjacency) -> float:
@@ -149,3 +151,40 @@ class TestCooccurrenceLoss:
             cooccurrence_loss(np.zeros((2, 2)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
             cooc(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+@st.composite
+def cooccurrence_inputs(draw):
+    """Embeddings and a symmetric 0/1 adjacency of one graph: single nodes,
+    edgeless and complete graphs, and rows scaled up to 100."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0, 100.0]))
+    p_edge = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < p_edge, 1)
+    return rng.standard_normal((n, d)) * scale, (upper | upper.T).astype(float)
+
+
+def assert_matches_direct_form(h, adjacency):
+    loss, p = cooccurrence_loss(h, adjacency)
+    want_loss, want_p = cooccurrence_loss_oracle(h, adjacency)
+    np.testing.assert_array_equal(p, want_p)
+    assert loss == pytest.approx(want_loss, rel=1e-13, abs=0.0)
+    assert loss >= 0.0
+
+
+class TestCooccurrenceKernelMatchesDirectForm:
+    @settings(max_examples=150, deadline=None)
+    @given(cooccurrence_inputs())
+    @example((np.array([[0.3, -0.7]]), np.zeros((1, 1))))
+    @example((np.full((4, 2), 100.0), np.zeros((4, 4))))
+    def test_softmax_bit_identical_and_loss_close(self, case):
+        assert_matches_direct_form(*case)
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    def test_graph_sized_like_the_large_workload(self, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 1.25 / n, 1)
+        assert_matches_direct_form(np.tanh(rng.standard_normal((n, 32)) * 3.0),
+                                   (upper | upper.T).astype(float))

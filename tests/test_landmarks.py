@@ -1,9 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slim import autodiff as ad
+from slim import landmarks
 from slim.autodiff import Tensor, grad_check
 from slim.landmarks import (
     LandmarkSet,
@@ -16,6 +20,8 @@ from slim.landmarks import (
     pairwise_sq_distances,
     target_distribution,
 )
+
+from conftest import lloyd_oracle
 
 
 def exhaustive_two_means(points):
@@ -269,3 +275,64 @@ class TestSelfTrainingConsistency:
             if hard_distortion(points, u_after) < before:
                 wins += 1
         assert wins >= 9
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(points, k, seed): normal rows, rows rounded to one decimal (ties), or
+    rows drawn from fewer distinct values than k, at any k from 1 to n."""
+    kind = draw(st.sampled_from(["normal", "rounded", "duplicates"]))
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+    if kind == "rounded":
+        return np.round(points, 1), draw(st.integers(1, n)), seed
+    if kind == "duplicates" and n > 1:
+        distinct = draw(st.integers(1, n - 1))
+        return points[rng.integers(0, distinct, n)], draw(st.integers(distinct + 1, n)), seed
+    return points, draw(st.integers(1, n)), seed
+
+
+def init_shipped_and_oracle(points, k, seed):
+    """``init_landmarks`` with the shipped ``_lloyd`` and with the oracle."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # fewer distinct rows than k
+        shipped = init_landmarks(points, k, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(landmarks, "_lloyd", lloyd_oracle)
+            oracle = init_landmarks(points, k, seed)
+    return shipped, oracle
+
+
+class TestLloydMatchesDirectForm:
+    @settings(max_examples=150, deadline=None)
+    @given(kmeans_inputs())
+    def test_init_landmarks_bit_identical(self, case):
+        shipped, oracle = init_shipped_and_oracle(*case)
+        np.testing.assert_array_equal(shipped, oracle)
+
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "duplicates"])
+    @pytest.mark.parametrize("k_of_n", [lambda n: 1, lambda n: n], ids=["k=1", "k=n"])
+    def test_extreme_k(self, kind, k_of_n):
+        rng = np.random.default_rng(11)
+        points = rng.standard_normal((40, 3)) * 4.0
+        if kind == "rounded":
+            points = np.round(points)
+        elif kind == "duplicates":
+            points = points[rng.integers(0, 5, len(points))]
+        shipped, oracle = init_shipped_and_oracle(points, k_of_n(len(points)), seed=3)
+        np.testing.assert_array_equal(shipped, oracle)
+
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_embeddings_sized_like_the_large_workload(self, rounded):
+        # tanh embeddings in the shape the benchmark's k-means sees, so the
+        # BLAS product runs its blocked kernels
+        rng = np.random.default_rng(5)
+        points = np.tanh(rng.standard_normal((4000, 32)) * 2.0)
+        if rounded:
+            points = np.round(points, 1)
+        start = points[rng.choice(len(points), 100, replace=False)]
+        np.testing.assert_array_equal(landmarks._lloyd(points, start, 1e-6, 8),
+                                      lloyd_oracle(points, start, 1e-6, 8))

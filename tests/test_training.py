@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from slim import embedding, landmarks
 from slim import model as M
 from slim import training
 from slim.autodiff import Tensor
@@ -19,6 +20,8 @@ from slim.training import (
     train,
     write_sweep_csv,
 )
+
+from conftest import cooccurrence_loss_oracle, lloyd_oracle
 
 
 class TestOptimizers:
@@ -129,6 +132,35 @@ class TestTrain:
         state, _ = train(graphs, cfg, 2, bundle.node_label_count)
         state.zero_grad()
         assert all(p.grad is None for p in state.parameters())
+
+    def test_trajectory_bit_identical_with_the_direct_kernels(self):
+        # the in-place co-occurrence softmax and the two-pass Lloyd step must
+        # leave every parameter where the direct forms leave it
+        bundle = make_bundle(n_graphs=24, seed=9)
+        cfg = tiny_cfg(k=6, latent=4, epochs=4, batch_size=6, seed=3)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        shipped, shipped_history = train(graphs, cfg, 2, bundle.node_label_count)
+        calls = {"lloyd": 0, "cooc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(landmarks, "_lloyd", counted("lloyd", lloyd_oracle))
+            mp.setattr(embedding, "cooccurrence_loss",
+                       counted("cooc", cooccurrence_loss_oracle))
+            oracle, oracle_history = train(graphs, cfg, 2, bundle.node_label_count)
+        assert calls["lloyd"] == cfg.kmeans_restarts and calls["cooc"] == 4 * len(graphs)
+        for a, b in zip(shipped.parameters(), oracle.parameters(), strict=True):
+            np.testing.assert_array_equal(a.value, b.value)
+        np.testing.assert_array_equal(shipped.feature_center, oracle.feature_center)
+        for got, want in zip(shipped_history, oracle_history, strict=True):
+            for field in ("train_loss", "loss_ce", "loss_embed", "loss_cluster"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field),
+                                                            rel=1e-12, abs=0.0)
 
     def test_empty_training_split_rejected(self):
         cfg = tiny_cfg()
