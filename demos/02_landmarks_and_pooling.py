@@ -4,14 +4,14 @@ Substructure rows are encoded into a latent space, landmarks are fitted by
 k-means, and each graph is summarized by how its parts map onto landmarks
 (densities p, type profiles M) and how those parts interconnect (interaction
 C and its normalized form). Batches of graphs run through one forward pass
-over their stacked rows; the per-graph matrices are recomputed here with the
-plain-array reference formulas.
+over their stacked rows; the per-graph matrices come from the same pooling
+kernel over the graph's edge list, as in `slim inspect`.
 """
 import numpy as np
 
 from slim import model as M
 from slim.landmarks import init_landmarks, target_distribution
-from slim.pooling import graph_feature, pooled_features
+from slim.pooling import DENSITY_EPS, pool_graph
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
@@ -31,14 +31,15 @@ print(f"batch of 4 graphs: rows {batch.bounds}, feature rows {batch.features.sha
 
 data = graphs[0]
 w = batch.w.value[: data.z.shape[0]]
-pf = pooled_features(data.x, w, data.adjacency)
+p, _, _, c_norm = pool_graph(w, *data.edges)
+c = c_norm * np.outer(p + DENSITY_EPS, p + DENSITY_EPS)
 print(f"\ngraph 0: {data.z.shape[0]} nodes, class {data.label}")
 print("soft assignment row 0:", np.round(w[0], 3))
 print("sharpened target row 0:", np.round(target_distribution(w)[0], 3))
-print("\nlandmark densities p (sum = node count):", np.round(pf.p, 2))
-print("interaction matrix C (sum = 2|E| =", int(pf.c.sum() + 0.5), "):")
-print(np.round(pf.c, 2))
+print("\nlandmark densities p (sum = node count):", np.round(p, 2))
+print("interaction matrix C (sum = 2|E| =", int(c.sum() + 0.5), "):")
+print(np.round(c, 2))
 print("normalized interaction:")
-print(np.round(pf.c_norm, 3))
+print(np.round(c_norm, 3))
 print("\nclassifier feature vector length (upper triangle of C_norm, K(K+1)/2):",
-      graph_feature(pf).shape[0])
+      batch.features.shape[1])

@@ -26,21 +26,11 @@ from .embedding import EncoderParams, cooccurrence_loss, encode, encode_values
 from .landmarks import (
     LandmarkSet,
     assign,
-    assign_values,
     cluster_loss,
     init_landmarks,
     target_distribution,
 )
 from .model import ModelState, joint_loss, load_model, save_model
-from .pooling import (
-    PooledFeatures,
-    density,
-    graph_feature,
-    interaction,
-    landmark_means,
-    normalized_interaction,
-    pooled_features,
-)
 from .substructure import (
     SubstructureConfig,
     Variant,

@@ -152,16 +152,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.value + b.value, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.value.shape))
-
-    return _make(a.value - b.value, (a, b), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     va, vb = a.value, b.value
 
@@ -198,17 +188,7 @@ def tanh(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and row ops
-
-
-def row_normalize(a: Tensor) -> Tensor:
-    r = a.value.sum(axis=1, keepdims=True)
-    v = a.value / r
-
-    def backward(g):
-        a._accumulate((g - (g * v).sum(axis=1, keepdims=True)) / r)
-
-    return _make(v, (a,), backward)
+# losses
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -247,32 +227,6 @@ def kl_div(p: Tensor, q: Tensor) -> Tensor:
             q._accumulate(-g * vp / vq)
 
     return _make(terms.sum(), (p, q), backward)
-
-
-def squared_distance_rows(h: Tensor, u: Tensor) -> Tensor:
-    """Matrix of squared euclidean distances between rows of h and rows of u."""
-    vh, vu = h.value, u.value
-    d2 = (vh * vh).sum(axis=1)[:, None] + (vu * vu).sum(axis=1)[None, :] - 2.0 * vh @ vu.T
-    np.maximum(d2, 0.0, out=d2)
-
-    def backward(g):
-        if h.requires_grad:
-            h._accumulate(2.0 * (vh * g.sum(axis=1, keepdims=True) - g @ vu))
-        if u.requires_grad:
-            u._accumulate(2.0 * (vu * g.sum(axis=0)[:, None] - g.T @ vh))
-
-    return _make(d2, (h, u), backward)
-
-
-def student_t_kernel(d2: Tensor, dof: float) -> Tensor:
-    """Elementwise (1 + d2/dof)^(-(dof+1)/2); the numerator of the soft assignment."""
-    base = 1.0 + d2.value / dof
-    v = base ** (-(dof + 1.0) / 2.0)
-
-    def backward(g):
-        d2._accumulate(-g * ((dof + 1.0) / (2.0 * dof)) * v / base)
-
-    return _make(v, (d2,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +301,9 @@ def _builders():
     reg = {}
     reg["matmul"] = lambda rng: (lambda a, b: matmul(a, b), two(rng))
     reg["add"] = lambda rng: (add, [rng.standard_normal((3, 4)), rng.standard_normal(4)])
-    reg["sub"] = lambda rng: (sub, [rng.standard_normal((3, 4)), rng.standard_normal(4)])
     reg["mul"] = lambda rng: (mul, [rng.standard_normal((3, 4)), rng.standard_normal((3, 1))])
     reg["sigmoid"] = lambda rng: (sigmoid, [rng.standard_normal((3, 4))])
     reg["tanh"] = lambda rng: (tanh, [rng.standard_normal((3, 4))])
-    reg["row_normalize"] = lambda rng: (row_normalize, [rng.uniform(0.2, 2.0, (4, 5))])
 
     def ce(rng):
         logits = rng.standard_normal((5, 3))
@@ -366,14 +318,6 @@ def _builders():
         return (kl_div, [p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)])
 
     reg["kl_div"] = kl
-    reg["squared_distance_rows"] = lambda rng: (
-        squared_distance_rows,
-        [rng.standard_normal((5, 3)), rng.standard_normal((4, 3))],
-    )
-    reg["student_t_kernel"] = lambda rng: (
-        lambda a: student_t_kernel(a, 1.0),
-        [rng.uniform(0.1, 3.0, (4, 5))],
-    )
     return reg
 
 

@@ -23,7 +23,7 @@ from . import model as M
 from . import training
 from .autodiff import check_registered_ops, grad_check
 from .datasets import DatasetError, load_tu_dataset, make_folds
-from .pooling import pooled_features
+from .pooling import DENSITY_EPS, pool_graph
 from .substructure import Variant
 
 EXIT_OK = 0
@@ -345,7 +345,7 @@ def cmd_inspect(args) -> int:
                           f"{data.z.shape[1]}-wide substructure rows on {bundle.name}, "
                           f"but the encoder takes {width_in}")
     w = M.batch_forward([data], state.frozen(), [False]).w.value
-    pf = pooled_features(data.x, w, data.adjacency)
+    p, _, v, c_norm = pool_graph(w, *data.edges)
     manifest = _start_manifest("inspect", args, {"graph": args.graph},
                                [f"graph{args.graph}_{name}.csv"
                                 for name in ("W", "p", "M", "C", "C_norm")])
@@ -356,10 +356,10 @@ def cmd_inspect(args) -> int:
         np.savetxt(path, np.atleast_2d(array), delimiter=",", fmt="%.10g")
 
     dump("W", w)
-    dump("p", pf.p)
-    dump("M", pf.m)
-    dump("C", pf.c)
-    dump("C_norm", pf.c_norm)
+    dump("p", p)
+    dump("M", data.x.T @ v)
+    dump("C", c_norm * np.outer(p + DENSITY_EPS, p + DENSITY_EPS))
+    dump("C_norm", c_norm)
     if args.with_z:
         dump("Z", data.z)
         manifest.artifacts.append(os.path.join(args.out, f"graph{args.graph}_Z.csv"))

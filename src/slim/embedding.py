@@ -115,21 +115,6 @@ def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],
     return ad._make(total, (h,), backward)
 
 
-def cooccurrence_loss_reference(h: np.ndarray, adjacency: np.ndarray) -> float:
-    """Brute-force evaluation with explicit loops; the oracle for the op above."""
-    n = h.shape[0]
-    total = 0.0
-    for i in range(n):
-        for j in range(n):
-            if adjacency[i, j] <= 0:
-                continue
-            scores = [float(h[i] @ h[jp]) for jp in range(n)]
-            m = max(scores)
-            log_denom = m + math.log(sum(math.exp(s - m) for s in scores))
-            total += float(h[i] @ h[j]) - log_denom
-    return -total
-
-
 def _cooccurrence_op_case(rng):
     """Gradient-check input: a 5-node graph, an edgeless pair and a 3-node
     path; rows 7 and 8 belong to a graph the op does not see."""

@@ -35,23 +35,34 @@ def assign(h: Tensor, landmarks: LandmarkSet) -> Tensor:
     """Row-stochastic soft assignment of embeddings to landmarks.
 
     W[j, k] = (1 + |h_j - u_k|^2 / dof)^(-(dof+1)/2), normalized over k.
-    Differentiable with respect to both h and the landmark vectors.
+    One tape node, differentiable with respect to both h and the landmark
+    vectors. The backward keeps the kernel, its base 1 + d2/dof, the row sums
+    and W; the clip of the distances at 0 passes the gradient unchanged.
     """
-    d2 = ad.squared_distance_rows(h, landmarks.u)
-    return ad.row_normalize(ad.student_t_kernel(d2, landmarks.dof))
+    u, dof = landmarks.u, landmarks.dof
+    vh, vu = h.value, u.value
+    base = pairwise_sq_distances(vh, vu)
+    base /= dof
+    base += 1.0
+    kernel = base ** (-(dof + 1.0) / 2.0)
+    r = kernel.sum(axis=1, keepdims=True)
+    w = kernel / r
+
+    def backward(g):
+        g_kernel = (g - (g * w).sum(axis=1, keepdims=True)) / r
+        g_d2 = -g_kernel * ((dof + 1.0) / (2.0 * dof)) * kernel / base
+        if h.requires_grad:
+            h._accumulate(2.0 * (vh * g_d2.sum(axis=1, keepdims=True) - g_d2 @ vu))
+        if u.requires_grad:
+            u._accumulate(2.0 * (vu * g_d2.sum(axis=0)[:, None] - g_d2.T @ vh))
+
+    return ad._make(w, (h, u), backward)
 
 
 def pairwise_sq_distances(h: np.ndarray, u: np.ndarray) -> np.ndarray:
     """|h_j - u_k|^2 for every row pair, clipped at 0 against rounding."""
     d2 = (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T
     return np.maximum(d2, 0.0)
-
-
-def assign_values(h: np.ndarray, u: np.ndarray, dof: float = 1.0) -> np.ndarray:
-    """Tape-free assignment on plain arrays; a reference for tests."""
-    d2 = pairwise_sq_distances(h, u)
-    kernel = (1.0 + d2 / dof) ** (-(dof + 1.0) / 2.0)
-    return kernel / kernel.sum(axis=1, keepdims=True)
 
 
 def target_distribution(w: np.ndarray) -> np.ndarray:
@@ -147,3 +158,15 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     if len(np.unique(best, axis=0)) < k:
         best = best + rng.normal(scale=1e-4, size=best.shape)
     return best
+
+
+def _assign_case(n, k, dof):
+    return lambda rng: (lambda h, u: assign(h, LandmarkSet(u, dof)),
+                        [rng.standard_normal((n, 3)), rng.standard_normal((k, 3))])
+
+
+# the dof is read from model files, so a non-integer one is checked too; one
+# row below K landmarks, and a single landmark, whose W is constant
+ad.OP_REGISTRY["student_t_assign"] = _assign_case(5, 4, 1.0)
+ad.OP_REGISTRY["student_t_assign_one_row"] = _assign_case(1, 4, 2.5)
+ad.OP_REGISTRY["student_t_assign_one_landmark"] = _assign_case(5, 1, 0.7)

@@ -114,7 +114,7 @@ def classifier_logits(features: Tensor, params: ClassifierParams,
     # centering removes the large shared feature baseline, whose l1 mass
     # otherwise makes the first adaptive steps saturate every hidden unit
     if center is not None:
-        features = ad.sub(features, ad.constant(center))
+        features = ad.add(features, ad.constant(-center))
     hidden = ad.tanh(ad.add(ad.matmul(features, params.w_hidden), params.b_hidden))
     return ad.add(ad.matmul(hidden, params.w_out), params.b_out)
 

@@ -9,11 +9,12 @@ per-node structure onto the K landmarks:
   C_norm  interaction normalized by densities            (K, K)
 
 All quantities are permutation invariant because node identity enters only
-through sums over rows. The plain-array versions here are the reference for
-the fused differentiable op that pools a whole batch of graphs. That op reads
-each graph's directed edge list instead of A: with S = diag(p)^-1 (guarded),
-C_norm = S W' A W S = (WS)' A (WS) is a sum over the edges of outer products
-of density-scaled rows, so no n x n operand appears.
+through sums over rows. One per-graph kernel, ``pool_graph``, computes them
+from the graph's directed edge list instead of A: with S = diag(p)^-1
+(guarded), C_norm = S W' A W S = (WS)' A (WS) is a sum over the edges of
+outer products of density-scaled rows V = WS, so no n x n operand appears.
+M is x'V and C is C_norm scaled back by the densities. The differentiable
+op that pools a whole batch of graphs and ``slim inspect`` both call it.
 
 C is symmetric (every graph is undirected), so the classifier reads only the
 upper triangle of C_norm, row-major, with each off-diagonal entry scaled by
@@ -24,7 +25,6 @@ steps as one on the full symmetric flattening.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,48 +33,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 DENSITY_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class PooledFeatures:
-    p: np.ndarray
-    m: np.ndarray
-    c: np.ndarray
-    c_norm: np.ndarray
-
-
-def density(w: np.ndarray) -> np.ndarray:
-    """Soft node count per landmark; sums to the node count."""
-    return w.sum(axis=0)
-
-
-def landmark_means(x: np.ndarray, w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """c x K matrix whose k-th column is the mean node-type profile of landmark k."""
-    return (x.T @ w) / (p + DENSITY_EPS)
-
-
-def interaction(w: np.ndarray, adjacency: np.ndarray) -> np.ndarray:
-    """K x K soft count of edges between landmark masses: W' A W."""
-    if w.shape[0] != adjacency.shape[0]:
-        raise ValueError("assignment and adjacency disagree on node count")
-    return w.T @ adjacency @ w
-
-
-def normalized_interaction(c: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Density-normalized interaction diag(p)^-1 C diag(p)^-1 (guarded)."""
-    s = 1.0 / (p + DENSITY_EPS)
-    return c * np.outer(s, s)
-
-
-def pooled_features(x: np.ndarray, w: np.ndarray, adjacency: np.ndarray) -> PooledFeatures:
-    p = density(w)
-    c = interaction(w, adjacency)
-    return PooledFeatures(
-        p=p,
-        m=landmark_means(x, w, p),
-        c=c,
-        c_norm=normalized_interaction(c, p),
-    )
 
 
 @functools.lru_cache(maxsize=4)
@@ -89,26 +47,13 @@ def upper_triangle(k: int) -> tuple[np.ndarray, np.ndarray]:
     return mask, scale
 
 
-def graph_feature(pf: PooledFeatures, include_means: bool = False) -> np.ndarray:
-    """Classifier feature vector: the scaled upper triangle of C_norm.
-
-    With ``include_means`` the densities and flattened landmark means are
-    appended (length K(K+1)/2 + K + c*K instead of K(K+1)/2).
-    """
-    mask, scale = upper_triangle(pf.c_norm.shape[0])
-    tri = pf.c_norm[mask] * scale
-    if include_means:
-        return np.concatenate([tri, pf.p, pf.m.reshape(-1)])
-    return tri
-
-
 def feature_width(k: int, c: int, include_means: bool = False) -> int:
     return k * (k + 1) // 2 + (k + c * k if include_means else 0)
 
 
 def directed_edges(adjacency: np.ndarray) -> np.ndarray:
     """2 x 2E array of the directed edges (i, j) with A_ij != 0, one column
-    each, in row-major (CSR) order: the graph input of ``graph_feature_op``."""
+    each, in row-major (CSR) order: the graph input of ``pool_graph``."""
     # flat positions in a boolean mask: np.nonzero of the float matrix is
     # several times slower on graphs of a thousand nodes
     return np.array(np.divmod(np.flatnonzero(adjacency != 0), adjacency.shape[1]))
@@ -125,6 +70,25 @@ def _neighbour_sums(y: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarr
     return np.bincount(bins, weights=y[dst].ravel(), minlength=y.size).reshape(y.shape)
 
 
+def pool_graph(w: np.ndarray, src: np.ndarray,
+               dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pool one graph: (p, s, V, C_norm) from its assignment ``w`` (n x K)
+    and its directed edges (src, dst) of ``directed_edges``, which hold
+    every edge in both directions and no self-loops.
+
+    p are the densities, s = 1/(p + eps) and V = W diag(s) the density-scaled
+    rows. C_norm = V'AV is P + P' for P = V[i]'V[j] over the edges with
+    i < j, so nothing is n x n. The means are M = x'V and the interaction
+    is C = C_norm * outer(p + eps, p + eps).
+    """
+    p = w.sum(axis=0)
+    s = 1.0 / (p + DENSITY_EPS)
+    v = w * s
+    upper = src < dst
+    half = v[src[upper]].T @ v[dst[upper]]
+    return p, s, v, half + half.T
+
+
 def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
                      xs: Sequence[np.ndarray], edges: Sequence[np.ndarray],
                      include_means: bool = False) -> Tensor:
@@ -132,14 +96,12 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
 
     ``w`` stacks the assignments of several graphs; graph i owns the rows
     ``bounds[i]`` and has node types ``xs[i]`` and the directed edge list
-    ``edges[i]`` of ``directed_edges``, which holds every edge in both
-    directions and no self-loops. Rows outside every bound get no gradient.
+    ``edges[i]`` of ``directed_edges``. Rows outside every bound get no
+    gradient.
 
-    Fused into a single tape node that works from the edge lists: with the
-    density-scaled rows V = W diag(s), s = 1/(p + eps), C_norm = V'AV is
-    P + P' for P = V[i]'V[j] over the edges with i < j, and the backward
-    needs only AV, the neighbour sums of V. Nothing is n x n, and the
-    backward keeps only s and V per graph.
+    Fused into a single tape node that runs ``pool_graph`` per graph. The
+    backward needs only AV, the neighbour sums of V, so it keeps only s and
+    V per graph.
     """
     wv = w.value
     k = wv.shape[1]
@@ -152,12 +114,8 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
         wg = wv[r0:r1]
         if wg.shape[0] != x.shape[0]:
             raise ValueError("assignment and graph disagree on node count")
-        p = wg.sum(axis=0)
-        s = 1.0 / (p + DENSITY_EPS)
-        v = wg * s
-        upper = src < dst
-        half = v[src[upper]].T @ v[dst[upper]]
-        row[:n_tri] = (half + half.T)[mask] * scale
+        p, s, v, c_norm = pool_graph(wg, src, dst)
+        row[:n_tri] = c_norm[mask] * scale
         if include_means:
             row[n_tri : n_tri + k] = p
             row[n_tri + k :] = (x.T @ v).reshape(-1)

@@ -1,9 +1,13 @@
+import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from slim import autodiff as ad
 from slim.datasets import DatasetBundle, Graph, load_tu_dataset
+from slim.pooling import DENSITY_EPS
 
 
 def write_tu_files(base, name, edges, indicator, graph_labels, node_labels=None):
@@ -174,3 +178,132 @@ def densify_oracle(raw):
 def is_binary_oracle(a):
     """The binarity test of ``Graph.validate`` as ``np.isin``."""
     return bool(np.isin(a, (0.0, 1.0)).all())
+
+
+def assign_values(h, u, dof=1.0):
+    """``landmarks.assign`` on plain arrays, in the direct formula."""
+    d2 = np.maximum((h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :]
+                    - 2.0 * h @ u.T, 0.0)
+    kernel = (1.0 + d2 / dof) ** (-(dof + 1.0) / 2.0)
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def old_squared_distance_rows(h, u):
+    vh, vu = h.value, u.value
+    d2 = (vh * vh).sum(axis=1)[:, None] + (vu * vu).sum(axis=1)[None, :] - 2.0 * vh @ vu.T
+    np.maximum(d2, 0.0, out=d2)
+
+    def backward(g):
+        if h.requires_grad:
+            h._accumulate(2.0 * (vh * g.sum(axis=1, keepdims=True) - g @ vu))
+        if u.requires_grad:
+            u._accumulate(2.0 * (vu * g.sum(axis=0)[:, None] - g.T @ vh))
+
+    return ad._make(d2, (h, u), backward)
+
+
+def old_student_t_kernel(d2, dof):
+    base = 1.0 + d2.value / dof
+    v = base ** (-(dof + 1.0) / 2.0)
+
+    def backward(g):
+        d2._accumulate(-g * ((dof + 1.0) / (2.0 * dof)) * v / base)
+
+    return ad._make(v, (d2,), backward)
+
+
+def old_row_normalize(a):
+    r = a.value.sum(axis=1, keepdims=True)
+    v = a.value / r
+
+    def backward(g):
+        a._accumulate((g - (g * v).sum(axis=1, keepdims=True)) / r)
+
+    return ad._make(v, (a,), backward)
+
+
+def old_assign(h, landmarks):
+    """``landmarks.assign`` as the chain of three generic tape ops that the
+    fused op ``landmarks.assign`` must reproduce bit for bit."""
+    d2 = old_squared_distance_rows(h, landmarks.u)
+    return old_row_normalize(old_student_t_kernel(d2, landmarks.dof))
+
+
+def pool_graph_oracle(w, src, dst):
+    """``pooling.pool_graph`` as the batch op computed it inline; patched in
+    for the kernel, it pins the kernel's arithmetic."""
+    p = w.sum(axis=0)
+    s = 1.0 / (p + DENSITY_EPS)
+    v = w * s
+    keep = src < dst
+    half = v[src[keep]].T @ v[dst[keep]]
+    return p, s, v, half + half.T
+
+
+# ---------------------------------------------------------------------------
+# references in other forms, compared at a float tolerance: the brute-force
+# co-occurrence loss and the dense pooling formulas over the adjacency matrix
+
+
+def cooccurrence_loss_reference(h, adjacency):
+    """``embedding.cooccurrence_loss`` by brute force with explicit loops."""
+    n = h.shape[0]
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            if adjacency[i, j] <= 0:
+                continue
+            scores = [float(h[i] @ h[jp]) for jp in range(n)]
+            m = max(scores)
+            log_denom = m + math.log(sum(math.exp(s - m) for s in scores))
+            total += float(h[i] @ h[j]) - log_denom
+    return -total
+
+
+@dataclass(frozen=True)
+class PooledFeatures:
+    p: np.ndarray
+    m: np.ndarray
+    c: np.ndarray
+    c_norm: np.ndarray
+
+
+def density(w):
+    """Soft node count per landmark; sums to the node count."""
+    return w.sum(axis=0)
+
+
+def landmark_means(x, w, p):
+    """c x K matrix whose k-th column is the mean node-type profile of landmark k."""
+    return (x.T @ w) / (p + DENSITY_EPS)
+
+
+def interaction(w, adjacency):
+    """K x K soft count of edges between landmark masses: W' A W."""
+    if w.shape[0] != adjacency.shape[0]:
+        raise ValueError("assignment and adjacency disagree on node count")
+    return w.T @ adjacency @ w
+
+
+def normalized_interaction(c, p):
+    """Density-normalized interaction diag(p)^-1 C diag(p)^-1 (guarded)."""
+    s = 1.0 / (p + DENSITY_EPS)
+    return c * np.outer(s, s)
+
+
+def pooled_features(x, w, adjacency):
+    p = density(w)
+    c = interaction(w, adjacency)
+    return PooledFeatures(p=p, m=landmark_means(x, w, p), c=c,
+                          c_norm=normalized_interaction(c, p))
+
+
+def graph_feature(pf, include_means=False):
+    """Classifier feature row: the sqrt(2)-scaled upper triangle of C_norm,
+    row-major, then with ``include_means`` the densities and the flattened
+    landmark means."""
+    rows, cols = np.triu_indices(pf.c_norm.shape[0])
+    tri = pf.c_norm[rows, cols] * np.where(rows == cols, 1.0, np.sqrt(2.0))
+    if include_means:
+        return np.concatenate([tri, pf.p, pf.m.reshape(-1)])
+    return tri

@@ -22,9 +22,9 @@ from slim.coherence import (
     sweep_summary,
     unit_ball_volume,
 )
-from slim.datasets import load_tu_dataset, make_folds, save_tu_dataset
-from slim.landmarks import assign_values, hard_distortion, init_landmarks
-from slim.pooling import graph_feature, pooled_features
+from slim.datasets import load_tu_dataset, make_folds, one_hot_features, save_tu_dataset
+from slim.landmarks import LandmarkSet, assign, hard_distortion, init_landmarks
+from slim.pooling import DENSITY_EPS, directed_edges, pool_graph
 from slim.training import TrainConfig, cross_validate, sweep_k
 
 from conftest import random_graph, require_benchmark
@@ -102,6 +102,14 @@ class TestCriterion4GradientSuite:
 
 class TestCriterion5PoolingInvariants:
     def test_invariants_on_100_random_graphs(self):
+        # the shipped assignment op and pooling kernel, with M and C derived
+        # from the kernel's output as `slim inspect` derives them
+        def pooled(x, h, u, adjacency):
+            w = assign(Tensor(h), LandmarkSet(Tensor(u))).value
+            p, _, v, c_norm = pool_graph(w, *directed_edges(adjacency))
+            c = c_norm * np.outer(p + DENSITY_EPS, p + DENSITY_EPS)
+            return w, (p, x.T @ v, c, c_norm)
+
         rng = np.random.default_rng(77)
         u = rng.standard_normal((6, 4))
         worst_perm = worst_mass = worst_edge = worst_row = 0.0
@@ -109,23 +117,15 @@ class TestCriterion5PoolingInvariants:
             g = random_graph(rng, n_types=5)
             n = g.node_count
             h = rng.standard_normal((n, 4))
-            w = assign_values(h, u)
-            worst_row = max(worst_row, float(np.abs(w.sum(axis=1) - 1.0).max()))
-            from slim.datasets import one_hot_features
-
             x = one_hot_features(g, 5)
-            pf = pooled_features(x, w, g.adjacency)
-            worst_mass = max(worst_mass, abs(pf.p.sum() - n))
-            worst_edge = max(worst_edge, abs(pf.c.sum() - g.adjacency.sum()))
+            w, parts = pooled(x, h, u, g.adjacency)
+            worst_row = max(worst_row, float(np.abs(w.sum(axis=1) - 1.0).max()))
+            worst_mass = max(worst_mass, abs(parts[0].sum() - n))
+            worst_edge = max(worst_edge, abs(parts[2].sum() - g.adjacency.sum()))
             perm = rng.permutation(n)
-            pfp = pooled_features(x[perm], w[perm], g.adjacency[np.ix_(perm, perm)])
-            worst_perm = max(
-                worst_perm,
-                float(np.abs(pfp.p - pf.p).max()),
-                float(np.abs(pfp.m - pf.m).max()),
-                float(np.abs(pfp.c - pf.c).max()),
-                float(np.abs(pfp.c_norm - pf.c_norm).max()),
-            )
+            _, permuted = pooled(x[perm], h[perm], u, g.adjacency[np.ix_(perm, perm)])
+            worst_perm = max([worst_perm] + [float(np.abs(a - b).max())
+                                             for a, b in zip(permuted, parts)])
         assert worst_row <= 1e-9
         assert worst_mass <= 1e-6
         assert worst_edge <= 1e-6

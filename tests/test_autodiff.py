@@ -8,6 +8,7 @@ from slim.autodiff import (
     check_registered_ops,
     grad_check,
 )
+from slim.landmarks import LandmarkSet, assign, pairwise_sq_distances
 
 
 class TestRegisteredOps:
@@ -18,14 +19,14 @@ class TestRegisteredOps:
 
     def test_registry_covers_the_pipeline_ops(self):
         needed = {
-            "matmul", "add", "sub", "mul", "sigmoid", "tanh",
-            "cross_entropy", "kl_div", "squared_distance_rows",
-            "student_t_kernel", "row_normalize", "graph_feature",
-            "graph_feature_with_means", "cooccurrence",
+            "matmul", "add", "mul", "sigmoid", "tanh", "cross_entropy", "kl_div",
+            "student_t_assign", "graph_feature", "graph_feature_with_means",
+            "cooccurrence",
         }
         assert needed <= set(ad.OP_REGISTRY)
         unused = {"relu", "reciprocal", "column_sums", "reshape", "softmax_rows",
-                  "concat_rows", "transpose", "log_softmax_rows", "sum_all"}
+                  "concat_rows", "transpose", "log_softmax_rows", "sum_all", "sub",
+                  "squared_distance_rows", "student_t_kernel", "row_normalize"}
         assert not unused & (set(ad.OP_REGISTRY) | set(vars(ad)))
 
 
@@ -183,7 +184,9 @@ class TestKlDiv:
 
 class TestSquaredDistance:
     def test_hand_case(self):
-        h = Tensor(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        u = Tensor(np.array([[0.0, 0.0]]))
-        out = ad.squared_distance_rows(h, u)
-        np.testing.assert_allclose(out.value, [[0.0], [25.0]])
+        # squared distances 0 and 25; with dof 1 the kernels are 1 and 1/26
+        h = np.array([[0.0, 0.0], [3.0, 4.0]])
+        np.testing.assert_allclose(pairwise_sq_distances(h, h), [[0.0, 25.0], [25.0, 0.0]])
+        out = assign(Tensor(h), LandmarkSet(Tensor(h), dof=1.0))
+        np.testing.assert_allclose(out.value, [[26 / 27, 1 / 27], [1 / 27, 26 / 27]],
+                                   rtol=1e-15)

@@ -3,10 +3,11 @@
 ``old_joint_loss`` below is the per-graph training tape as it stood before
 batches were run as one disjoint union: one encoder, assignment and fused
 pooling node per graph, the co-occurrence loss composed from elementary ops,
-and the feature rows concatenated. It also feeds the classifier the full
-row-major K*K flattening of C_norm, not the scaled upper triangle. It is kept
-here as the parity oracle, with the ops it needs that the pipeline no longer
-has; ``unfolded`` gives it the full-layout copy of a model.
+and the feature rows concatenated, with the assignment as the chain of three
+generic ops (``old_assign`` of conftest). It also feeds the classifier the
+full row-major K*K flattening of C_norm, not the scaled upper triangle. It is
+kept here as the parity oracle, with the ops it needs that the pipeline no
+longer has; ``unfolded`` gives it the full-layout copy of a model.
 """
 import itertools
 
@@ -22,13 +23,12 @@ from slim import training
 from slim.autodiff import Tensor
 from slim.datasets import Graph
 from slim.landmarks import target_distribution
-from slim.pooling import (DENSITY_EPS, directed_edges, graph_feature, graph_feature_op,
-                          pooled_features)
+from slim.pooling import DENSITY_EPS, directed_edges, graph_feature_op
 from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
-from conftest import fold_triangle, unfold_triangle
+from conftest import fold_triangle, graph_feature, old_assign, pooled_features, unfold_triangle
 
 
 def old_graph_feature_op(w, x, adjacency, include_means=False):
@@ -112,7 +112,7 @@ def old_cooccurrence_loss(h, adjacency):
 
 
 def old_logits(batch, state):
-    rows = [old_graph_feature_op(landmarks.assign(embedding.encode(
+    rows = [old_graph_feature_op(old_assign(embedding.encode(
                 ad.constant(data.z), state.encoder), state.landmarks),
                 data.x, data.adjacency, state.include_means)
             for data in batch]
@@ -126,7 +126,7 @@ def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
     rows, labels, embed_terms, cluster_terms = [], [], [], []
     for i, data in enumerate(batch):
         h = embedding.encode(ad.constant(data.z), state.encoder)
-        w = landmarks.assign(h, state.landmarks)
+        w = old_assign(h, state.landmarks)
         if labeled[i]:
             rows.append(old_graph_feature_op(w, data.x, data.adjacency,
                                              state.include_means))

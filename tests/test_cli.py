@@ -4,10 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from slim import model as M
 from slim import training
 from slim.cli import main
 from slim.datasets import save_tu_dataset
+from slim.embedding import encode_values
+from slim.pooling import upper_triangle
 from slim.synthetic import make_bundle
+
+from conftest import assign_values, pooled_features
 
 
 @pytest.fixture
@@ -211,6 +216,19 @@ class TestInspect:
         assert cmat.sum() == pytest.approx(2.0 * g.edge_count, abs=1e-6)
         assert not (out / "graph0_Z.csv").exists()
 
+        # the values, written with %.10g, against the dense reference formulas
+        state = M.load_model(str(model_dir / "model.npz"))
+        data = M.prepare_graph(g, c, training.TrainConfig().substructure())
+        h = encode_values(data.z, state.encoder)
+        pf = pooled_features(data.x, assign_values(h, state.landmarks.u.value,
+                                                   state.landmarks.dof), g.adjacency)
+        for dumped, want in ((p, pf.p), (m, pf.m), (cmat, pf.c), (cn, pf.c_norm)):
+            np.testing.assert_allclose(dumped, want, rtol=1e-9, atol=0)
+        # and the classifier reads the same C_norm
+        mask, scale = upper_triangle(k)
+        row = next(M.forward_chunks([data], state)).features.value[0]
+        np.testing.assert_allclose(cn[mask] * scale, row, rtol=1e-9, atol=0)
+
     @pytest.mark.parametrize("bad", [{"hops": 11}, {"variant": "bogus"},
                                      {"layer_decay": 0}, {"hops": None},
                                      {"variant": "layer_wise", "hops": 0},
@@ -218,8 +236,6 @@ class TestInspect:
                                      {"variant": "layer_wise"}])
     def test_corrupt_model_config_is_configuration_error(self, tu_root, tmp_path,
                                                          capsys, bad):
-        from slim import model as M
-
         model_dir = tmp_path / "m"
         assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
                     "--out", model_dir] + FAST) == 0

@@ -10,14 +10,13 @@ from slim.autodiff import Tensor, grad_check
 from slim.embedding import (
     EncoderParams,
     cooccurrence_loss,
-    cooccurrence_loss_reference,
     cooccurrence_op,
     encode,
     encode_values,
     init_encoder,
 )
 
-from conftest import cooccurrence_loss_oracle, random_graph
+from conftest import cooccurrence_loss_oracle, cooccurrence_loss_reference, random_graph
 
 
 def cooc(h, adjacency) -> float:

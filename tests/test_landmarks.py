@@ -13,7 +13,6 @@ from slim.landmarks import (
     LandmarkSet,
     _lloyd,
     assign,
-    assign_values,
     cluster_loss,
     hard_distortion,
     init_landmarks,
@@ -21,7 +20,7 @@ from slim.landmarks import (
     target_distribution,
 )
 
-from conftest import lloyd_oracle
+from conftest import assign_values, lloyd_oracle, old_assign
 
 
 def exhaustive_two_means(points):
@@ -40,25 +39,30 @@ def exhaustive_two_means(points):
     return best_centers, best_cost
 
 
+def assign_arrays(h, u, dof=1.0):
+    """The shipped assignment on plain arrays, without a tape."""
+    return assign(Tensor(h), LandmarkSet(Tensor(u), dof=dof)).value
+
+
 class TestAssign:
     def test_equidistant_pair(self):
         h = np.array([[0.0, 0.0]])
         u = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        np.testing.assert_allclose(assign_values(h, u), [[0.5, 0.5]])
+        np.testing.assert_allclose(assign_arrays(h, u), [[0.5, 0.5]])
 
     def test_student_t_hand_case(self):
         # distances^2 of 0 and 3 with dof 1: kernels 1 and 1/4
         h = np.array([[0.0]])
         u = np.array([[0.0], [np.sqrt(3.0)]])
-        np.testing.assert_allclose(assign_values(h, u, dof=1.0), [[0.8, 0.2]])
+        np.testing.assert_allclose(assign_arrays(h, u, dof=1.0), [[0.8, 0.2]])
 
     def test_single_landmark(self, rng):
         h = rng.standard_normal((6, 3))
         u = rng.standard_normal((1, 3))
-        np.testing.assert_allclose(assign_values(h, u), np.ones((6, 1)))
+        np.testing.assert_allclose(assign_arrays(h, u), np.ones((6, 1)))
 
     def test_rows_are_stochastic(self, rng):
-        w = assign_values(rng.standard_normal((30, 4)), rng.standard_normal((7, 4)))
+        w = assign_arrays(rng.standard_normal((30, 4)), rng.standard_normal((7, 4)))
         np.testing.assert_allclose(w.sum(axis=1), np.ones(30), atol=1e-9)
         assert np.all(w > 0)
 
@@ -242,7 +246,7 @@ class TestPairwiseSqDistances:
         d2 = np.maximum(raw, 0.0)
         np.testing.assert_array_equal(pairwise_sq_distances(h, u), d2)
         kernel = (1.0 + d2 / 1.5) ** (-(1.5 + 1.0) / 2.0)
-        np.testing.assert_array_equal(assign_values(h, u, 1.5),
+        np.testing.assert_array_equal(assign_arrays(h, u, 1.5),
                                       kernel / kernel.sum(axis=1, keepdims=True))
         assert hard_distortion(h, u) == float(d2.min(axis=1).sum())
         assert distortion(h, u) == float(np.sqrt(d2).min(axis=1).mean())
@@ -251,6 +255,41 @@ class TestPairwiseSqDistances:
         h, u = rng.standard_normal((7, 3)), rng.standard_normal((4, 3))
         direct = ((h[:, None, :] - u[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_allclose(pairwise_sq_distances(h, u), direct, rtol=1e-12)
+
+
+@st.composite
+def assign_inputs(draw):
+    """(h, u, dof, seed of the output gradient): normal rows, rows rounded to
+    one decimal (ties and exact zero distances), or fewer rows than landmarks."""
+    kind = draw(st.sampled_from(["normal", "rounded", "few_rows"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    n = draw(st.integers(1, k)) if kind == "few_rows" else draw(st.integers(1, 40))
+    h = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0, d)
+    u = rng.standard_normal((k, d)) * rng.uniform(0.1, 5.0, d)
+    if kind == "rounded":
+        h, u = np.round(h, 1), np.round(u, 1)
+        u[: min(n, k) // 2] = h[: min(n, k) // 2]
+    dof = draw(st.sampled_from([1.0, 0.5, 2.5, 3.0, 7.3]))
+    return h, u, dof, seed
+
+
+class TestStudentTAssignMatchesTheOpChain:
+    @settings(max_examples=150, deadline=None)
+    @given(assign_inputs())
+    def test_values_and_both_gradients_bit_identical(self, case):
+        h0, u0, dof, seed = case
+        g = np.random.default_rng(seed + 1).standard_normal((len(h0), len(u0)))
+        results = []
+        for fn in (assign, old_assign):
+            h, u = Tensor(h0, requires_grad=True), Tensor(u0, requires_grad=True)
+            w = fn(h, LandmarkSet(u, dof=dof))
+            w.backward(g)
+            results.append((w.value, h.grad, u.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSelfTrainingConsistency:

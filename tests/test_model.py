@@ -5,12 +5,13 @@ from slim import autodiff as ad
 from slim import model as M
 from slim.autodiff import NumericError, Tensor
 from slim.datasets import Graph
-from slim.embedding import cooccurrence_loss_reference, encode_values
-from slim.landmarks import assign_values, target_distribution
-from slim.pooling import graph_feature, pooled_features
+from slim.embedding import encode_values
+from slim.landmarks import target_distribution
 from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
+
+from conftest import assign_values, cooccurrence_loss_reference, graph_feature, pooled_features
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from slim import embedding, landmarks
+from slim import embedding, landmarks, pooling
 from slim import model as M
 from slim import training
 from slim.autodiff import Tensor
@@ -21,7 +21,7 @@ from slim.training import (
     write_sweep_csv,
 )
 
-from conftest import cooccurrence_loss_oracle, lloyd_oracle
+from conftest import cooccurrence_loss_oracle, lloyd_oracle, old_assign, pool_graph_oracle
 
 
 class TestOptimizers:
@@ -134,13 +134,14 @@ class TestTrain:
         assert all(p.grad is None for p in state.parameters())
 
     def test_trajectory_bit_identical_with_the_direct_kernels(self):
-        # the in-place co-occurrence softmax and the two-pass Lloyd step must
-        # leave every parameter where the direct forms leave it
+        # the in-place co-occurrence softmax, the two-pass Lloyd step, the
+        # fused Student-t assignment and the pooling kernel must leave every
+        # parameter where the direct forms leave it
         bundle = make_bundle(n_graphs=24, seed=9)
         cfg = tiny_cfg(k=6, latent=4, epochs=4, batch_size=6, seed=3)
         graphs = M.prepare_bundle(bundle, cfg.substructure())
         shipped, shipped_history = train(graphs, cfg, 2, bundle.node_label_count)
-        calls = {"lloyd": 0, "cooc": 0}
+        calls = {"lloyd": 0, "cooc": 0, "assign": 0, "pool": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -152,8 +153,11 @@ class TestTrain:
             mp.setattr(landmarks, "_lloyd", counted("lloyd", lloyd_oracle))
             mp.setattr(embedding, "cooccurrence_loss",
                        counted("cooc", cooccurrence_loss_oracle))
+            mp.setattr(landmarks, "assign", counted("assign", old_assign))
+            mp.setattr(pooling, "pool_graph", counted("pool", pool_graph_oracle))
             oracle, oracle_history = train(graphs, cfg, 2, bundle.node_label_count)
         assert calls["lloyd"] == cfg.kmeans_restarts and calls["cooc"] == 4 * len(graphs)
+        assert calls["assign"] > 0 and calls["pool"] >= 4 * len(graphs)
         for a, b in zip(shipped.parameters(), oracle.parameters(), strict=True):
             np.testing.assert_array_equal(a.value, b.value)
         np.testing.assert_array_equal(shipped.feature_center, oracle.feature_center)
