@@ -21,7 +21,7 @@ import numpy as np
 from . import coherence as coh
 from . import model as M
 from . import training
-from .autodiff import check_registered_ops, grad_check
+from .autodiff import NumericError, check_registered_ops, grad_check
 from .datasets import DatasetError, load_tu_dataset, make_folds
 from .pooling import DENSITY_EPS, pool_graph
 from .substructure import Variant
@@ -500,6 +500,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except training.DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except NumericError as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -55,8 +55,10 @@ def directed_edges(adjacency: np.ndarray) -> np.ndarray:
     """2 x 2E array of the directed edges (i, j) with A_ij != 0, one column
     each, in row-major (CSR) order: the graph input of ``pool_graph``."""
     # flat positions in a boolean mask: np.nonzero of the float matrix is
-    # several times slower on graphs of a thousand nodes
-    return np.array(np.divmod(np.flatnonzero(adjacency != 0), adjacency.shape[1]))
+    # several times slower on graphs of a thousand nodes, and a boolean
+    # matrix (a hop shell) is read as it is
+    mask = adjacency if adjacency.dtype == bool else adjacency != 0
+    return np.array(np.divmod(np.flatnonzero(mask), adjacency.shape[1]))
 
 
 def _neighbour_sums(y: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

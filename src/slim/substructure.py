@@ -3,8 +3,21 @@
 Each node contributes one substructure instance: the multiset of node types
 inside its k-hop ball, arranged by one of four layouts (rows of the matrix Z).
 The exact-j-hop shells S_1..S_k of every source come from one frontier
-recurrence, S_j = (S_{j-1} A > 0) minus everything reached before, which
-touches the adjacency only as the right-hand factor of a product.
+recurrence, S_j = (S_{j-1} A > 0) minus everything reached before. The
+boolean product S_{j-1} A is formed one of two ways, both exact:
+
+  dense    the float32 product of the 0/1 matrices. It counts paths, and
+           every count stays below 2**24, so ``> 0`` reads it exactly. It
+           costs O(n^3) per hop and is kept for graphs of at most
+           DENSE_SHELL_NODES nodes and for hops too dense to walk.
+  walked   for every pair (p, k) of S_{j-1}, every edge (k, q) of the
+           graph's CSR edge list sets (p, q). It only ORs, so it is exact
+           at any size. It costs O(n^2 + walks) per hop, and is taken while
+           the graph has at most n^2/8 directed edges and the hop at most
+           n^2/8 walked edges: each of its int64 index arrays then holds no
+           more bytes than one n x n boolean matrix, so its peak memory
+           stays below that of the three n x n float32 arrays of the
+           product it replaces.
 """
 from __future__ import annotations
 
@@ -14,8 +27,13 @@ from enum import Enum
 import numpy as np
 
 from .datasets import Graph
+from .pooling import directed_edges
 
 MAX_HOPS = 10
+# at or below this many nodes every hop takes the dense product: on sparse
+# tree-plus-chords graphs (1 BLAS thread) it is faster up to about 200
+# nodes, and the edge walk is faster from about 240
+DENSE_SHELL_NODES = 200
 
 
 class Variant(str, Enum):
@@ -48,16 +66,64 @@ class SubstructureConfig:
         return c
 
 
+def _walked_frontier(shell: np.ndarray, a: np.ndarray) -> np.ndarray | None:
+    """The boolean product S A of a shell S and the adjacency ``a``, from
+    walking every edge (k, q) of every pair (p, k) of S: S A has (p, q) iff
+    some walk ends there. None, and the caller takes the dense product, when
+    the graph has more than n^2/8 directed edges or the walk more than n^2/8
+    steps."""
+    n = a.shape[0]
+    bound = n * n // 8
+    # each pair walks at least one edge (k is reached from p, so k has one),
+    # so a shell of more pairs than the bound is refused before its pairs
+    # are listed
+    if np.count_nonzero(a) > bound or np.count_nonzero(shell) > bound:
+        return None
+    src, indices = directed_edges(a)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    p, k = directed_edges(shell)
+    starts = indptr[k]
+    counts = indptr[k + 1] - starts
+    walks = int(counts.sum())
+    if walks > bound:
+        return None
+    # CSR position of each step: the first edge of k plus the step's rank
+    # among the steps of its pair
+    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    pos += np.arange(walks)
+    keys = np.repeat(p * n, counts)
+    keys += indices[pos]
+    frontier = np.zeros(n * n, dtype=bool)
+    frontier[keys] = True
+    return frontier.reshape(n, n)
+
+
 def hop_shells(adjacency: np.ndarray, hops: int) -> list[np.ndarray]:
-    """Boolean shells S_1..S_hops: S_j[p, q] iff the hop distance p -> q is j."""
+    """Boolean shells S_1..S_hops: S_j[p, q] iff the hop distance p -> q is j.
+
+    Each frontier S_{j-1} A is walked along the edge list on graphs of more
+    than DENSE_SHELL_NODES nodes while the walk stays within its bound, and
+    is the float32 product otherwise (see the module docstring). Both give
+    the same booleans, so the shells do not depend on the path taken.
+    """
     a = adjacency > 0
-    a32 = a.astype(np.float32)
-    reach = np.eye(a.shape[0], dtype=bool)
+    n = a.shape[0]
+    a32 = None  # cast at the first dense hop, then kept for the others
+    reach = np.eye(n, dtype=bool)
     shells = []
     for j in range(hops):
-        # float32 is exact here: a product of 0/1 matrices counts paths, and
-        # every count stays below 2**24 for graphs under 2**24 nodes
-        frontier = a if j == 0 else shells[-1].astype(np.float32) @ a32 > 0
+        if j == 0:
+            frontier = a
+        else:
+            frontier = _walked_frontier(shells[-1], a) if n > DENSE_SHELL_NODES else None
+            if frontier is None:
+                if a32 is None:
+                    a32 = a.astype(np.float32)
+                # float32 is exact here: a product of 0/1 matrices counts
+                # paths, and every count stays below 2**24 for graphs under
+                # 2**24 nodes
+                frontier = shells[-1].astype(np.float32) @ a32 > 0
         shell = frontier & ~reach
         reach |= shell
         shells.append(shell)

@@ -6,6 +6,7 @@ import pytest
 
 from slim import model as M
 from slim import training
+from slim.autodiff import NumericError
 from slim.cli import main
 from slim.datasets import save_tu_dataset
 from slim.embedding import encode_values
@@ -103,6 +104,20 @@ class TestErrorMapping:
             run(["train", "--dataset", "SYN", "--data-root", tu_root,
                  "--out", tmp_path / "o"] + FAST)
         assert "configuration error" not in capsys.readouterr().err
+
+    def test_numeric_error_inside_training_is_a_failed_check(
+            self, tu_root, tmp_path, monkeypatch, capsys):
+        def non_finite_loss(*args, **kwargs):
+            raise NumericError("non-finite joint loss: ce=nan embed=0.1 cluster=0.0")
+
+        monkeypatch.setattr(M, "joint_loss", non_finite_loss)
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "o"] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["numeric error: non-finite joint loss: ce=nan "
+                                    "embed=0.1 cluster=0.0"]
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["variant = bogus", "hidden = 3D", "activation = relu",
                                       "k = many", "hops = 11", "layer_decay = 2"])

@@ -1,14 +1,20 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from slim import substructure
 from slim.datasets import Graph, one_hot_features
 from slim.substructure import (
+    DENSE_SHELL_NODES,
     SubstructureConfig,
     Variant,
     build_substructures,
     exact_layer_adjacency,
+    hop_shells,
     khop_adjacency,
 )
 from slim.synthetic import make_bundle
@@ -215,10 +221,12 @@ def old_all_distances(adjacency, limit):
     return np.stack([old_bfs_distances(adjacency, s, limit) for s in range(n)])
 
 
-def old_build_substructures(adjacency, x, cfg):
-    """The BFS-distance layouts, kept as the oracle."""
+def old_build_substructures(adjacency, x, cfg, dist=None):
+    """The BFS-distance layouts, kept as the oracle. ``dist`` may pass in
+    ``old_all_distances(adjacency, max(cfg.hops, 1))`` when already known."""
     k, variant = cfg.hops, cfg.variant
-    dist = old_all_distances(adjacency, max(k, 1))
+    if dist is None:
+        dist = old_all_distances(adjacency, max(k, 1))
     reach = ((dist >= 0) & (dist <= k)).astype(np.float64)
     if variant is Variant.NODE_DISTRIBUTION:
         return reach @ x
@@ -257,11 +265,16 @@ def graphs_strategy(draw):
     return Graph(a, np.array(types), 0)
 
 
-def _graph(n, edges, types):
+def adjacency_from_edges(n, edges):
     a = np.zeros((n, n))
-    for i, j in edges:
-        a[i, j] = a[j, i] = 1.0
-    return Graph(a, np.array(types), 0)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def _graph(n, edges, types):
+    return Graph(adjacency_from_edges(n, edges), np.array(types), 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,3 +297,155 @@ def test_every_layout_equals_the_bfs_oracle_on_the_standin():
     for g in bundle.graphs:
         for hops in range(5):
             assert_matches_oracle(g, bundle.node_label_count, hops, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# above the dense crossover: shells walked along the edge list
+
+
+def dense_hop_shells(adjacency, hops):
+    """The float32-product recurrence at every hop, kept as the oracle."""
+    a = adjacency > 0
+    a32 = a.astype(np.float32)
+    reach = np.eye(a.shape[0], dtype=bool)
+    shells = []
+    for j in range(hops):
+        frontier = a if j == 0 else shells[-1].astype(np.float32) @ a32 > 0
+        shell = frontier & ~reach
+        reach |= shell
+        shells.append(shell)
+    return shells
+
+
+def tree_with_chords(rng, n, chords, detach=0.0):
+    """A random tree on n nodes (each node hangs off an earlier one) plus
+    ``chords`` random edges; with ``detach`` > 0 that share of the nodes
+    start a new component instead of hanging off the tree."""
+    child = np.arange(1, n)
+    child = child[rng.random(n - 1) >= detach]
+    tree = np.column_stack([child, rng.integers(0, child)])
+    return adjacency_from_edges(n, np.vstack([tree, rng.integers(0, n, (chords, 2))]))
+
+
+def spider(legs, length):
+    """A hub with ``legs`` paths of ``length`` nodes hanging off it."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(first + i, first + i + 1) for i in range(length - 1)]
+    return adjacency_from_edges(1 + legs * length, edges)
+
+
+def assert_shells_match_the_oracles(a, types, hops, decay=0.5):
+    """Every layout against the BFS oracle, ``khop_adjacency`` against the
+    boolean-power oracle and ``exact_layer_adjacency`` against the BFS
+    distances, all bit-exact."""
+    g = Graph(a, types, 0)
+    x = one_hot_features(g, TYPES)
+    dist = old_all_distances(a, max(hops, 1))
+    for variant in Variant:
+        cfg = SubstructureConfig(hops=hops, variant=variant, layer_decay=decay)
+        np.testing.assert_array_equal(build_substructures(g, x, cfg),
+                                      old_build_substructures(a, x, cfg, dist))
+    np.testing.assert_array_equal(khop_adjacency(a, hops), reachability_oracle(a, hops))
+    np.testing.assert_array_equal(exact_layer_adjacency(a, hops), (dist == hops).astype(float))
+
+
+@st.composite
+def graphs_above_the_crossover(draw):
+    """Sparse graphs (forests with n/4 chords, some nodes detached) and
+    mid-density G(n, d/n) graphs with mean degree d in [3, 8]."""
+    n = draw(st.integers(DENSE_SHELL_NODES + 1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = tree_with_chords(rng, n, n // 4, detach=draw(st.sampled_from([0.0, 0.02, 0.2])))
+    else:
+        upper = np.triu(rng.random((n, n)) < draw(st.floats(3.0, 8.0)) / n, 1)
+        a = (upper | upper.T).astype(float)
+    return a, rng.integers(0, TYPES, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graphs_above_the_crossover(), st.integers(1, 4), st.floats(0.01, 1.0))
+def test_walked_shells_equal_the_oracles_above_the_crossover(graph, hops, decay):
+    a, types = graph
+    assert_shells_match_the_oracles(a, types, hops, decay)
+
+
+def walk_record(monkeypatch):
+    """Record, per hop that may walk, whether ``hop_shells`` walked it."""
+    taken = []
+    walk = substructure._walked_frontier
+
+    def spy(shell, a):
+        frontier = walk(shell, a)
+        taken.append(frontier is not None)
+        return frontier
+
+    monkeypatch.setattr(substructure, "_walked_frontier", spy)
+    return taken
+
+
+N = DENSE_SHELL_NODES + 40
+# name -> (adjacency, hops, whether hops 2, 3, ... were walked)
+WALK_CASES = {
+    "edgeless": (np.zeros((N, N)), 3, [True, True]),
+    # a path over the even nodes and one over every sixth odd node: the
+    # other odd nodes are isolated
+    "isolated_nodes_between_connected_ones": (
+        adjacency_from_edges(N, [(i, i + 2) for i in range(0, N - 2, 2)]
+                             + [(i, i + 6) for i in range(1, N - 6, 6)]), 4, [True] * 3),
+    "disconnected_components": (tree_with_chords(np.random.default_rng(3), N, N // 4, 0.05),
+                                3, [True, True]),
+    "complete": (np.ones((N, N)) - np.eye(N), 3, [False, False]),
+    "star": (spider(N - 1, 1), 3, [False, False]),
+    # 241 nodes, bound 241^2 // 8 = 7260: hop 2 walks sum(deg^2) = 7120 steps;
+    # hop 3 would walk 19440 steps from 6640 pairs, so the step count, not
+    # the pair count, sends it to the product
+    "walks_then_falls_back": (spider(80, 3), 4, [True, False, False]),
+    "at_the_crossover": (tree_with_chords(np.random.default_rng(4), DENSE_SHELL_NODES,
+                                          DENSE_SHELL_NODES // 4), 3, []),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_walked_shells_on_edge_cases(name, monkeypatch):
+    a, hops, walked = WALK_CASES[name]
+    types = np.arange(a.shape[0]) % TYPES
+    taken = walk_record(monkeypatch)
+    np.testing.assert_array_equal(hop_shells(a, hops), dense_hop_shells(a, hops))
+    assert taken == walked
+    assert_shells_match_the_oracles(a, types, hops)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make", [lambda: np.ones((600, 600)) - np.eye(600),
+                                  lambda: spider(1999, 1)], ids=["complete_600", "star_2000"])
+def test_walk_guard_keeps_peak_memory_at_the_dense_products(make):
+    adjacency = make()
+    # unguarded, the walk of hop 2 has n^3 steps on the complete graph and
+    # n^2 on the star: gigabytes and about twice the product's peak
+    assert traced_peak(hop_shells, adjacency, 3) <= traced_peak(dense_hop_shells, adjacency, 3)
+
+
+def test_5000_node_sparse_graph_builds_three_hops_in_seconds():
+    rng = np.random.default_rng(5000)
+    n = 5000
+    g = Graph(tree_with_chords(rng, n, n // 4), rng.integers(0, TYPES, n), 0)
+    x = one_hot_features(g, TYPES)
+    start = time.perf_counter()
+    z = build_substructures(g, x, SubstructureConfig(hops=3))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0
+    for source in rng.choice(n, 40, replace=False):
+        dist = old_bfs_distances(g.adjacency, source, 3)
+        np.testing.assert_array_equal(z[source], x[dist >= 0].sum(axis=0))
