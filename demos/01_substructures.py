@@ -7,13 +7,7 @@ layouts trade off how much of the layer structure is kept.
 import numpy as np
 
 from slim.datasets import Graph, one_hot_features
-from slim.substructure import (
-    SubstructureConfig,
-    Variant,
-    build_substructures,
-    exact_layer_adjacency,
-    khop_adjacency,
-)
+from slim.substructure import SubstructureConfig, Variant, build_substructures, hop_shells
 
 # a 6-ring with two pendant atoms, three node types
 ring = np.zeros((8, 8))
@@ -21,12 +15,14 @@ for i in range(6):
     ring[i, (i + 1) % 6] = ring[(i + 1) % 6, i] = 1
 ring[0, 6] = ring[6, 0] = 1
 ring[3, 7] = ring[7, 3] = 1
-mol = Graph(adjacency=ring, node_labels=np.array([0, 1, 0, 1, 0, 1, 2, 2]), class_label=0)
+mol = Graph.from_adjacency(ring, np.array([0, 1, 0, 1, 0, 1, 2, 2]), 0)
+mol.validate()
 x = one_hot_features(mol, 3)
 
-print("adjacency:\n", mol.adjacency.astype(int))
-print("\n2-hop reachability (self included):\n", khop_adjacency(mol.adjacency, 2).astype(int))
-print("\nexactly-2-hops shell:\n", exact_layer_adjacency(mol.adjacency, 2).astype(int))
+shells = hop_shells(mol.edges, mol.node_count, 2)
+print("directed edge list (CSR order):\n", mol.edges)
+print("\n2-hop ball (self included):\n", (np.eye(mol.node_count) + sum(shells)).astype(int))
+print("\nexactly-2-hops shell:\n", shells[1].astype(int))
 
 for variant in Variant:
     cfg = SubstructureConfig(hops=2, variant=variant)

@@ -31,13 +31,7 @@ from .landmarks import (
     target_distribution,
 )
 from .model import ModelState, joint_loss, load_model, save_model
-from .substructure import (
-    SubstructureConfig,
-    Variant,
-    build_substructures,
-    exact_layer_adjacency,
-    khop_adjacency,
-)
+from .substructure import SubstructureConfig, Variant, build_substructures
 from .training import CVResult, TrainConfig, cross_validate, sweep_k, train
 
 __version__ = "0.1.0"

@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# config-file spellings of a boolean; any other value is a configuration error
+BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+                  **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class ConfigError(ValueError):
@@ -102,7 +105,10 @@ def _load_config_file(path: str | None) -> dict:
 
 def _coerce(value: str, like):
     if isinstance(like, bool):
-        return value.strip().lower() in ("1", "true", "yes", "on")
+        spelling = value.strip().lower()
+        if spelling not in BOOL_SPELLINGS:
+            raise ConfigError(f"expected a bool, got {value!r}")
+        return BOOL_SPELLINGS[spelling]
     try:
         if isinstance(like, int):
             return int(value)

@@ -7,7 +7,9 @@ TU format (plain text, one directory per dataset):
   <name>_node_labels.txt     one categorical label per node (optional)
 
 Loaded graphs are immutable value objects; a bundle may be shared freely
-across workers.
+across workers. A graph is stored as its directed edge list in CSR order
+(see ``Graph``), sliced out of the sorted edge keys of the whole file; no
+n x n matrix is kept.
 """
 from __future__ import annotations
 
@@ -31,32 +33,54 @@ class ParseError(DatasetError):
 
 @dataclass(frozen=True)
 class Graph:
-    """One undirected graph: adjacency, categorical node labels, class label."""
+    """One undirected graph: directed edge list, node labels, class label.
 
-    adjacency: np.ndarray
+    ``edges`` is a 2 x 2E int64 array of every edge in both directions and
+    no self-loops, in CSR order (strictly increasing src * n + dst). It is
+    the graph's only stored form; ``from_adjacency`` builds it from a dense
+    0/1 matrix.
+    """
+
+    edges: np.ndarray
     node_labels: np.ndarray
     class_label: int
 
+    @classmethod
+    def from_adjacency(cls, adjacency, node_labels, class_label) -> Graph:
+        """The graph of a square 0/1 matrix: its non-zeros in row-major order."""
+        a = np.asarray(adjacency)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("adjacency must be a square matrix")
+        if not ((a == 0) | (a == 1)).all():
+            raise ValueError("adjacency must be binary")
+        return cls(np.array(np.nonzero(a), dtype=np.int64), np.asarray(node_labels),
+                   int(class_label))
+
     @property
     def node_count(self) -> int:
-        return self.adjacency.shape[0]
+        return len(self.node_labels)
 
     @property
     def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
+        return self.edges.shape[1] // 2
 
     def validate(self):
-        a = self.adjacency
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise ValueError("adjacency must be a square matrix with >= 1 node")
-        if not np.array_equal(a, a.T):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("adjacency must have a zero diagonal")
-        if not ((a == 0) | (a == 1)).all():
-            raise ValueError("adjacency must be binary")
-        if self.node_labels.shape != (a.shape[0],) or np.any(self.node_labels < 0):
-            raise ValueError("node_labels must be one non-negative int per node")
+        labels, n = self.node_labels, self.node_count
+        if labels.ndim != 1 or n < 1 or labels.min() < 0:
+            raise ValueError("node_labels must be one non-negative int per node, >= 1 node")
+        e = self.edges
+        if e.size and (e.min() < 0 or e.max() >= n):
+            raise ValueError(f"edge endpoints must lie in [0, {n})")
+        src, dst = e
+        if (src == dst).any():
+            raise ValueError("edges must not hold self-loops")
+        keys = src * n + dst
+        steps = keys[1:] - keys[:-1]
+        if (steps <= 0).any():
+            raise ValueError("edges must be in CSR order (src * n + dst increasing)"
+                             if (steps < 0).any() else "edges must not repeat")
+        if (np.sort(dst * n + src) != keys).any():
+            raise ValueError("edges must hold both directions of every edge")
 
 
 @dataclass(frozen=True)
@@ -204,21 +228,20 @@ def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
     local_index = np.empty(n_nodes, dtype=np.int64)
     local_index[order] = np.arange(n_nodes) - offsets[indicator[order] - 1]
 
-    pairs = _edge_pairs(_require(f"{prefix}_A.txt"), indicator)
+    pairs = _edge_pairs(_require(f"{prefix}_A.txt"), indicator) - 1
     loops = pairs[:, 0] == pairs[:, 1]
     self_loops = int(loops.sum())
-    # unique directed pairs as 0-based (u, v), sorted by u then v
-    keys = np.unique((pairs[~loops, 0] - 1) * n_nodes + (pairs[~loops, 1] - 1))
-    duplicates = len(pairs) - self_loops - len(keys)
-    u, v = np.divmod(keys, n_nodes)
+    u, v = pairs[~loops].T
+    keys = np.unique(u * n_nodes + v)
+    duplicates = len(u) - len(keys)
+    # both directions of every pair as 0-based (u, v), sorted by u then v:
+    # within one graph the local index grows with the node id, so each
+    # graph's pairs come out in its local CSR order
+    u, v = np.divmod(np.union1d(keys, v * n_nodes + u), n_nodes)
     graph_of = indicator[u] - 1
-    adj = [np.zeros((c, c), dtype=np.float64) for c in counts]
     by_graph = np.argsort(graph_of, kind="stable")
-    ends = np.cumsum(np.bincount(graph_of, minlength=n_graphs))[:-1]
-    for a, members in zip(adj, np.split(by_graph, ends)):
-        lu, lv = local_index[u[members]], local_index[v[members]]
-        a[lu, lv] = 1.0
-        a[lv, lu] = 1.0
+    local = local_index[np.stack([u[by_graph], v[by_graph]])]
+    edges = np.split(local, np.cumsum(np.bincount(graph_of, minlength=n_graphs))[:-1], axis=1)
     if duplicates or self_loops:
         warnings.warn(
             f"{name}: dropped {duplicates} duplicate edge(s) and {self_loops} self-loop(s)",
@@ -231,8 +254,8 @@ def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
         if len(raw_node) != n_nodes:
             raise ParseError(f"{node_label_path}: {len(raw_node)} labels for {n_nodes} nodes")
     else:
-        degrees = np.concatenate([a.sum(axis=1) for a in adj])
-        raw_node = np.minimum(degrees, DEGREE_LABEL_CAP - 1).astype(np.int64)
+        degrees = np.bincount(u, minlength=n_nodes)
+        raw_node = np.minimum(degrees, DEGREE_LABEL_CAP - 1)
 
     node_labels = _densify(raw_node)
     class_labels = _densify(raw_class)
@@ -240,7 +263,7 @@ def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
     graphs = []
     for g in range(n_graphs):
         members = order[offsets[g] : offsets[g + 1]]
-        graph = Graph(adj[g], node_labels[members].copy(), int(class_labels[g]))
+        graph = Graph(edges[g], node_labels[members].copy(), int(class_labels[g]))
         graph.validate()
         graphs.append(graph)
     return DatasetBundle(
@@ -257,22 +280,15 @@ def save_tu_dataset(bundle: DatasetBundle, root_path: str, name: str | None = No
     base = os.path.join(root_path, name)
     os.makedirs(base, exist_ok=True)
     prefix = os.path.join(base, name)
-    edges, indicator, node_labels = [], [], []
-    offset = 0
-    for gi, g in enumerate(bundle.graphs, start=1):
-        rows, cols = np.nonzero(g.adjacency)
-        edges.extend((offset + r + 1, offset + c + 1) for r, c in zip(rows, cols))
-        indicator.extend([gi] * g.node_count)
-        node_labels.extend(int(v) for v in g.node_labels)
-        offset += g.node_count
-    with open(f"{prefix}_A.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{u}, {v}\n" for u, v in edges)
-    with open(f"{prefix}_graph_indicator.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{i}\n" for i in indicator)
-    with open(f"{prefix}_graph_labels.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{g.class_label}\n" for g in bundle.graphs)
-    with open(f"{prefix}_node_labels.txt", "w", encoding="utf-8") as fh:
-        fh.writelines(f"{v}\n" for v in node_labels)
+    offsets = np.cumsum([0] + [g.node_count for g in bundle.graphs])
+    edges = [g.edges.T + offset + 1 for g, offset in zip(bundle.graphs, offsets)]
+    np.savetxt(f"{prefix}_A.txt", np.vstack([np.zeros((0, 2), np.int64)] + edges), fmt="%d, %d")
+    np.savetxt(f"{prefix}_graph_indicator.txt",
+               np.repeat(np.arange(1, len(bundle.graphs) + 1), np.diff(offsets)), fmt="%d")
+    np.savetxt(f"{prefix}_graph_labels.txt", bundle.class_labels(), fmt="%d")
+    np.savetxt(f"{prefix}_node_labels.txt",
+               np.concatenate([np.zeros(0, np.int64)] + [g.node_labels for g in bundle.graphs]),
+               fmt="%d")
 
 
 def one_hot_features(g: Graph, c: int) -> np.ndarray:

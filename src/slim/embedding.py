@@ -90,25 +90,34 @@ def cooccurrence_loss(h: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.n
 
 
 def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],
-                    adjacencies: Sequence[np.ndarray]) -> Tensor:
+                    edges: Sequence[np.ndarray]) -> Tensor:
     """Sum of ``cooccurrence_loss`` over the graphs stacked in ``h``.
 
-    Graph i owns the rows ``bounds[i]``. One tape node: per graph it keeps
-    only the softmax P, since dL/dS = -(A - deg P) for the scores S = H H'
-    and dL/dH = (dS + dS') H.
+    Graph i owns the rows ``bounds[i]`` and has the directed edge list
+    ``edges[i]`` (``Graph.edges``). One tape node: per graph it keeps only
+    the softmax P, since dL/dS = deg P - A for the scores S = H H' and
+    dL/dH = (dS + dS') H. The backward forms deg P - A in edge form, by
+    subtracting 1 at each edge, which is bit-identical to the dense
+    difference.
     """
     hv = h.value
     ad._check_finite("cooccurrence_op", hv)
     total, probs = 0.0, []
-    for (r0, r1), adjacency in zip(bounds, adjacencies, strict=True):
+    for (r0, r1), (src, dst) in zip(bounds, edges, strict=True):
+        # a 0/1 matrix scattered for this call only: the benchmark's counters
+        # read it from cooccurrence_loss(h, adjacency), so the edge-form
+        # forward waits for the next change to the benchmark
+        adjacency = np.zeros((r1 - r0, r1 - r0))
+        adjacency[src, dst] = 1.0
         loss, p = cooccurrence_loss(hv[r0:r1], adjacency)
         total += loss
         probs.append(p)
 
     def backward(g):
         dh = np.zeros_like(hv)
-        for (r0, r1), adjacency, p in zip(bounds, adjacencies, probs):
-            ds = adjacency.sum(axis=1, keepdims=True) * p - adjacency
+        for (r0, r1), (src, dst), p in zip(bounds, edges, probs):
+            ds = np.bincount(src, minlength=r1 - r0)[:, None] * p
+            ds[src, dst] -= 1.0
             dh[r0:r1] = (ds + ds.T) @ hv[r0:r1]
         h._accumulate(g * dh)
 
@@ -116,13 +125,14 @@ def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],
 
 
 def _cooccurrence_op_case(rng):
-    """Gradient-check input: a 5-node graph, an edgeless pair and a 3-node
-    path; rows 7 and 8 belong to a graph the op does not see."""
+    """Gradient-check input: a 5-node graph, an edgeless pair, a 3-node
+    path and a single node; rows 7 and 8 belong to a graph the op does not
+    see."""
     a = np.triu(rng.random((5, 5)) < 0.5, 1)
     path = np.eye(3, k=1) + np.eye(3, k=-1)
-    adjs = [(a | a.T).astype(float), np.zeros((2, 2)), path]
-    bounds = [(0, 5), (5, 7), (9, 12)]
-    return lambda h: cooccurrence_op(h, bounds, adjs), [rng.standard_normal((12, 3))]
+    edges = [np.array(np.nonzero(m)) for m in (a | a.T, np.zeros((2, 2)), path, np.zeros((1, 1)))]
+    bounds = [(0, 5), (5, 7), (9, 12), (12, 13)]
+    return lambda h: cooccurrence_op(h, bounds, edges), [rng.standard_normal((13, 3))]
 
 
 ad.OP_REGISTRY["cooccurrence"] = _cooccurrence_op_case

@@ -6,7 +6,8 @@ pass, and fused ops pool each graph's row range into its interaction
 features, which a one-hidden-layer FC network classifies. The joint loss
 combines the classification cross-entropy with the weighted co-occurrence
 and clustering terms. Training, evaluation, target refresh and inspection
-all use this one forward pass, with or without a tape.
+all use this one forward pass, with or without a tape. Each graph enters as
+its directed edge list (``Graph.edges``); no n x n adjacency is stored.
 """
 from __future__ import annotations
 
@@ -29,25 +30,21 @@ MODEL_FORMAT_VERSION = 2
 class GraphData:
     """Per-graph constants, computed once per dataset and configuration.
 
-    ``edges`` is derived from ``adjacency``: the 2 x 2E directed edge list
-    of ``pooling.directed_edges``, in row-major (CSR) order, which pooling
-    reads instead of the dense matrix.
+    ``edges`` is the graph's 2 x 2E directed edge list (``Graph.edges``, in
+    CSR order), which pooling and the co-occurrence loss read; no n x n
+    matrix is kept.
     """
 
-    z: np.ndarray          # n x D substructure matrix
-    x: np.ndarray          # n x c one-hot node types
-    adjacency: np.ndarray  # n x n
+    z: np.ndarray      # n x D substructure matrix
+    x: np.ndarray      # n x c one-hot node types
+    edges: np.ndarray  # 2 x 2E
     label: int
-    edges: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", pooling.directed_edges(self.adjacency))
 
 
 def prepare_graph(g: Graph, c: int, cfg: SubstructureConfig) -> GraphData:
     x = one_hot_features(g, c)
     z = build_substructures(g, x, cfg)
-    return GraphData(z=z, x=x, adjacency=g.adjacency, label=g.class_label)
+    return GraphData(z=z, x=x, edges=g.edges, label=g.class_label)
 
 
 def prepare_bundle(bundle: DatasetBundle, cfg: SubstructureConfig) -> list[GraphData]:
@@ -184,8 +181,7 @@ def joint_loss(batch: list[GraphData], state: ModelState,
         ce_value = float(ce.value)
         parts.append(ce)
     if lambda_embed > 0:
-        embed = embedding.cooccurrence_op(fwd.h, fwd.bounds,
-                                          [d.adjacency for d in batch])
+        embed = embedding.cooccurrence_op(fwd.h, fwd.bounds, [d.edges for d in batch])
         embed_value = float(embed.value)
         parts.append(ad.mul(embed, ad.constant(lambda_embed)))
     if lambda_cluster > 0 and targets_w is not None:

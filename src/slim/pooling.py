@@ -51,16 +51,6 @@ def feature_width(k: int, c: int, include_means: bool = False) -> int:
     return k * (k + 1) // 2 + (k + c * k if include_means else 0)
 
 
-def directed_edges(adjacency: np.ndarray) -> np.ndarray:
-    """2 x 2E array of the directed edges (i, j) with A_ij != 0, one column
-    each, in row-major (CSR) order: the graph input of ``pool_graph``."""
-    # flat positions in a boolean mask: np.nonzero of the float matrix is
-    # several times slower on graphs of a thousand nodes, and a boolean
-    # matrix (a hop shell) is read as it is
-    mask = adjacency if adjacency.dtype == bool else adjacency != 0
-    return np.array(np.divmod(np.flatnonzero(mask), adjacency.shape[1]))
-
-
 def _neighbour_sums(y: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """A y for the adjacency whose directed edges are (src, dst): row i sums
     the rows y[j] of its edges (i, j), in edge order, and is 0 without edges."""
@@ -75,8 +65,8 @@ def _neighbour_sums(y: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarr
 def pool_graph(w: np.ndarray, src: np.ndarray,
                dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pool one graph: (p, s, V, C_norm) from its assignment ``w`` (n x K)
-    and its directed edges (src, dst) of ``directed_edges``, which hold
-    every edge in both directions and no self-loops.
+    and its directed edges (src, dst) of ``Graph.edges``, which hold every
+    edge in both directions and no self-loops.
 
     p are the densities, s = 1/(p + eps) and V = W diag(s) the density-scaled
     rows. C_norm = V'AV is P + P' for P = V[i]'V[j] over the edges with
@@ -98,7 +88,7 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
 
     ``w`` stacks the assignments of several graphs; graph i owns the rows
     ``bounds[i]`` and has node types ``xs[i]`` and the directed edge list
-    ``edges[i]`` of ``directed_edges``. Rows outside every bound get no
+    ``edges[i]`` of ``Graph.edges``. Rows outside every bound get no
     gradient.
 
     Fused into a single tape node that runs ``pool_graph`` per graph. The
@@ -153,7 +143,7 @@ def _feature_op_case(rng, include_means):
     gapped = np.zeros((5, 5), dtype=bool)
     gapped[0, 1] = gapped[1, 3] = gapped[0, 3] = True
     upper += [gapped, np.zeros((3, 3), dtype=bool)]
-    edges = [directed_edges(a | a.T) for a in upper]
+    edges = [np.array(np.nonzero(a | a.T)) for a in upper]
     return (lambda w: graph_feature_op(w, bounds, xs, edges, include_means),
             [rng.uniform(0.1, 1.0, (21, 4))])
 

@@ -14,10 +14,11 @@ boolean product S_{j-1} A is formed one of two ways, both exact:
            graph's CSR edge list sets (p, q). It only ORs, so it is exact
            at any size. It costs O(n^2 + walks) per hop, and is taken while
            the graph has at most n^2/8 directed edges and the hop at most
-           n^2/8 walked edges: each of its int64 index arrays then holds no
-           more bytes than one n x n boolean matrix, so its peak memory
-           stays below that of the three n x n float32 arrays of the
-           product it replaces.
+           n^2/8 walked edges, a count taken before any pair is listed
+           (deg . column counts of S_{j-1}, O(n^2)). Each of the walk's
+           int64 index arrays then holds no more bytes than one n x n
+           boolean matrix, so its peak memory stays below that of the
+           three n x n float32 arrays of the product it replaces.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 from .datasets import Graph
-from .pooling import directed_edges
 
 MAX_HOPS = 10
 # at or below this many nodes every hop takes the dense product: on sparse
@@ -66,31 +66,25 @@ class SubstructureConfig:
         return c
 
 
-def _walked_frontier(shell: np.ndarray, a: np.ndarray) -> np.ndarray | None:
-    """The boolean product S A of a shell S and the adjacency ``a``, from
-    walking every edge (k, q) of every pair (p, k) of S: S A has (p, q) iff
-    some walk ends there. None, and the caller takes the dense product, when
-    the graph has more than n^2/8 directed edges or the walk more than n^2/8
-    steps."""
-    n = a.shape[0]
-    bound = n * n // 8
-    # each pair walks at least one edge (k is reached from p, so k has one),
-    # so a shell of more pairs than the bound is refused before its pairs
-    # are listed
-    if np.count_nonzero(a) > bound or np.count_nonzero(shell) > bound:
+def _walked_frontier(shell: np.ndarray, deg: np.ndarray,
+                     indices: np.ndarray) -> np.ndarray | None:
+    """The boolean product S A of a shell S and the adjacency of the CSR
+    (row lengths ``deg``, column array ``indices``), from walking every edge
+    (k, q) of every pair (p, k) of S: S A has (p, q) iff some walk ends
+    there. None, and the caller takes the dense product, when the walk has
+    more than n^2/8 steps."""
+    n = shell.shape[0]
+    # a pair (p, k) walks the deg(k) edges of k, so the walk's length is
+    # known before any pair is listed; each pair walks at least one edge (k
+    # is reached from p, so k has one), so the bound also bounds the pairs
+    walks = int(deg @ np.count_nonzero(shell, axis=0))
+    if walks > n * n // 8:
         return None
-    src, indices = directed_edges(a)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    p, k = directed_edges(shell)
-    starts = indptr[k]
-    counts = indptr[k + 1] - starts
-    walks = int(counts.sum())
-    if walks > bound:
-        return None
+    p, k = np.divmod(np.flatnonzero(shell), n)
+    counts = deg[k]
     # CSR position of each step: the first edge of k plus the step's rank
     # among the steps of its pair
-    pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    pos = np.repeat((np.cumsum(deg) - deg)[k] - (np.cumsum(counts) - counts), counts)
     pos += np.arange(walks)
     keys = np.repeat(p * n, counts)
     keys += indices[pos]
@@ -99,27 +93,34 @@ def _walked_frontier(shell: np.ndarray, a: np.ndarray) -> np.ndarray | None:
     return frontier.reshape(n, n)
 
 
-def hop_shells(adjacency: np.ndarray, hops: int) -> list[np.ndarray]:
-    """Boolean shells S_1..S_hops: S_j[p, q] iff the hop distance p -> q is j.
+def hop_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray]:
+    """Boolean shells S_1..S_hops of the n-node graph with the directed edge
+    list ``edges`` (``Graph.edges``, in CSR order): S_j[p, q] iff the hop
+    distance p -> q is j.
 
-    Each frontier S_{j-1} A is walked along the edge list on graphs of more
-    than DENSE_SHELL_NODES nodes while the walk stays within its bound, and
-    is the float32 product otherwise (see the module docstring). Both give
-    the same booleans, so the shells do not depend on the path taken.
+    S_1 is scattered from the edges. Each later frontier S_{j-1} A is walked
+    along the edge list on graphs of more than DENSE_SHELL_NODES nodes while
+    the graph and the walk stay within their bounds, and is the float32
+    product otherwise (see the module docstring). Both give the same
+    booleans, so the shells do not depend on the path taken.
     """
-    a = adjacency > 0
-    n = a.shape[0]
-    a32 = None  # cast at the first dense hop, then kept for the others
+    src, dst = edges
+    # in CSR order, dst is the column array of the CSR with row lengths deg
+    walkable = n > DENSE_SHELL_NODES and src.size <= n * n // 8
+    deg = np.bincount(src, minlength=n) if walkable else None
+    a32 = None  # scattered at the first dense hop, then kept for the others
     reach = np.eye(n, dtype=bool)
     shells = []
     for j in range(hops):
         if j == 0:
-            frontier = a
+            frontier = np.zeros((n, n), dtype=bool)
+            frontier[src, dst] = True
         else:
-            frontier = _walked_frontier(shells[-1], a) if n > DENSE_SHELL_NODES else None
+            frontier = None if deg is None else _walked_frontier(shells[-1], deg, dst)
             if frontier is None:
                 if a32 is None:
-                    a32 = a.astype(np.float32)
+                    a32 = np.zeros((n, n), dtype=np.float32)
+                    a32[src, dst] = 1.0
                 # float32 is exact here: a product of 0/1 matrices counts
                 # paths, and every count stays below 2**24 for graphs under
                 # 2**24 nodes
@@ -138,23 +139,6 @@ def _ball(shells: list[np.ndarray], n: int) -> np.ndarray:
     return ball.astype(np.float64)
 
 
-def khop_adjacency(adjacency: np.ndarray, k: int) -> np.ndarray:
-    """Reachability matrix: entry (p, q) is 1 iff the hop distance is <= k.
-
-    Distance zero counts, so the diagonal is all ones for every k >= 0.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return _ball(hop_shells(adjacency, k), adjacency.shape[0])
-
-
-def exact_layer_adjacency(adjacency: np.ndarray, j: int) -> np.ndarray:
-    """Shell matrix: entry (p, q) is 1 iff the hop distance is exactly j >= 1."""
-    if j < 1:
-        raise ValueError("layer index must be >= 1")
-    return hop_shells(adjacency, j)[-1].astype(np.float64)
-
-
 def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) -> np.ndarray:
     """Assemble the n x D substructure matrix Z for one graph.
 
@@ -164,10 +148,10 @@ def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) ->
     weighted_layer_sum    X + sum_j decay^j Sj X      width c
     where Sj is the exact-j-hop shell and A(k) = I + S1 + ... + Sk.
     """
-    n = graph.adjacency.shape[0]
+    n = graph.node_count
     if x.shape[0] != n:
-        raise ValueError("feature matrix and adjacency disagree on node count")
-    shells = hop_shells(graph.adjacency, cfg.hops)
+        raise ValueError("feature matrix and graph disagree on node count")
+    shells = hop_shells(graph.edges, n, cfg.hops)
     if cfg.variant is Variant.LAYER_WISE:
         return np.hstack([s.astype(np.float64) @ x for s in shells])
     if cfg.variant is Variant.WEIGHTED_LAYER_SUM:

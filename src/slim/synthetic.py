@@ -91,7 +91,7 @@ def make_graph(rng: np.random.Generator, label: int) -> Graph:
         host = a.shape[0] - 1
     if rng.random() < 0.25:
         labels[int(rng.integers(len(labels)))] = int(rng.choice(NOISE_TYPES))
-    return Graph(adjacency=a, node_labels=np.array(labels), class_label=label)
+    return Graph.from_adjacency(a, np.array(labels), label)
 
 
 def make_bundle(n_graphs: int = 188, seed: int = 0, name: str = "synthetic",

@@ -64,7 +64,22 @@ def random_graph(rng, n=None, n_types=4, p_edge=0.35):
     a = np.clip(a + extra + extra.T, 0, 1)
     np.fill_diagonal(a, 0.0)
     labels = rng.integers(0, n_types, n)
-    return Graph(adjacency=a, node_labels=labels, class_label=int(rng.integers(2)))
+    return Graph.from_adjacency(a, labels, int(rng.integers(2)))
+
+
+def directed_edges(a):
+    """The 2 x 2E directed edge list of a dense 0/1 matrix, in row-major
+    (CSR) order, as ``Graph.from_adjacency`` stores it."""
+    return np.array(np.nonzero(a))
+
+
+def adjacency_of(g):
+    """The dense 0/1 float adjacency of a ``Graph`` or a ``GraphData``,
+    scattered from its edge list."""
+    n = g.node_count if isinstance(g, Graph) else len(g.x)
+    a = np.zeros((n, n))
+    a[tuple(g.edges)] = 1.0
+    return a
 
 
 @pytest.fixture
@@ -153,6 +168,14 @@ def cooccurrence_loss_oracle(h, adjacency):
     return -float((logp * adjacency).sum()), e / sums
 
 
+def cooccurrence_grad_oracle(h, adjacency):
+    """dL/dH of ``cooccurrence_loss`` in its dense form: (dS + dS') H with
+    dS = deg P - A."""
+    _, p = cooccurrence_loss_oracle(h, adjacency)
+    ds = adjacency.sum(axis=1, keepdims=True) * p - adjacency
+    return (ds + ds.T) @ h
+
+
 def int_column_oracle(path):
     """``datasets._int_column`` as one ``int()`` per non-empty line."""
     from slim.datasets import ParseError, _read_lines
@@ -176,7 +199,7 @@ def densify_oracle(raw):
 
 
 def is_binary_oracle(a):
-    """The binarity test of ``Graph.validate`` as ``np.isin``."""
+    """The binarity test of ``Graph.from_adjacency`` as ``np.isin``."""
     return bool(np.isin(a, (0.0, 1.0)).all())
 
 

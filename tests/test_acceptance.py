@@ -24,10 +24,10 @@ from slim.coherence import (
 )
 from slim.datasets import load_tu_dataset, make_folds, one_hot_features, save_tu_dataset
 from slim.landmarks import LandmarkSet, assign, hard_distortion, init_landmarks
-from slim.pooling import DENSITY_EPS, directed_edges, pool_graph
+from slim.pooling import DENSITY_EPS, pool_graph
 from slim.training import TrainConfig, cross_validate, sweep_k
 
-from conftest import random_graph, require_benchmark
+from conftest import adjacency_of, directed_edges, random_graph, require_benchmark
 from test_landmarks import exhaustive_two_means
 
 
@@ -118,12 +118,13 @@ class TestCriterion5PoolingInvariants:
             n = g.node_count
             h = rng.standard_normal((n, 4))
             x = one_hot_features(g, 5)
-            w, parts = pooled(x, h, u, g.adjacency)
+            a = adjacency_of(g)
+            w, parts = pooled(x, h, u, a)
             worst_row = max(worst_row, float(np.abs(w.sum(axis=1) - 1.0).max()))
             worst_mass = max(worst_mass, abs(parts[0].sum() - n))
-            worst_edge = max(worst_edge, abs(parts[2].sum() - g.adjacency.sum()))
+            worst_edge = max(worst_edge, abs(parts[2].sum() - a.sum()))
             perm = rng.permutation(n)
-            _, permuted = pooled(x[perm], h[perm], u, g.adjacency[np.ix_(perm, perm)])
+            _, permuted = pooled(x[perm], h[perm], u, a[np.ix_(perm, perm)])
             worst_perm = max([worst_perm] + [float(np.abs(a - b).max())
                                              for a, b in zip(permuted, parts)])
         assert worst_row <= 1e-9
@@ -162,7 +163,7 @@ class TestCriterion7ParserFidelity:
         save_tu_dataset(synth, str(tmp_path))
         again = load_tu_dataset(str(tmp_path), "RT")
         for a, b in zip(synth.graphs, again.graphs):
-            np.testing.assert_array_equal(a.adjacency, b.adjacency)
+            np.testing.assert_array_equal(a.edges, b.edges)
             np.testing.assert_array_equal(a.node_labels, b.node_labels)
             assert a.class_label == b.class_label
 
@@ -174,7 +175,7 @@ class TestCriterion7ParserFidelity:
         save_tu_dataset(bundle, str(tmp_path), name="MUTAG_RT")
         again = load_tu_dataset(str(tmp_path), "MUTAG_RT")
         for a, b in zip(bundle.graphs, again.graphs):
-            np.testing.assert_array_equal(a.adjacency, b.adjacency)
+            np.testing.assert_array_equal(a.edges, b.edges)
             np.testing.assert_array_equal(a.node_labels, b.node_labels)
             assert a.class_label == b.class_label
         report("criterion 7", "MUTAG: 188 graphs, 2 classes, 7 node labels; "

@@ -23,12 +23,13 @@ from slim import training
 from slim.autodiff import Tensor
 from slim.datasets import Graph
 from slim.landmarks import target_distribution
-from slim.pooling import DENSITY_EPS, directed_edges, graph_feature_op
+from slim.pooling import DENSITY_EPS, graph_feature_op
 from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
-from conftest import fold_triangle, graph_feature, old_assign, pooled_features, unfold_triangle
+from conftest import (adjacency_of, directed_edges, fold_triangle, graph_feature, old_assign,
+                      pooled_features, unfold_triangle)
 
 
 def old_graph_feature_op(w, x, adjacency, include_means=False):
@@ -114,7 +115,7 @@ def old_cooccurrence_loss(h, adjacency):
 def old_logits(batch, state):
     rows = [old_graph_feature_op(old_assign(embedding.encode(
                 ad.constant(data.z), state.encoder), state.landmarks),
-                data.x, data.adjacency, state.include_means)
+                data.x, adjacency_of(data), state.include_means)
             for data in batch]
     return M.classifier_logits(old_concat_rows(rows), state.classifier,
                                state.feature_center).value
@@ -128,11 +129,11 @@ def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
         h = embedding.encode(ad.constant(data.z), state.encoder)
         w = old_assign(h, state.landmarks)
         if labeled[i]:
-            rows.append(old_graph_feature_op(w, data.x, data.adjacency,
+            rows.append(old_graph_feature_op(w, data.x, adjacency_of(data),
                                              state.include_means))
             labels.append(data.label)
         if lambda_embed > 0:
-            embed_terms.append(old_cooccurrence_loss(h, data.adjacency))
+            embed_terms.append(old_cooccurrence_loss(h, adjacency_of(data)))
         if lambda_cluster > 0 and targets_w is not None:
             cluster_terms.append(landmarks.cluster_loss(w, targets_w[i]))
     parts = []
@@ -321,12 +322,12 @@ def graphs_strategy(draw):
     for i, j in edges:
         a[i, j] = a[j, i] = 1.0
     types = draw(st.lists(st.integers(0, TYPES - 1), min_size=n, max_size=n))
-    return Graph(a, np.array(types), draw(st.integers(0, 1)))
+    return Graph.from_adjacency(a, np.array(types), draw(st.integers(0, 1)))
 
 
 # every batch also holds a single-node graph and an edgeless graph
-FIXED = [Graph(np.zeros((1, 1)), np.array([1]), 0),
-         Graph(np.zeros((3, 3)), np.array([0, 2, 2]), 1)]
+FIXED = [Graph.from_adjacency(np.zeros((1, 1)), np.array([1]), 0),
+         Graph.from_adjacency(np.zeros((3, 3)), np.array([0, 2, 2]), 1)]
 
 
 @st.composite

@@ -7,13 +7,13 @@ import pytest
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
-from slim.cli import main
+from slim.cli import _coerce, main
 from slim.datasets import save_tu_dataset
 from slim.embedding import encode_values
 from slim.pooling import upper_triangle
 from slim.synthetic import make_bundle
 
-from conftest import assign_values, pooled_features
+from conftest import adjacency_of, assign_values, pooled_features
 
 
 @pytest.fixture
@@ -120,7 +120,8 @@ class TestErrorMapping:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("line", ["variant = bogus", "hidden = 3D", "activation = relu",
-                                      "k = many", "hops = 11", "layer_decay = 2"])
+                                      "k = many", "hops = 11", "layer_decay = 2",
+                                      "semi_supervised = ture"])
     def test_bad_config_value_is_configuration_error(self, tu_root, tmp_path, capsys, line):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"[train]\n{line}\n", encoding="utf-8")
@@ -128,6 +129,12 @@ class TestErrorMapping:
                     "--config", cfg_file, "--out", tmp_path / "o"])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling, value", [("1", True), ("true", True), (" Yes ", True),
+                                                 ("ON", True), ("0", False), ("false", False),
+                                                 ("no", False), ("Off", False)])
+    def test_known_boolean_spellings(self, spelling, value):
+        assert _coerce(spelling, False) is value
 
     def test_layer_wise_without_hops_is_configuration_error(self, tu_root, tmp_path, capsys):
         out = tmp_path / "o"
@@ -236,7 +243,7 @@ class TestInspect:
         data = M.prepare_graph(g, c, training.TrainConfig().substructure())
         h = encode_values(data.z, state.encoder)
         pf = pooled_features(data.x, assign_values(h, state.landmarks.u.value,
-                                                   state.landmarks.dof), g.adjacency)
+                                                   state.landmarks.dof), adjacency_of(g))
         for dumped, want in ((p, pf.p), (m, pf.m), (cmat, pf.c), (cn, pf.c_norm)):
             np.testing.assert_allclose(dumped, want, rtol=1e-9, atol=0)
         # and the classifier reads the same C_norm

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slim.datasets import (
+    DatasetBundle,
     DatasetError,
     Graph,
     ParseError,
@@ -18,7 +19,8 @@ from slim.datasets import (
 )
 from slim.synthetic import make_bundle
 
-from conftest import densify_oracle, int_column_oracle, is_binary_oracle, write_tu_files
+from conftest import (adjacency_of, densify_oracle, directed_edges, int_column_oracle,
+                      is_binary_oracle, write_tu_files)
 
 
 class TestLoader:
@@ -36,12 +38,12 @@ class TestLoader:
         g = bundle.graphs[0]
         assert g.node_count == 2
         assert g.edge_count == 1
-        np.testing.assert_array_equal(g.adjacency, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(g.edges, [[0, 1], [1, 0]])
 
     def test_one_directional_edges_are_symmetrized(self, tmp_path):
         root = write_tu_files(tmp_path, "DIR", [(1, 2), (2, 3)], [1, 1, 1], [1], [0, 0, 0])
         g = load_tu_dataset(root, "DIR").graphs[0]
-        np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
+        np.testing.assert_array_equal(g.edges, [[0, 1, 1, 2], [1, 0, 2, 1]])
         assert g.edge_count == 2
 
     def test_duplicates_and_self_loops_warn(self, tmp_path):
@@ -50,7 +52,7 @@ class TestLoader:
         with pytest.warns(UserWarning, match="1 duplicate edge.*1 self-loop"):
             g = load_tu_dataset(root, "DUP").graphs[0]
         assert g.edge_count == 1
-        assert np.all(np.diag(g.adjacency) == 0)
+        np.testing.assert_array_equal(g.edges, [[0, 1], [1, 0]])
 
     def test_missing_file_names_it(self, tmp_path):
         root = write_tu_files(tmp_path, "MISS", [(1, 2)], [1, 1], [1], [0, 0])
@@ -110,7 +112,7 @@ class TestRoundTrip:
         assert again.class_count == bundle.class_count
         assert again.node_label_count == bundle.node_label_count
         for a, b in zip(bundle.graphs, again.graphs):
-            np.testing.assert_array_equal(a.adjacency, b.adjacency)
+            np.testing.assert_array_equal(a.edges, b.edges)
             np.testing.assert_array_equal(a.node_labels, b.node_labels)
             assert a.class_label == b.class_label
 
@@ -118,27 +120,28 @@ class TestRoundTrip:
         save_tu_dataset(loaded_tiny, str(tmp_path), name="AGAIN")
         again = load_tu_dataset(str(tmp_path), "AGAIN")
         for a, b in zip(loaded_tiny.graphs, again.graphs):
-            np.testing.assert_array_equal(a.adjacency, b.adjacency)
+            np.testing.assert_array_equal(a.edges, b.edges)
             np.testing.assert_array_equal(a.node_labels, b.node_labels)
             assert a.class_label == b.class_label
 
     def test_loaded_graphs_are_symmetric(self, loaded_tiny):
         for g in loaded_tiny.graphs:
-            np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
-            assert np.all(np.diag(g.adjacency) == 0)
+            a = adjacency_of(g)
+            np.testing.assert_array_equal(a, a.T)
+            assert np.all(np.diag(a) == 0)
 
 
 class TestOneHot:
     def test_single_node_identity(self):
         from slim.datasets import Graph
 
-        g = Graph(np.zeros((1, 1)), np.array([0]), 0)
+        g = Graph.from_adjacency(np.zeros((1, 1)), np.array([0]), 0)
         np.testing.assert_array_equal(one_hot_features(g, 1), [[1.0]])
 
     def test_two_labels(self):
         from slim.datasets import Graph
 
-        g = Graph(np.zeros((2, 2)), np.array([0, 2]), 0)
+        g = Graph.from_adjacency(np.zeros((2, 2)), np.array([0, 2]), 0)
         np.testing.assert_array_equal(
             one_hot_features(g, 3), [[1, 0, 0], [0, 0, 1]]
         )
@@ -151,7 +154,7 @@ class TestOneHot:
     def test_label_out_of_range(self):
         from slim.datasets import Graph
 
-        g = Graph(np.zeros((1, 1)), np.array([3]), 0)
+        g = Graph.from_adjacency(np.zeros((1, 1)), np.array([3]), 0)
         with pytest.raises(ValueError):
             one_hot_features(g, 3)
 
@@ -162,7 +165,8 @@ def _counts_bundle(counts_per_class):
 
     graphs = []
     for cls, count in enumerate(counts_per_class):
-        graphs += [Graph(np.zeros((1, 1)), np.array([0]), cls) for _ in range(count)]
+        graphs += [Graph.from_adjacency(np.zeros((1, 1)), np.array([0]), cls)
+                   for _ in range(count)]
     return DatasetBundle("counts", graphs, 1, len(counts_per_class))
 
 
@@ -297,7 +301,10 @@ def old_load_tu_dataset(root_path, name):
         if len(raw_node) != n_nodes:
             raise ParseError(f"{node_label_path}: {len(raw_node)} labels for {n_nodes} nodes")
     else:
-        degrees = np.concatenate([a.sum(axis=1) for a in adj])
+        # degrees by node id; the loader of that time read them in graph
+        # order, which mislabelled the nodes of interleaved indicators
+        degrees = np.empty(n_nodes)
+        degrees[order] = np.concatenate([a.sum(axis=1) for a in adj])
         raw_node = np.minimum(degrees, DEGREE_LABEL_CAP - 1).astype(np.int64)
 
     node_labels = _densify(raw_node)
@@ -306,7 +313,7 @@ def old_load_tu_dataset(root_path, name):
     graphs = []
     for g in range(n_graphs):
         members = order[offsets[g] : offsets[g + 1]]
-        graph = Graph(adj[g], node_labels[members].copy(), int(class_labels[g]))
+        graph = Graph.from_adjacency(adj[g], node_labels[members].copy(), int(class_labels[g]))
         graph.validate()
         graphs.append(graph)
     return DatasetBundle(
@@ -367,7 +374,7 @@ def assert_same_bundle(a, b):
                                                            b.class_count)
     assert len(a.graphs) == len(b.graphs)
     for ga, gb in zip(a.graphs, b.graphs):
-        np.testing.assert_array_equal(ga.adjacency, gb.adjacency)
+        np.testing.assert_array_equal(ga.edges, gb.edges)
         np.testing.assert_array_equal(ga.node_labels, gb.node_labels)
         assert ga.class_label == gb.class_label
 
@@ -407,7 +414,8 @@ class TestEdgeReaderMatchesLineLoop:
         root = write_raw(tmp_path, "ODD", lines, indicator, [0], [0] * 12)
         (new, _), (old, _) = load_both(root, "ODD")
         assert_same_bundle(new, old)
-        assert new.graphs[0].adjacency[9, 1] == 1.0 and new.graphs[0].adjacency[2, 3] == 1.0
+        a = adjacency_of(new.graphs[0])
+        assert a[9, 1] == 1.0 and a[2, 3] == 1.0
 
     def test_empty_edge_file(self, tmp_path):
         root = write_raw(tmp_path, "NOEDGE", [], [1, 1, 2], [0, 1], [0, 1, 0])
@@ -498,9 +506,95 @@ class TestDensifyAndBinarity:
     @pytest.mark.parametrize("value", [0.0, 1.0, -0.0, 2.0, 0.5, -1.0, np.inf, 1e-300])
     def test_binarity_matches_isin(self, value):
         a = np.array([[0.0, 1.0, value], [1.0, 0.0, 0.0], [value, 0.0, 0.0]])
-        graph = Graph(a, np.zeros(3, dtype=np.int64), 0)
         if is_binary_oracle(a):
-            graph.validate()
+            Graph.from_adjacency(a, np.zeros(3, dtype=np.int64), 0).validate()
         else:
             with pytest.raises(ValueError, match="must be binary"):
-                graph.validate()
+                Graph.from_adjacency(a, np.zeros(3, dtype=np.int64), 0)
+
+
+# ---------------------------------------------------------------------------
+# the stored graph format: one directed edge list in CSR order
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    a = np.zeros((n, n), dtype=draw(st.sampled_from([np.float64, np.int64, bool])))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1
+    return a
+
+
+class TestGraphFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_matrices())
+    def test_from_adjacency_lists_the_non_zeros_row_major(self, a):
+        g = Graph.from_adjacency(a, np.zeros(len(a), dtype=np.int64), 0)
+        listed = [(i, j) for i in range(len(a)) for j in range(len(a)) if a[i, j]]
+        assert g.edges.dtype == np.int64 and g.edges.shape == (2, len(listed))
+        assert [tuple(e) for e in g.edges.T.tolist()] == listed
+        np.testing.assert_array_equal(g.edges, np.nonzero(a))
+        assert (g.node_count, g.edge_count) == (len(a), len(listed) // 2)
+        g.validate()
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+    def test_from_adjacency_rejects_a_non_square_input(self, a):
+        with pytest.raises(ValueError, match="square"):
+            Graph.from_adjacency(a, np.zeros(2, dtype=np.int64), 0)
+
+    # each edge list is wrong in exactly one way: 3 nodes, path 0 - 1 - 2
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 1, 1, 2], [1, 0, 1, 2, 1]], "self-loops"),
+        ([[0, 1, 1], [1, 0, 2]], "both directions"),
+        ([[0, 1, 1, 1, 2], [1, 0, 2, 2, 1]], "repeat"),
+        ([[1, 0, 1, 2], [0, 1, 2, 1]], "CSR order"),
+        ([[0, 1, 1, 3], [1, 0, 3, 1]], r"endpoints must lie in \[0, 3\)"),
+        ([[0, 1, -1], [1, 0, 1]], r"endpoints must lie in \[0, 3\)"),
+    ])
+    def test_validate_names_what_is_wrong(self, edges, message):
+        graph = Graph(np.array(edges), np.zeros(3, dtype=np.int64), 0)
+        with pytest.raises(ValueError, match=message):
+            graph.validate()
+
+    def test_validate_accepts_the_path(self):
+        Graph(np.array([[0, 1, 1, 2], [1, 0, 2, 1]]), np.zeros(3, dtype=np.int64), 0).validate()
+
+    def test_interleaved_indicators_give_local_csr_order(self, tmp_path):
+        # node ids 1..7 alternate between graphs 1 and 2; edges are listed in
+        # one direction each, in no particular order
+        indicator = [2, 1, 2, 1, 1, 2, 1]
+        lines = [(7, 2), (5, 4), (1, 3), (3, 6), (2, 4), (6, 1)]
+        root = write_tu_files(tmp_path, "MIX", lines, indicator, [0, 1], [0] * 7)
+        bundle = load_tu_dataset(root, "MIX")
+        # graph 1 holds nodes 2, 4, 5, 7 as 0..3; graph 2 holds 1, 3, 6 as 0..2
+        want = [[(0, 1), (0, 3), (1, 2)], [(0, 1), (0, 2), (1, 2)]]
+        for g, pairs in zip(bundle.graphs, want):
+            a = np.zeros((g.node_count, g.node_count), dtype=bool)
+            for u, v in pairs:
+                a[u, v] = a[v, u] = True
+            np.testing.assert_array_equal(g.edges, directed_edges(a))
+            src, dst = g.edges
+            assert np.all(np.diff(src * g.node_count + dst) > 0)
+
+    def test_degree_labels_follow_node_ids_on_interleaved_indicators(self, tmp_path):
+        # node 1 (graph 2) is isolated; nodes 2 and 3 (graph 1) share an edge
+        root = write_tu_files(tmp_path, "DEG", [(2, 3)], [2, 1, 1], [0, 1])
+        bundle = load_tu_dataset(root, "DEG")
+        np.testing.assert_array_equal(bundle.graphs[0].node_labels, [1, 1])
+        np.testing.assert_array_equal(bundle.graphs[1].node_labels, [0])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(symmetric_matrices(), min_size=1, max_size=5))
+    def test_save_then_load_keeps_the_edges(self, tmp_path_factory, matrices):
+        graphs = [Graph.from_adjacency(a, np.arange(len(a)) % 3, i % 2)
+                  for i, a in enumerate(matrices)]
+        root = str(tmp_path_factory.mktemp("rt"))
+        save_tu_dataset(DatasetBundle("RT", graphs, 3, 2), root)
+        again = load_tu_dataset(root, "RT")
+        assert len(again) == len(graphs)
+        for a, b in zip(graphs, again.graphs):
+            np.testing.assert_array_equal(a.edges, b.edges)
+            assert b.edges.dtype == np.int64

@@ -16,12 +16,13 @@ from slim.embedding import (
     init_encoder,
 )
 
-from conftest import cooccurrence_loss_oracle, cooccurrence_loss_reference, random_graph
+from conftest import (adjacency_of, cooccurrence_grad_oracle, cooccurrence_loss_oracle,
+                      cooccurrence_loss_reference, directed_edges, random_graph)
 
 
 def cooc(h, adjacency) -> float:
     """The fused co-occurrence op over a batch of one graph."""
-    return cooccurrence_op(Tensor(h), [(0, len(h))], [adjacency]).value.item()
+    return cooccurrence_op(Tensor(h), [(0, len(h))], [directed_edges(adjacency)]).value.item()
 
 
 def zero_params(d_in=3, h=4, d_out=2):
@@ -100,22 +101,22 @@ class TestCooccurrenceLoss:
         for _ in range(5):
             g = random_graph(rng)
             h = rng.standard_normal((g.node_count, 3))
-            assert cooc(h, g.adjacency) == pytest.approx(
-                cooccurrence_loss_reference(h, g.adjacency), rel=1e-10
+            assert cooc(h, adjacency_of(g)) == pytest.approx(
+                cooccurrence_loss_reference(h, adjacency_of(g)), rel=1e-10
             )
 
     def test_loss_is_non_negative(self, rng):
         for _ in range(5):
             g = random_graph(rng)
             h = rng.standard_normal((g.node_count, 3))
-            assert cooc(h, g.adjacency) >= 0.0
+            assert cooc(h, adjacency_of(g)) >= 0.0
 
     def test_permutation_invariance(self, rng):
         g = random_graph(rng)
         h = rng.standard_normal((g.node_count, 4))
         perm = rng.permutation(g.node_count)
-        a_p = g.adjacency[np.ix_(perm, perm)]
-        v1 = cooc(h, g.adjacency)
+        a_p = adjacency_of(g)[np.ix_(perm, perm)]
+        v1 = cooc(h, adjacency_of(g))
         v2 = cooc(h[perm], a_p)
         assert v1 == pytest.approx(v2, rel=1e-12)
 
@@ -139,7 +140,7 @@ class TestCooccurrenceLoss:
     def test_gradient_wrt_embeddings(self, rng):
         g = random_graph(rng, n=5)
         report = grad_check(
-            lambda h: cooccurrence_op(h, [(0, 5)], [g.adjacency]),
+            lambda h: cooccurrence_op(h, [(0, 5)], [g.edges]),
             [rng.standard_normal((5, 3))],
             name="cooccurrence", rng=rng,
         )
@@ -148,8 +149,10 @@ class TestCooccurrenceLoss:
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError):
             cooccurrence_loss(np.zeros((2, 2)), np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            cooc(np.zeros((2, 2)), np.zeros((3, 3)))
+        # the op knows a graph's node count only from its rows: an edge list
+        # that reaches past them is refused
+        with pytest.raises(IndexError):
+            cooc(np.zeros((2, 2)), np.eye(3, k=1) + np.eye(3, k=-1))
 
 
 @st.composite
@@ -187,3 +190,20 @@ class TestCooccurrenceKernelMatchesDirectForm:
         upper = np.triu(rng.random((n, n)) < 1.25 / n, 1)
         assert_matches_direct_form(np.tanh(rng.standard_normal((n, 32)) * 3.0),
                                    (upper | upper.T).astype(float))
+
+
+class TestCooccurrenceOpGradient:
+    @settings(max_examples=100, deadline=None)
+    @given(cooccurrence_inputs(), st.integers(0, 3), st.integers(0, 3))
+    @example((np.array([[0.3, -0.7]]), np.zeros((1, 1))), 0, 0)
+    @example((np.full((3, 2), 10.0), np.ones((3, 3)) - np.eye(3)), 1, 2)
+    def test_edge_form_gradient_equals_the_dense_formula(self, case, before, after):
+        # the graph sits between rows of other graphs, which get no gradient
+        h, adjacency = case
+        n, d = h.shape
+        rows = np.vstack([np.ones((before, d)), h, np.ones((after, d))])
+        t = Tensor(rows, requires_grad=True)
+        cooccurrence_op(t, [(before, before + n)], [directed_edges(adjacency)]).backward()
+        np.testing.assert_array_equal(t.grad[before:before + n],
+                                      cooccurrence_grad_oracle(h, adjacency))
+        assert not t.grad[:before].any() and not t.grad[before + n:].any()

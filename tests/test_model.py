@@ -11,7 +11,8 @@ from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
-from conftest import assign_values, cooccurrence_loss_reference, graph_feature, pooled_features
+from conftest import (adjacency_of, assign_values, cooccurrence_loss_reference, graph_feature,
+                      pooled_features)
 
 
 @pytest.fixture
@@ -47,10 +48,10 @@ def manual_joint_loss(batch, state, lam_e, lam_c, targets):
     for data, target in zip(batch, targets):
         h = encode_values(data.z, state.encoder)
         w = assign_values(h, state.landmarks.u.value, state.landmarks.dof)
-        pf = pooled_features(data.x, w, data.adjacency)
+        pf = pooled_features(data.x, w, adjacency_of(data))
         feats.append(graph_feature(pf, state.include_means))
         labels.append(data.label)
-        embed += cooccurrence_loss_reference(h, data.adjacency)
+        embed += cooccurrence_loss_reference(h, adjacency_of(data))
         with np.errstate(divide="ignore", invalid="ignore"):
             cluster += float(np.where(target > 0, target * np.log(target / w), 0.0).sum())
     f = np.stack(feats)
@@ -85,7 +86,7 @@ class TestJointLoss:
         # single-node graphs: no edges so the co-occurrence term is an empty
         # sum; the target equals the assignment; a saturated output bias makes
         # the classification loss negligible
-        g = Graph(np.zeros((1, 1)), np.array([0]), 0)
+        g = Graph.from_adjacency(np.zeros((1, 1)), np.array([0]), 0)
         cfg = TrainConfig(k=2, latent=3, hidden=4, classifier_hidden=4, epochs=1)
         data = M.prepare_graph(g, 1, cfg.substructure())
         state = init_state(cfg, data.z.shape[1], 1, 2, rng)

@@ -8,14 +8,13 @@ from slim.embedding import encode, encode_values, init_encoder
 from slim.landmarks import LandmarkSet, assign
 from slim.pooling import (
     DENSITY_EPS,
-    directed_edges,
     feature_width,
     graph_feature_op,
     pool_graph,
 )
 
-from conftest import (assign_values, graph_feature, pooled_features, random_graph,
-                      unfold_triangle)
+from conftest import (adjacency_of, assign_values, directed_edges, graph_feature,
+                      pooled_features, random_graph, unfold_triangle)
 
 TRIANGLE = np.ones((3, 3)) - np.eye(3)
 EDGE = TRIANGLE[:2, :2]
@@ -46,7 +45,7 @@ class TestDensity:
     def test_total_mass_is_node_count(self, rng):
         g = random_graph(rng, n=9)
         w = assign_values(rng.standard_normal((9, 3)), rng.standard_normal((4, 3)))
-        p = pool_graph(w, *directed_edges(g.adjacency))[0]
+        p = pool_graph(w, *g.edges)[0]
         assert p.sum() == pytest.approx(9.0, abs=1e-9)
 
 
@@ -87,14 +86,14 @@ class TestInteraction:
             g = random_graph(rng)
             w = assign_values(rng.standard_normal((g.node_count, 3)),
                               rng.standard_normal((4, 3)))
-            c = pooled_c(w, g.adjacency)
-            assert c.sum() == pytest.approx(g.adjacency.sum(), abs=1e-6)
+            c = pooled_c(w, adjacency_of(g))
+            assert c.sum() == pytest.approx(adjacency_of(g).sum(), abs=1e-6)
 
     def test_symmetry(self, rng):
         g = random_graph(rng)
         w = assign_values(rng.standard_normal((g.node_count, 3)),
                           rng.standard_normal((5, 3)))
-        c_norm = pool_graph(w, *directed_edges(g.adjacency))[3]
+        c_norm = pool_graph(w, *g.edges)[3]
         np.testing.assert_array_equal(c_norm, c_norm.T)
 
     def test_shape_mismatch(self):
@@ -119,11 +118,11 @@ class TestNormalizedInteraction:
         # square and p by the same factor, so the normalization cancels it
         g = random_graph(rng)
         w = rng.uniform(0.5, 2.0, (g.node_count, 3))
-        edges = directed_edges(g.adjacency)
+        edges = g.edges
         base = pool_graph(w, *edges)[3]
         np.testing.assert_allclose(pool_graph(2.0 * w, *edges)[3], base, rtol=1e-6)
-        np.testing.assert_allclose(pooled_c(2.0 * w, g.adjacency),
-                                   4.0 * pooled_c(w, g.adjacency), rtol=1e-9)
+        np.testing.assert_allclose(pooled_c(2.0 * w, adjacency_of(g)),
+                                   4.0 * pooled_c(w, adjacency_of(g)), rtol=1e-9)
 
 
 def feature_row(x, w, adjacency, include_means=False):
@@ -148,8 +147,8 @@ class TestGraphFeature:
         k = 5
         w = assign_values(rng.standard_normal((g.node_count, 3)),
                           rng.standard_normal((k, 3)))
-        p, m, _, c_norm = pooled(x, w, g.adjacency)
-        v = feature_row(x, w, g.adjacency, include_means)
+        p, m, _, c_norm = pooled(x, w, adjacency_of(g))
+        v = feature_row(x, w, adjacency_of(g), include_means)
         n_tri = k * (k + 1) // 2
         assert v.shape == (n_tri + (k + c * k if include_means else 0),)
         assert v.shape == (feature_width(k, c, include_means),)
@@ -166,14 +165,14 @@ class TestGraphFeature:
         x = one_hot_features(g, c)
         w = assign_values(rng.standard_normal((g.node_count, 3)),
                           rng.standard_normal((4, 3)))
-        assert feature_row(x, w, g.adjacency, True).shape == (feature_width(4, c, True),)
+        assert feature_row(x, w, adjacency_of(g), True).shape == (feature_width(4, c, True),)
 
 
 def _pipeline_features(g, x, encoder, u, include_means=False):
     """Differentiable substructure-to-feature pipeline used for grad checks."""
     h = encode(ad.constant(x), encoder)
     w = assign(h, LandmarkSet(u, dof=1.0))
-    return graph_feature_op(w, [(0, g.node_count)], [x], [directed_edges(g.adjacency)],
+    return graph_feature_op(w, [(0, g.node_count)], [x], [g.edges],
                             include_means)
 
 
@@ -186,13 +185,13 @@ class TestPermutationInvariance:
             c = 4
             x = one_hot_features(g, c)
             perm = rng.permutation(g.node_count)
-            gp = Graph(g.adjacency[np.ix_(perm, perm)], g.node_labels[perm], 0)
+            gp = Graph.from_adjacency(adjacency_of(g)[np.ix_(perm, perm)], g.node_labels[perm], 0)
             xp = one_hot_features(gp, c)
             feats = [_pipeline_features(g, x, encoder, u).value,
                      _pipeline_features(gp, xp, encoder, u).value]
             parts = [pooled(xi, assign(Tensor(encode_values(xi, encoder)),
                                        LandmarkSet(u)).value, a)
-                     for xi, a in ((x, g.adjacency), (xp, gp.adjacency))]
+                     for xi, a in ((x, adjacency_of(g)), (xp, adjacency_of(gp)))]
             for got, want in zip(parts[1], parts[0]):
                 np.testing.assert_allclose(got, want, atol=1e-6)
             np.testing.assert_allclose(feats[1], feats[0], atol=1e-6)
@@ -207,7 +206,7 @@ class TestDifferentiablePath:
         feat = _pipeline_features(g, x, encoder, u)
         h = encode_values(x, encoder)
         w = assign_values(h, u.value)
-        expected = graph_feature(pooled_features(x, w, g.adjacency))
+        expected = graph_feature(pooled_features(x, w, adjacency_of(g)))
         np.testing.assert_allclose(feat.value[0], expected, rtol=1e-12)
 
     @pytest.mark.parametrize("include_means", [False, True])
@@ -218,7 +217,7 @@ class TestDifferentiablePath:
         def fn(h, u):
             w = assign(h, LandmarkSet(u, dof=1.0))
             return graph_feature_op(w, [(0, g.node_count)], [x],
-                                    [directed_edges(g.adjacency)], include_means)
+                                    [g.edges], include_means)
 
         report = grad_check(
             fn,

@@ -13,16 +13,29 @@ from slim.substructure import (
     SubstructureConfig,
     Variant,
     build_substructures,
-    exact_layer_adjacency,
     hop_shells,
-    khop_adjacency,
 )
 from slim.synthetic import make_bundle
 
-from conftest import random_graph
+from conftest import adjacency_of, directed_edges, random_graph
 
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 K3 = np.ones((3, 3)) - np.eye(3)
+
+
+def shells_of(a, hops):
+    """``hop_shells`` of the graph with the dense 0/1 adjacency ``a``."""
+    return hop_shells(directed_edges(a), a.shape[0], hops)
+
+
+def khop_ball(a, k):
+    """I + S_1 + ... + S_k from ``hop_shells``: 1 iff the hop distance is <= k."""
+    return np.eye(a.shape[0]) + sum(s.astype(float) for s in shells_of(a, k))
+
+
+def exact_shell(a, j):
+    """S_j from ``hop_shells``: 1 iff the hop distance is exactly j >= 1."""
+    return shells_of(a, j)[-1].astype(float)
 
 
 def reachability_oracle(a, k):
@@ -39,26 +52,24 @@ class TestKhopAdjacency:
         for _ in range(5):
             g = random_graph(rng)
             np.testing.assert_array_equal(
-                khop_adjacency(g.adjacency, 0), np.eye(g.node_count)
+                khop_ball(adjacency_of(g), 0), np.eye(g.node_count)
             )
 
     def test_path_graph_k2_all_ones(self):
-        np.testing.assert_array_equal(khop_adjacency(P3, 2), np.ones((3, 3)))
+        np.testing.assert_array_equal(khop_ball(P3, 2), np.ones((3, 3)))
 
     def test_path_graph_k1(self):
-        np.testing.assert_array_equal(khop_adjacency(P3, 1), np.eye(3) + P3)
+        np.testing.assert_array_equal(khop_ball(P3, 1), np.eye(3) + P3)
 
     def test_matches_boolean_power_oracle(self, rng):
         for _ in range(10):
-            g = random_graph(rng)
+            a = adjacency_of(random_graph(rng))
             k = int(rng.integers(0, 4))
-            np.testing.assert_array_equal(
-                khop_adjacency(g.adjacency, k), reachability_oracle(g.adjacency, k)
-            )
+            np.testing.assert_array_equal(khop_ball(a, k), reachability_oracle(a, k))
 
     def test_symmetry(self, rng):
         g = random_graph(rng)
-        a2 = khop_adjacency(g.adjacency, 2)
+        a2 = khop_ball(adjacency_of(g), 2)
         np.testing.assert_array_equal(a2, a2.T)
 
 
@@ -66,32 +77,28 @@ class TestExactLayer:
     def test_j1_equals_adjacency(self, rng):
         for _ in range(5):
             g = random_graph(rng)
-            np.testing.assert_array_equal(exact_layer_adjacency(g.adjacency, 1), g.adjacency)
+            np.testing.assert_array_equal(exact_shell(adjacency_of(g), 1), adjacency_of(g))
 
     def test_path_graph_layer2(self):
         expected = np.zeros((3, 3))
         expected[0, 2] = expected[2, 0] = 1.0
-        np.testing.assert_array_equal(exact_layer_adjacency(P3, 2), expected)
+        np.testing.assert_array_equal(exact_shell(P3, 2), expected)
 
     def test_complete_graph_layer2_empty(self):
-        np.testing.assert_array_equal(exact_layer_adjacency(K3, 2), np.zeros((3, 3)))
+        np.testing.assert_array_equal(exact_shell(K3, 2), np.zeros((3, 3)))
 
     def test_layers_partition_the_ball(self, rng):
         for _ in range(5):
             g = random_graph(rng)
             k = 3
-            total = sum(exact_layer_adjacency(g.adjacency, j) for j in range(1, k + 1))
+            total = sum(exact_shell(adjacency_of(g), j) for j in range(1, k + 1))
             np.testing.assert_array_equal(
-                total, khop_adjacency(g.adjacency, k) - np.eye(g.node_count)
+                total, khop_ball(adjacency_of(g), k) - np.eye(g.node_count)
             )
-
-    def test_requires_positive_layer(self):
-        with pytest.raises(ValueError):
-            exact_layer_adjacency(P3, 0)
 
 
 def p3_graph():
-    return Graph(P3, np.array([0, 1, 0]), 0)
+    return Graph.from_adjacency(P3, np.array([0, 1, 0]), 0)
 
 
 class TestBuildSubstructures:
@@ -104,7 +111,7 @@ class TestBuildSubstructures:
     def test_single_node_any_variant(self):
         # no neighbors exist: Z is X (plus the self-reach copy for
         # center_emphasis) and every layer-indexed block is zero
-        g = Graph(np.zeros((1, 1)), np.array([1]), 0)
+        g = Graph.from_adjacency(np.zeros((1, 1)), np.array([1]), 0)
         x = one_hot_features(g, 3)
         expected = {
             Variant.NODE_DISTRIBUTION: x,
@@ -123,7 +130,7 @@ class TestBuildSubstructures:
             g = random_graph(rng)
             x = one_hot_features(g, int(g.node_labels.max()) + 1)
             z = build_substructures(g, x, SubstructureConfig(hops=2))
-            balls = khop_adjacency(g.adjacency, 2).sum(axis=1)
+            balls = khop_ball(adjacency_of(g), 2).sum(axis=1)
             np.testing.assert_allclose(z.sum(axis=1), balls)
 
     def test_center_emphasis_layout(self):
@@ -144,14 +151,14 @@ class TestBuildSubstructures:
         )
         assert z.shape == (3, 4)
         np.testing.assert_array_equal(z[:, :2], P3 @ x)
-        np.testing.assert_array_equal(z[:, 2:], exact_layer_adjacency(P3, 2) @ x)
+        np.testing.assert_array_equal(z[:, 2:], exact_shell(P3, 2) @ x)
 
     def test_weighted_layer_sum(self):
         g = p3_graph()
         x = one_hot_features(g, 2)
         cfg = SubstructureConfig(hops=2, variant=Variant.WEIGHTED_LAYER_SUM, layer_decay=0.5)
         z = build_substructures(g, x, cfg)
-        expected = x + 0.5 * (P3 @ x) + 0.25 * (exact_layer_adjacency(P3, 2) @ x)
+        expected = x + 0.5 * (P3 @ x) + 0.25 * (exact_shell(P3, 2) @ x)
         np.testing.assert_allclose(z, expected)
 
     def test_layer_wise_rejects_zero_hops(self):
@@ -173,7 +180,8 @@ class TestBuildSubstructures:
             c = int(g.node_labels.max()) + 1
             x = one_hot_features(g, c)
             perm = rng.permutation(g.node_count)
-            gp = Graph(g.adjacency[np.ix_(perm, perm)], g.node_labels[perm], g.class_label)
+            gp = Graph.from_adjacency(adjacency_of(g)[np.ix_(perm, perm)], g.node_labels[perm],
+                                      g.class_label)
             xp = one_hot_features(gp, c)
             for variant in Variant:
                 cfg = SubstructureConfig(hops=2, variant=variant)
@@ -247,7 +255,7 @@ def assert_matches_oracle(g, c, hops, decay):
             continue
         cfg = SubstructureConfig(hops=hops, variant=variant, layer_decay=decay)
         np.testing.assert_array_equal(build_substructures(g, x, cfg),
-                                      old_build_substructures(g.adjacency, x, cfg))
+                                      old_build_substructures(adjacency_of(g), x, cfg))
 
 
 TYPES = 4
@@ -262,7 +270,7 @@ def graphs_strategy(draw):
     for i, j in edges:
         a[i, j] = a[j, i] = 1.0
     types = draw(st.lists(st.integers(0, TYPES - 1), min_size=n, max_size=n))
-    return Graph(a, np.array(types), 0)
+    return Graph.from_adjacency(a, np.array(types), 0)
 
 
 def adjacency_from_edges(n, edges):
@@ -274,7 +282,7 @@ def adjacency_from_edges(n, edges):
 
 
 def _graph(n, edges, types):
-    return Graph(adjacency_from_edges(n, edges), np.array(types), 0)
+    return Graph.from_adjacency(adjacency_from_edges(n, edges), np.array(types), 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,11 +292,11 @@ def _graph(n, edges, types):
 @example(_graph(7, [(0, 1), (1, 2), (3, 4), (5, 6)], [0, 1, 2, 3, 0, 1, 2]), 4, 0.3)
 def test_every_layout_equals_the_bfs_oracle(g, hops, decay):
     assert_matches_oracle(g, TYPES, hops, decay)
-    dist = old_all_distances(g.adjacency, max(hops, 1))
-    np.testing.assert_array_equal(khop_adjacency(g.adjacency, hops),
+    dist = old_all_distances(adjacency_of(g), max(hops, 1))
+    np.testing.assert_array_equal(khop_ball(adjacency_of(g), hops),
                                   ((dist >= 0) & (dist <= hops)).astype(float))
     if hops >= 1:
-        np.testing.assert_array_equal(exact_layer_adjacency(g.adjacency, hops),
+        np.testing.assert_array_equal(exact_shell(adjacency_of(g), hops),
                                       (dist == hops).astype(float))
 
 
@@ -338,18 +346,18 @@ def spider(legs, length):
 
 
 def assert_shells_match_the_oracles(a, types, hops, decay=0.5):
-    """Every layout against the BFS oracle, ``khop_adjacency`` against the
-    boolean-power oracle and ``exact_layer_adjacency`` against the BFS
+    """Every layout against the BFS oracle, the ball of ``hop_shells``
+    against the boolean-power oracle and its last shell against the BFS
     distances, all bit-exact."""
-    g = Graph(a, types, 0)
+    g = Graph.from_adjacency(a, types, 0)
     x = one_hot_features(g, TYPES)
     dist = old_all_distances(a, max(hops, 1))
     for variant in Variant:
         cfg = SubstructureConfig(hops=hops, variant=variant, layer_decay=decay)
         np.testing.assert_array_equal(build_substructures(g, x, cfg),
                                       old_build_substructures(a, x, cfg, dist))
-    np.testing.assert_array_equal(khop_adjacency(a, hops), reachability_oracle(a, hops))
-    np.testing.assert_array_equal(exact_layer_adjacency(a, hops), (dist == hops).astype(float))
+    np.testing.assert_array_equal(khop_ball(a, hops), reachability_oracle(a, hops))
+    np.testing.assert_array_equal(exact_shell(a, hops), (dist == hops).astype(float))
 
 
 @st.composite
@@ -378,8 +386,8 @@ def walk_record(monkeypatch):
     taken = []
     walk = substructure._walked_frontier
 
-    def spy(shell, a):
-        frontier = walk(shell, a)
+    def spy(shell, *csr):
+        frontier = walk(shell, *csr)
         taken.append(frontier is not None)
         return frontier
 
@@ -388,7 +396,9 @@ def walk_record(monkeypatch):
 
 
 N = DENSE_SHELL_NODES + 40
-# name -> (adjacency, hops, whether hops 2, 3, ... were walked)
+# name -> (adjacency, hops, whether hops 2, 3, ... were walked); a graph at
+# or below the crossover, or with more than n^2/8 directed edges, never
+# tries the walk
 WALK_CASES = {
     "edgeless": (np.zeros((N, N)), 3, [True, True]),
     # a path over the even nodes and one over every sixth odd node: the
@@ -398,11 +408,11 @@ WALK_CASES = {
                              + [(i, i + 6) for i in range(1, N - 6, 6)]), 4, [True] * 3),
     "disconnected_components": (tree_with_chords(np.random.default_rng(3), N, N // 4, 0.05),
                                 3, [True, True]),
-    "complete": (np.ones((N, N)) - np.eye(N), 3, [False, False]),
+    "complete": (np.ones((N, N)) - np.eye(N), 3, []),
     "star": (spider(N - 1, 1), 3, [False, False]),
     # 241 nodes, bound 241^2 // 8 = 7260: hop 2 walks sum(deg^2) = 7120 steps;
-    # hop 3 would walk 19440 steps from 6640 pairs, so the step count, not
-    # the pair count, sends it to the product
+    # hop 3 would walk 19440 steps from 6640 pairs, fewer than the bound, so
+    # the step count, not the pair count, sends it to the product
     "walks_then_falls_back": (spider(80, 3), 4, [True, False, False]),
     "at_the_crossover": (tree_with_chords(np.random.default_rng(4), DENSE_SHELL_NODES,
                                           DENSE_SHELL_NODES // 4), 3, []),
@@ -414,9 +424,29 @@ def test_walked_shells_on_edge_cases(name, monkeypatch):
     a, hops, walked = WALK_CASES[name]
     types = np.arange(a.shape[0]) % TYPES
     taken = walk_record(monkeypatch)
-    np.testing.assert_array_equal(hop_shells(a, hops), dense_hop_shells(a, hops))
+    np.testing.assert_array_equal(shells_of(a, hops), dense_hop_shells(a, hops))
     assert taken == walked
     assert_shells_match_the_oracles(a, types, hops)
+
+
+@pytest.mark.parametrize("name", ["complete", "star", "walks_then_falls_back"])
+def test_a_refused_hop_never_lists_the_shells_pairs(name, monkeypatch):
+    # the walk is counted from the degrees before any pair of the shell is
+    # listed (np.flatnonzero), so a hop sent to the product lists nothing
+    a, hops, walked = WALK_CASES[name]
+    edges = directed_edges(a)
+    listed = []
+    flatnonzero = np.flatnonzero
+
+    def spy(array):
+        listed.append(array.shape)
+        return flatnonzero(array)
+
+    monkeypatch.setattr(substructure.np, "flatnonzero", spy)
+    shells = hop_shells(edges, a.shape[0], hops)
+    monkeypatch.undo()
+    assert len(listed) == walked.count(True)
+    np.testing.assert_array_equal(shells, dense_hop_shells(a, hops))
 
 
 def traced_peak(fn, *args):
@@ -432,20 +462,23 @@ def traced_peak(fn, *args):
                                   lambda: spider(1999, 1)], ids=["complete_600", "star_2000"])
 def test_walk_guard_keeps_peak_memory_at_the_dense_products(make):
     adjacency = make()
+    edges = directed_edges(adjacency)
     # unguarded, the walk of hop 2 has n^3 steps on the complete graph and
     # n^2 on the star: gigabytes and about twice the product's peak
-    assert traced_peak(hop_shells, adjacency, 3) <= traced_peak(dense_hop_shells, adjacency, 3)
+    assert (traced_peak(hop_shells, edges, len(adjacency), 3)
+            <= traced_peak(dense_hop_shells, adjacency, 3))
 
 
 def test_5000_node_sparse_graph_builds_three_hops_in_seconds():
     rng = np.random.default_rng(5000)
     n = 5000
-    g = Graph(tree_with_chords(rng, n, n // 4), rng.integers(0, TYPES, n), 0)
+    a = tree_with_chords(rng, n, n // 4)
+    g = Graph.from_adjacency(a, rng.integers(0, TYPES, n), 0)
     x = one_hot_features(g, TYPES)
     start = time.perf_counter()
     z = build_substructures(g, x, SubstructureConfig(hops=3))
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
     for source in rng.choice(n, 40, replace=False):
-        dist = old_bfs_distances(g.adjacency, source, 3)
+        dist = old_bfs_distances(a, source, 3)
         np.testing.assert_array_equal(z[source], x[dist >= 0].sum(axis=0))

@@ -78,8 +78,8 @@ class TestTrain:
     def test_two_graph_separable_toy_set(self):
         # two graphs over disjoint node types: a type-0 triangle and a
         # type-1 path; the interaction features separate them immediately
-        tri = Graph(np.ones((3, 3)) - np.eye(3), np.zeros(3, dtype=int), 0)
-        path = Graph(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float),
+        tri = Graph.from_adjacency(np.ones((3, 3)) - np.eye(3), np.zeros(3, dtype=int), 0)
+        path = Graph.from_adjacency(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float),
                      np.ones(3, dtype=int), 1)
         bundle = DatasetBundle("toy", [tri, path], 2, 2)
         cfg = tiny_cfg(epochs=50, k=2, learning_rate=0.05, optimizer="adagrad",
@@ -102,7 +102,7 @@ class TestTrain:
         graphs = M.prepare_bundle(bundle, cfg.substructure())
         labeled, unlabeled = graphs[:10], graphs[10:]
         corrupted = [
-            M.GraphData(z=g.z, x=g.x, adjacency=g.adjacency, label=1 - g.label)
+            M.GraphData(z=g.z, x=g.x, edges=g.edges, label=1 - g.label)
             for g in unlabeled
         ]
         state_a, _ = train(labeled, cfg, 2, bundle.node_label_count,
@@ -175,7 +175,7 @@ class TestTrain:
 def constant_bundle(n=20):
     """Featureless coin-flip dataset: identical graphs, half each class."""
     graphs = [
-        Graph(np.zeros((1, 1)), np.array([0]), cls % 2) for cls in range(n)
+        Graph.from_adjacency(np.zeros((1, 1)), np.array([0]), cls % 2) for cls in range(n)
     ]
     return DatasetBundle("const", graphs, 1, 2)
 
