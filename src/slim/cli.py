@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error.
 Dataset root resolution: --data-root flag, then $SLIM_DATA_DIR, then ./data.
 Config files are plain "key = value" text with [section] headers; explicit
 command-line flags win over the file, the file wins over built-in defaults.
+The training keys are the field names of ``training.TrainConfig``, the
+coherence keys those of ``COHERENCE_OPTIONS``; any other key is a
+configuration error.
 """
 from __future__ import annotations
 
@@ -14,7 +17,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -24,12 +28,42 @@ from . import training
 from .autodiff import NumericError, check_registered_ops, grad_check
 from .datasets import DatasetError, load_tu_dataset, make_folds
 from .pooling import DENSITY_EPS, pool_graph
-from .substructure import Variant
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
+# TrainConfig fields with a flag, and their help; the flag's type and shown
+# default come from TrainConfig. layer_decay, activation, classifier_hidden
+# and kmeans_restarts are set only in a config file
+TRAIN_FLAGS = {
+    "seed": "master seed",
+    "k": "landmark count",
+    "hops": "substructure radius in hops",
+    "variant": "substructure layout",
+    "latent": "embedding width",
+    "hidden": "encoder hidden width: int or D, D/2, 2D",
+    "optimizer": "optimizer",
+    "learning_rate": "learning rate",
+    "epochs": "epoch budget",
+    "batch_size": "graphs per mini-batch",
+    "lambda_embed": "co-occurrence loss weight",
+    "lambda_cluster": "clustering loss weight",
+    "semi_supervised": "include unlabeled validation graphs in the unsupervised terms",
+    "include_means": "append densities and landmark means to the classifier feature",
+}
+# coherence options: name -> (default, help); each has a flag and a config key
+COHERENCE_OPTIONS = {
+    "seed": (0, "first seed of the sweep"),
+    "d": (2, "embedding dimension"),
+    "K": (8, "landmark count for --analytic-only"),
+    "cdcp_over_umax2": (1.0, "combined constant C_d*C_p/u_max^2 for --analytic-only"),
+    "ks": ("2,4,8,16,32,64,128,256", "comma-separated K values"),
+    "seeds": (10, "seeds per K"),
+    "components": (4, "mixture components"),
+    "scale": (0.5, "mixture component scale"),
+    "points": (1024, "points per draw"),
+}
 # config-file spellings of a boolean; any other value is a configuration error
 BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                   **dict.fromkeys(("0", "false", "no", "off"), False)}
@@ -90,17 +124,36 @@ def data_root(args) -> str:
     return os.environ.get("SLIM_DATA_DIR", "data")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
-    parser.read(path, encoding="utf-8")
-    merged = {}
-    for section in parser.sections():
-        merged.update(dict(parser[section]))
-    return merged
+def resolve_options(args, defaults: dict) -> dict:
+    """The options of ``defaults`` set by an explicit flag or, failing that,
+    by the ``--config`` file (all sections), coerced to the type of their
+    default. Keys match case-insensitively; any other key is an error."""
+    path = getattr(args, "config", None)
+    file_values = {}
+    if path:
+        if not os.path.isfile(path):
+            raise ConfigError(f"config file not found: {path}")
+        parser = configparser.ConfigParser()
+        try:
+            parser.read(path, encoding="utf-8")
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        for section in parser.sections():
+            file_values.update(parser[section])
+    unknown = sorted(set(file_values) - {name.lower() for name in defaults})
+    if unknown:
+        raise ConfigError(f"{path}: unknown key(s) {', '.join(unknown)}; "
+                          f"known keys: {', '.join(defaults)}")
+    given = {}
+    for name, default in defaults.items():
+        if getattr(args, name, None) is not None:
+            given[name] = getattr(args, name)
+        elif name.lower() in file_values:
+            try:
+                given[name] = _coerce(file_values[name.lower()], default)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {name}: {exc}") from exc
+    return given
 
 
 def _coerce(value: str, like):
@@ -119,27 +172,14 @@ def _coerce(value: str, like):
     return value
 
 
+def _train_defaults() -> dict:
+    return {f.name: f.default for f in fields(training.TrainConfig)}
+
+
 def build_train_config(args) -> training.TrainConfig:
     """Merge CLI flags over config-file values over TrainConfig defaults."""
-    defaults = training.TrainConfig()
-    file_values = _load_config_file(getattr(args, "config", None))
-    kwargs = {}
-    for name in ("hops", "variant", "k", "latent", "hidden", "optimizer",
-                 "learning_rate", "epochs", "batch_size", "lambda_embed",
-                 "lambda_cluster", "seed", "semi_supervised", "include_means",
-                 "layer_decay", "activation", "classifier_hidden",
-                 "kmeans_restarts"):
-        cli_value = getattr(args, name, None)
-        if cli_value is not None:
-            kwargs[name] = cli_value
-        elif name in file_values:
-            kwargs[name] = _coerce(file_values[name], getattr(defaults, name))
-    if "hidden" in kwargs and isinstance(kwargs["hidden"], str) and kwargs["hidden"].isdigit():
-        kwargs["hidden"] = int(kwargs["hidden"])
     try:
-        if "variant" in kwargs:
-            kwargs["variant"] = Variant(kwargs["variant"])
-        return training.TrainConfig(**kwargs)
+        return training.TrainConfig(**resolve_options(args, _train_defaults()))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -157,12 +197,6 @@ def _fold_plan(bundle, folds: int, cfg: training.TrainConfig):
         raise ConfigError(str(exc)) from exc
 
 
-def _config_dict(cfg: training.TrainConfig) -> dict:
-    d = dict(cfg.__dict__)
-    d["variant"] = cfg.variant.value
-    return d
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -171,14 +205,14 @@ def cmd_cv(args) -> int:
     cfg = build_train_config(args)
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
-    manifest = _start_manifest("cv", args, _config_dict(cfg),
+    manifest = _start_manifest("cv", args, asdict(cfg),
                                ["cv_result.json", "epochs.jsonl"], seed=cfg.seed)
     result = training.cross_validate(
         bundle, cfg, plan, jobs=args.jobs,
         metrics_path=os.path.join(args.out, "epochs.jsonl"),
     )
     with open(os.path.join(args.out, "cv_result.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.as_dict(), fh, indent=2)
+        json.dump(asdict(result), fh, indent=2)
         fh.write("\n")
     _finish_manifest(manifest)
     print(f"{bundle.name}: {result.mean:.4f} ± {result.std:.4f} "
@@ -189,15 +223,15 @@ def cmd_cv(args) -> int:
 def cmd_train(args) -> int:
     cfg = build_train_config(args)
     bundle = _load_bundle(args)
-    manifest = _start_manifest("train", args, _config_dict(cfg),
+    manifest = _start_manifest("train", args, asdict(cfg),
                                ["model.npz", "epochs.jsonl"], seed=cfg.seed)
     graphs = M.prepare_bundle(bundle, cfg.substructure())
     state, history = training.train(graphs, cfg, bundle.class_count,
                                     bundle.node_label_count)
-    state.meta.update(dataset=bundle.name, config=_config_dict(cfg))
+    state.meta.update(dataset=bundle.name, config=asdict(cfg))
     with open(os.path.join(args.out, "epochs.jsonl"), "w", encoding="utf-8") as fh:
         for m in history:
-            fh.write(json.dumps(m.as_dict()) + "\n")
+            fh.write(json.dumps(asdict(m)) + "\n")
     M.save_model(os.path.join(args.out, "model.npz"), state)
     _finish_manifest(manifest)
     acc = M.accuracy(graphs, state)
@@ -222,7 +256,7 @@ def cmd_sweep_k(args) -> int:
         raise ConfigError("K values must be positive")
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
-    manifest = _start_manifest("sweep-k", args, _config_dict(cfg), ["sweep.csv"],
+    manifest = _start_manifest("sweep-k", args, asdict(cfg), ["sweep.csv"],
                                seed=cfg.seed)
     rows = training.sweep_k(bundle, cfg, k_values, plan, jobs=args.jobs)
     training.write_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
@@ -233,14 +267,9 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    file_values = _load_config_file(getattr(args, "config", None))
-    for name, default in (("d", 2), ("K", 8), ("components", 4), ("scale", 0.5),
-                          ("points", 1024), ("seeds", 10),
-                          ("ks", "2,4,8,16,32,64,128,256"),
-                          ("cdcp_over_umax2", 1.0)):
-        if getattr(args, name) is None:
-            raw = file_values.get(name.lower())
-            setattr(args, name, default if raw is None else _coerce(raw, default))
+    defaults = {name: default for name, (default, _) in COHERENCE_OPTIONS.items()}
+    for name, value in {**defaults, **resolve_options(args, defaults)}.items():
+        setattr(args, name, value)
     if args.analytic_only:
         if args.d < 2:
             raise ConfigError("analytic bound requires dimension >= 2")
@@ -263,13 +292,12 @@ def cmd_coherence(args) -> int:
         raise ConfigError("--points must be at least the largest K")
     if args.seeds < 1 or args.components < 1:
         raise ConfigError("--seeds and --components must be positive")
-    seed0 = 0 if args.seed is None else args.seed
-    seeds = list(range(seed0, seed0 + args.seeds))
+    seeds = list(range(args.seed, args.seed + args.seeds))
     manifest = _start_manifest("coherence", args,
                                {"d": args.d, "ks": k_values, "seeds": seeds,
                                 "components": args.components, "scale": args.scale,
                                 "points": args.points},
-                               ["coherence.csv"], seed=seed0)
+                               ["coherence.csv"], seed=args.seed)
     cells = coh.empirical_coherence_sweep(generator, k_values, seeds)
     with open(os.path.join(args.out, "coherence.csv"), "w", encoding="utf-8") as fh:
         fh.write("K,seed,coherence,distortion,bound\n")
@@ -297,7 +325,6 @@ def cmd_gradcheck(args) -> int:
 
 def _end_to_end_report(step: float, tolerance: float):
     """Gradient-check the per-graph joint loss with respect to every parameter."""
-    from . import embedding as E
     from . import landmarks as L
     from .synthetic import make_bundle
 
@@ -311,19 +338,12 @@ def _end_to_end_report(step: float, tolerance: float):
     state.landmarks.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.5
     data = graphs[0]
     target = L.target_distribution(M.batch_forward([data], state.frozen()).w.value)
-    params = state.parameters()
 
-    def loss_direct(*flat):
-        enc = E.EncoderParams(flat[0], flat[1], flat[2], flat[3],
-                              activation=state.encoder.activation)
-        lm = L.LandmarkSet(flat[4], dof=state.landmarks.dof)
-        clf = M.ClassifierParams(flat[5], flat[6], flat[7], flat[8])
-        st = M.ModelState(encoder=enc, landmarks=lm, classifier=clf,
-                          include_means=state.include_means)
-        total, _ = M.joint_loss([data], st, 0.01, 0.01, [target])
+    def loss_direct(*params):
+        total, _ = M.joint_loss([data], state.with_parameters(params), 0.01, 0.01, [target])
         return total
 
-    inputs = [p.value.copy() for p in params]
+    inputs = [p.value.copy() for p in state.parameters()]
     return grad_check(loss_direct, inputs, step=step, tolerance=tolerance,
                       name="end_to_end_joint_loss", rng=np.random.default_rng(3))
 
@@ -333,12 +353,7 @@ def cmd_inspect(args) -> int:
         raise DatasetError(f"model file not found: {args.model}")
     try:
         state = M.load_model(args.model)
-        cfg_meta = state.meta.get("config", {})
-        sub_cfg = training.TrainConfig(
-            hops=int(cfg_meta.get("hops", 3)),
-            variant=Variant(cfg_meta.get("variant", "node_distribution")),
-            layer_decay=float(cfg_meta.get("layer_decay", 0.5)),
-        ).substructure()
+        sub_cfg = training.TrainConfig(**state.meta.get("config", {})).substructure()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model {args.model}: {exc}") from exc
     bundle = _load_bundle(args)
@@ -378,69 +393,73 @@ def cmd_inspect(args) -> int:
 # parser
 
 
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, except a default of None:
+    a flag that a config file may set defaults to None, and its help names
+    the option's own default instead."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def _add_common(p, dataset=True):
     if dataset:
         p.add_argument("--dataset", required=True, help="TU dataset name")
         p.add_argument("--data-root", default=None,
                        help="dataset root (default: $SLIM_DATA_DIR or ./data)")
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: 0)")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="parallel workers for folds/sweep cells")
 
 
+def _add_options(p, options: dict, choices: dict | None = None):
+    """One flag per option of ``options`` ({name: (default, help)}), typed
+    by its default. The flag itself defaults to None, so resolve_options can
+    tell a given flag from an omitted one."""
+    for name, (default, help_text) in options.items():
+        if isinstance(default, bool):
+            kind = dict(action="store_const", const=True)
+        elif isinstance(default, Enum):
+            kind = dict(choices=[v.value for v in type(default)])
+        elif isinstance(default, (int, float)):
+            kind = dict(type=type(default))
+        else:
+            kind = dict(choices=(choices or {}).get(name))
+        p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                       help=f"{help_text} (default: {getattr(default, 'value', default)})",
+                       **kind)
+
+
 def _add_train_flags(p):
-    p.add_argument("--k", type=int, default=None, help="landmark count (default: 100)")
-    p.add_argument("--hops", type=int, default=None,
-                   help="substructure radius in hops (default: 3)")
-    p.add_argument("--variant", choices=[v.value for v in Variant], default=None,
-                   help="substructure layout (default: node_distribution)")
-    p.add_argument("--latent", type=int, default=None, help="embedding width (default: 32)")
-    p.add_argument("--hidden", default=None,
-                   help="encoder hidden width: int or D, D/2, 2D (default: 2D)")
-    p.add_argument("--optimizer", choices=["sgd", "adagrad"], default=None,
-                   help="optimizer (default: adagrad)")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None,
-                   help="learning rate (default: 0.01)")
-    p.add_argument("--epochs", type=int, default=None, help="epoch budget (default: 300)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help="graphs per mini-batch (default: 32)")
-    p.add_argument("--lambda-embed", dest="lambda_embed", type=float, default=None,
-                   help="co-occurrence loss weight (default: 0.01)")
-    p.add_argument("--lambda-cluster", dest="lambda_cluster", type=float, default=None,
-                   help="clustering loss weight (default: 0.01)")
-    p.add_argument("--semi-supervised", dest="semi_supervised", action="store_const",
-                   const=True, default=None,
-                   help="include unlabeled validation graphs in the unsupervised terms")
-    p.add_argument("--include-means", dest="include_means", action="store_const",
-                   const=True, default=None,
-                   help="append densities and landmark means to the classifier feature")
+    defaults = _train_defaults()
+    _add_options(p, {name: (defaults[name], text) for name, text in TRAIN_FLAGS.items()},
+                 choices={"optimizer": training.OPTIMIZERS})
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slim",
         description="structural landmarking and interaction modelling for graphs",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cv", help="stratified cross-validation",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("--folds", type=int, default=10, help="fold count")
     p.set_defaults(fn=cmd_cv)
 
     p = sub.add_parser("train", help="train on the full dataset and save the model",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     _add_common(p)
     _add_train_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("sweep-k", help="accuracy as a function of landmark count",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("--ks", required=True, help="comma-separated K values")
@@ -448,35 +467,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep_k)
 
     p = sub.add_parser("coherence", help="coherence sweep / analytic bound",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     _add_common(p, dataset=False)
     p.add_argument("--analytic-only", action="store_true",
                    help="evaluate only the analytic bound")
-    p.add_argument("--d", type=int, default=None, help="embedding dimension (default: 2)")
-    p.add_argument("--K", type=int, default=None,
-                   help="landmark count for --analytic-only (default: 8)")
-    p.add_argument("--cdcp-over-umax2", dest="cdcp_over_umax2", type=float, default=None,
-                   help="combined constant C_d*C_p/u_max^2 for --analytic-only (default: 1)")
-    p.add_argument("--ks", default=None,
-                   help="comma-separated K values (default: 2,4,...,256)")
-    p.add_argument("--seeds", type=int, default=None, help="seeds per K (default: 10)")
-    p.add_argument("--components", type=int, default=None,
-                   help="mixture components (default: 4)")
-    p.add_argument("--scale", type=float, default=None,
-                   help="mixture component scale (default: 0.5)")
-    p.add_argument("--points", type=int, default=None, help="points per draw (default: 1024)")
+    _add_options(p, COHERENCE_OPTIONS)
     p.set_defaults(fn=cmd_coherence)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every op",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tolerance", type=float, default=1e-4,
                    help="max relative error allowed")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("inspect", help="dump per-graph W, p, M, C, C_norm as CSV",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_HelpFormatter)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="unused")
     p.add_argument("--model", required=True, help="model .npz written by train")
     p.add_argument("--graph", type=int, default=0, help="graph index")
     p.add_argument("--with-z", dest="with_z", action="store_true",

@@ -26,10 +26,7 @@ class EncoderParams:
     b1: Tensor
     t2: Tensor
     b2: Tensor
-    activation: str = "sigmoid"
-
-    def tensors(self) -> list[Tensor]:
-        return [self.t1, self.b1, self.t2, self.b2]
+    activation: str
 
 
 def scaled_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -39,7 +36,7 @@ def scaled_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def init_encoder(width_in: int, hidden: int, latent: int,
-                 rng: np.random.Generator, activation: str = "sigmoid") -> EncoderParams:
+                 rng: np.random.Generator, activation: str) -> EncoderParams:
     if activation not in ACTIVATIONS:
         raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
     return EncoderParams(

@@ -24,6 +24,11 @@ from .datasets import DatasetBundle, Graph, one_hot_features
 from .substructure import SubstructureConfig, build_substructures
 
 MODEL_FORMAT_VERSION = 2
+# the model's parameters as (ModelState field, parameter field), in the order
+# of ``ModelState.parameters()``; each name is also its key in a model file
+PARAMETERS = (("encoder", "t1"), ("encoder", "b1"), ("encoder", "t2"), ("encoder", "b2"),
+              ("landmarks", "u"), ("classifier", "w_hidden"), ("classifier", "b_hidden"),
+              ("classifier", "w_out"), ("classifier", "b_out"))
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,6 @@ class ClassifierParams:
     w_out: Tensor
     b_out: Tensor
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w_hidden, self.b_hidden, self.w_out, self.b_out]
-
 
 def init_classifier(width_in: int, hidden: int, classes: int,
                     rng: np.random.Generator) -> ClassifierParams:
@@ -84,7 +86,13 @@ class ModelState:
     meta: dict = field(default_factory=dict)
 
     def parameters(self) -> list[Tensor]:
-        return (self.encoder.tensors() + [self.landmarks.u] + self.classifier.tensors())
+        return [getattr(getattr(self, part), name) for part, name in PARAMETERS]
+
+    def with_parameters(self, tensors) -> ModelState:
+        """The same model with ``tensors`` in place of ``parameters()``, in that
+        order; every other field is kept."""
+        return replace(self, **{part: replace(getattr(self, part), **fields)
+                                for part, fields in _grouped(tensors).items()})
 
     def zero_grad(self):
         for p in self.parameters():
@@ -93,15 +101,18 @@ class ModelState:
     def frozen(self) -> ModelState:
         """The same model with constant parameters (sharing their arrays), so
         forward passes through it build no tape."""
-        def const(obj, *names):
-            return replace(obj, **{n: ad.constant(getattr(obj, n).value) for n in names})
+        return self.with_parameters(ad.constant(p.value) for p in self.parameters())
 
-        return replace(
-            self,
-            encoder=const(self.encoder, "t1", "b1", "t2", "b2"),
-            landmarks=const(self.landmarks, "u"),
-            classifier=const(self.classifier, "w_hidden", "b_hidden", "w_out", "b_out"),
-        )
+
+def _grouped(tensors) -> dict[str, dict[str, Tensor]]:
+    """``tensors`` in PARAMETERS order as {ModelState field: {name: tensor}}."""
+    tensors = list(tensors)
+    if len(tensors) != len(PARAMETERS):
+        raise ValueError(f"expected {len(PARAMETERS)} parameters, got {len(tensors)}")
+    parts: dict[str, dict[str, Tensor]] = {}
+    for (part, name), tensor in zip(PARAMETERS, tensors):
+        parts.setdefault(part, {})[name] = tensor
+    return parts
 
 
 def classifier_logits(features: Tensor, params: ClassifierParams,
@@ -268,15 +279,7 @@ def save_model(path: str, state: ModelState):
         path,
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
         feature_center=center,
-        t1=state.encoder.t1.value,
-        b1=state.encoder.b1.value,
-        t2=state.encoder.t2.value,
-        b2=state.encoder.b2.value,
-        u=state.landmarks.u.value,
-        w_hidden=state.classifier.w_hidden.value,
-        b_hidden=state.classifier.b_hidden.value,
-        w_out=state.classifier.w_out.value,
-        b_out=state.classifier.b_out.value,
+        **{name: p.value for (_, name), p in zip(PARAMETERS, state.parameters())},
     )
 
 
@@ -285,25 +288,12 @@ def load_model(path: str) -> ModelState:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {meta.get('format_version')}")
-        enc = embedding.EncoderParams(
-            t1=Tensor(data["t1"], requires_grad=True),
-            b1=Tensor(data["b1"], requires_grad=True),
-            t2=Tensor(data["t2"], requires_grad=True),
-            b2=Tensor(data["b2"], requires_grad=True),
-            activation=meta["activation"],
-        )
-        lm = landmarks.LandmarkSet(Tensor(data["u"], requires_grad=True), dof=meta["dof"])
-        clf = ClassifierParams(
-            w_hidden=Tensor(data["w_hidden"], requires_grad=True),
-            b_hidden=Tensor(data["b_hidden"], requires_grad=True),
-            w_out=Tensor(data["w_out"], requires_grad=True),
-            b_out=Tensor(data["b_out"], requires_grad=True),
-        )
+        parts = _grouped(Tensor(data[name], requires_grad=True) for _, name in PARAMETERS)
         center = data["feature_center"]
     return ModelState(
-        encoder=enc,
-        landmarks=lm,
-        classifier=clf,
+        encoder=embedding.EncoderParams(**parts["encoder"], activation=meta["activation"]),
+        landmarks=landmarks.LandmarkSet(**parts["landmarks"], dof=meta["dof"]),
+        classifier=ClassifierParams(**parts["classifier"]),
         include_means=bool(meta["include_means"]),
         feature_center=None if center.size == 0 else center,
         meta=meta,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .pooling import feature_width
 from .substructure import SubstructureConfig, Variant
 
 DIVERGENCE_LIMIT = 1e6
+OPTIMIZERS = ("sgd", "adagrad")
 
 
 class DivergenceError(RuntimeError):
@@ -39,7 +40,7 @@ class TrainConfig:
     latent: int = 32
     hidden: int | str = "2D"          # "D", "D/2", "2D" resolve against input width
     classifier_hidden: int = 64
-    optimizer: str = "adagrad"        # "sgd" or "adagrad"
+    optimizer: str = "adagrad"        # one of OPTIMIZERS
     learning_rate: float = 1e-2
     epochs: int = 300
     batch_size: int = 32
@@ -52,12 +53,15 @@ class TrainConfig:
     kmeans_restarts: int = 4
 
     def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))
+        if isinstance(self.hidden, str) and self.hidden.isdigit():
+            object.__setattr__(self, "hidden", int(self.hidden))
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
         if self.lambda_embed < 0 or self.lambda_cluster < 0:
             raise ValueError("loss weights must be non-negative")
-        if self.optimizer not in ("sgd", "adagrad"):
-            raise ValueError("optimizer must be 'sgd' or 'adagrad'")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {list(OPTIMIZERS)}")
         if self.k < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("k, epochs and batch_size must be positive")
         if self.activation not in ACTIVATIONS:
@@ -128,16 +132,6 @@ class EpochMetrics:
     loss_embed: float
     loss_cluster: float
     val_accuracy: float | None
-
-    def as_dict(self):
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "loss_ce": self.loss_ce,
-            "loss_embed": self.loss_embed,
-            "loss_cluster": self.loss_cluster,
-            "val_accuracy": self.val_accuracy,
-        }
 
 
 def init_state(cfg: TrainConfig, width_in: int, c: int, classes: int,
@@ -249,15 +243,6 @@ class CVResult:
     selected_epoch: int
     epoch_curve: list[float]
 
-    def as_dict(self):
-        return {
-            "per_fold": self.per_fold,
-            "mean": self.mean,
-            "std": self.std,
-            "selected_epoch": self.selected_epoch,
-            "epoch_curve": self.epoch_curve,
-        }
-
 
 def _run_fold(args):
     graphs, cfg, classes, c, train_idx, val_idx, seed_seq = args
@@ -270,16 +255,23 @@ def _run_fold(args):
         unlabeled_graphs=unlabeled,
         seed_seq=seed_seq,
     )
-    return [m.as_dict() for m in history]
+    return [asdict(m) for m in history]
 
 
 def cross_validate(bundle: DatasetBundle, cfg: TrainConfig, plan: FoldPlan,
                    jobs: int = 1, metrics_path: str | None = None) -> CVResult:
     """Train one model per fold; select the epoch with the best fold-averaged
     validation accuracy and report per-fold accuracies at that epoch."""
+    return _cross_validate_graphs(M.prepare_bundle(bundle, cfg.substructure()), bundle,
+                                  cfg, plan, jobs, metrics_path)
+
+
+def _cross_validate_graphs(graphs: list[M.GraphData], bundle: DatasetBundle,
+                           cfg: TrainConfig, plan: FoldPlan, jobs: int = 1,
+                           metrics_path: str | None = None) -> CVResult:
+    """``cross_validate`` over the bundle's prepared ``graphs``."""
     if cfg.epochs < 1:
         raise ValueError("cross-validation needs at least one epoch")
-    graphs = M.prepare_bundle(bundle, cfg.substructure())
     master = np.random.SeedSequence(cfg.seed)
     fold_seeds = master.spawn(plan.fold_count)
     tasks = []
@@ -322,13 +314,15 @@ class SweepRow:
 
 def sweep_k(bundle: DatasetBundle, cfg: TrainConfig, k_values: list[int],
             plan: FoldPlan, jobs: int = 1) -> list[SweepRow]:
-    """Cross-validate once per K (deduplicated, ascending), same seeds."""
+    """Cross-validate once per K (deduplicated, ascending), same seeds. The
+    substructures do not depend on K, so they are prepared once."""
     uniq = sorted(set(int(k) for k in k_values))
     if len(uniq) < len(k_values):
         warnings.warn("duplicate K values removed from sweep", stacklevel=2)
+    graphs = M.prepare_bundle(bundle, cfg.substructure())
     rows = []
     for k in uniq:
-        result = cross_validate(bundle, replace(cfg, k=k), plan, jobs=jobs)
+        result = _cross_validate_graphs(graphs, bundle, replace(cfg, k=k), plan, jobs)
         rows.append(SweepRow(k=k, mean_acc=result.mean, std_acc=result.std))
     return rows
 

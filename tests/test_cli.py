@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
-from slim.cli import _coerce, main
+from slim.cli import COHERENCE_OPTIONS, _coerce, build_parser, main
 from slim.datasets import save_tu_dataset
 from slim.embedding import encode_values
 from slim.pooling import upper_triangle
@@ -279,7 +281,123 @@ class TestInspect:
         assert code == 3
 
 
+# a non-default value for every TrainConfig field, as a config file spells it
+EVERY_FIELD = {"hops": ("2", 2), "variant": ("weighted_layer_sum", "weighted_layer_sum"),
+               "layer_decay": ("0.25", 0.25), "k": ("3", 3), "latent": ("3", 3),
+               "hidden": ("5", 5), "classifier_hidden": ("6", 6),
+               "optimizer": ("sgd", "sgd"), "learning_rate": ("0.02", 0.02),
+               "epochs": ("1", 1), "batch_size": ("7", 7), "lambda_embed": ("0.02", 0.02),
+               "lambda_cluster": ("0.03", 0.03), "seed": ("9", 9),
+               "semi_supervised": ("yes", True), "include_means": ("on", True),
+               "activation": ("sigmoid", "sigmoid"), "kmeans_restarts": ("2", 2)}
+COMMON_DESTS = {"help", "dataset", "data_root", "out", "config", "jobs"}
+
+
+class TestOptionNames:
+    def test_misspelled_key_is_configuration_error(self, tu_root, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[train]\nepochs = 1\nlerning_rate = 5\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--config", cfg_file, "--out", out] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "lerning_rate" in err and "run.cfg" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_unknown_coherence_key_is_configuration_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "coh.cfg"
+        cfg_file.write_text("[coherence]\nks = 2,8\npoint = 64\n", encoding="utf-8")
+        assert run(["coherence", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "point" in err
+
+    def test_file_without_a_section_is_configuration_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "flat.cfg"
+        cfg_file.write_text("d = 2\n", encoding="utf-8")
+        assert run(["coherence", "--analytic-only", "--config", cfg_file,
+                    "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "flat.cfg" in err and "Traceback" not in err
+
+    def test_coherence_file_values_apply(self, tmp_path):
+        cfg_file = tmp_path / "coh.cfg"
+        cfg_file.write_text("[coherence]\nks = 2,8\nseeds = 1\npoints = 64\nseed = 3\n",
+                            encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["coherence", "--config", cfg_file, "--points", "32", "--out", out]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["ks"] == [2, 8] and config["seeds"] == [3]
+        assert config["points"] == 32   # flag beats file
+
+    def test_every_field_from_a_config_file_reaches_the_manifest(self, tu_root, tmp_path):
+        fields = {f.name: f.default for f in dataclasses.fields(training.TrainConfig)}
+        assert set(EVERY_FIELD) == set(fields)
+        for name, (_, value) in EVERY_FIELD.items():
+            assert value != getattr(fields[name], "value", fields[name]), name
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[train]\n" + "".join(f"{name} = {text}\n" for name, (text, _)
+                                                  in EVERY_FIELD.items()), encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--config", cfg_file, "--out", out]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {name: value for name, (_, value) in EVERY_FIELD.items()}
+        assert M.load_model(str(out / "model.npz")).meta["config"] == config
+
+    @pytest.mark.parametrize("command", ["cv", "train", "sweep-k"])
+    def test_training_flags_are_config_fields(self, command):
+        fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
+        sub = subparser(command)
+        dests = {a.dest for a in sub._actions} - COMMON_DESTS - {"folds", "ks"}
+        assert dests <= fields
+        assert fields - dests == {"layer_decay", "activation", "classifier_hidden",
+                                  "kmeans_restarts"}
+
+
+def subparser(command):
+    choices = next(a for a in build_parser()._actions if a.dest == "command").choices
+    return choices[command]
+
+
+def help_lines(command, capsys, monkeypatch):
+    """{flag: its help text} from ``slim <command> --help``."""
+    monkeypatch.setenv("COLUMNS", "400")
+    with pytest.raises(SystemExit) as err:
+        run([command, "--help"])
+    assert err.value.code == 0
+    text = capsys.readouterr().out
+    assert "default: None" not in text
+    lines = text.splitlines()
+    helps = {}
+    for i, line in enumerate(lines):
+        m = re.match(r"^  (--[\w-]+)(?: \S+)?(?:\s{2,}(.*))?$", line)
+        if m:
+            helps[m.group(1)] = m.group(2) if m.group(2) else lines[i + 1].strip()
+    return helps
+
+
 class TestHelp:
+    @pytest.mark.parametrize("command", ["cv", "train", "sweep-k"])
+    def test_training_defaults_shown_once_from_train_config(self, command, capsys,
+                                                            monkeypatch):
+        helps = help_lines(command, capsys, monkeypatch)
+        defaults = training.TrainConfig()
+        flags = [a for a in subparser(command)._actions if a.dest in EVERY_FIELD]
+        assert flags
+        for action in flags:
+            text = helps[action.option_strings[0]]
+            default = getattr(defaults, action.dest)
+            assert text.count("default:") == 1, text
+            assert f"(default: {getattr(default, 'value', default)})" in text, text
+
+    def test_coherence_defaults_shown_once_from_its_table(self, capsys, monkeypatch):
+        helps = help_lines("coherence", capsys, monkeypatch)
+        for name, (default, _) in COHERENCE_OPTIONS.items():
+            text = helps["--" + name.replace("_", "-")]
+            assert text.count("default:") == 1, text
+            assert f"(default: {default})" in text, text
+
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
             run(["cv", "--help"])

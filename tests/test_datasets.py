@@ -12,6 +12,7 @@ from slim.datasets import (
     ParseError,
     _densify,
     _int_column,
+    _sorted_unique,
     load_tu_dataset,
     make_folds,
     one_hot_features,
@@ -492,6 +493,26 @@ class TestColumnReaderMatchesLineLoop:
         assert [g.class_label for g in bundle.graphs] == [1, 0]
         np.testing.assert_array_equal(np.concatenate([g.node_labels for g in bundle.graphs]),
                                       [0, 2, 0, 1, 2])
+
+
+class TestSortedUnique:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**62, 2**62), max_size=60),
+           st.integers(0, 3))
+    def test_matches_np_unique(self, values, repeat):
+        keys = np.array(values * (repeat + 1), dtype=np.int64)
+        got = _sorted_unique(keys)
+        want = np.unique(keys)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("keys", [np.zeros(0, dtype=np.int64),
+                                      np.full(7, 5, dtype=np.int64),
+                                      np.array([3], dtype=np.int64)])
+    def test_edge_cases(self, keys):
+        got = _sorted_unique(keys)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.unique(keys))
 
 
 class TestDensifyAndBinarity:

@@ -31,6 +31,7 @@ def zero_params(d_in=3, h=4, d_out=2):
         b1=Tensor(np.zeros(h)),
         t2=Tensor(np.zeros((h, d_out))),
         b2=Tensor(np.zeros(d_out)),
+        activation="sigmoid",
     )
 
 
@@ -41,18 +42,18 @@ class TestEncode:
         np.testing.assert_allclose(h, np.full((5, 2), 0.5))
 
     def test_identical_rows_map_identically(self, rng):
-        params = init_encoder(3, 4, 2, rng)
+        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
         z = np.tile(rng.standard_normal(3), (4, 1))
         h = encode_values(z, params)
         assert np.all(h == h[0])
 
     def test_rows_in_unit_interval(self, rng):
-        params = init_encoder(3, 4, 2, rng)
+        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
         h = encode_values(rng.standard_normal((20, 3)) * 5, params)
         assert np.all((h > 0) & (h < 1))
 
     def test_deterministic(self, rng):
-        params = init_encoder(3, 4, 2, rng)
+        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
         z = rng.standard_normal((6, 3))
         assert np.array_equal(encode_values(z, params), encode_values(z, params))
 
@@ -66,7 +67,7 @@ class TestEncode:
         z = rng.standard_normal((4, 3))
 
         def fn(t1, b1, t2, b2):
-            return encode(ad.constant(z), EncoderParams(t1, b1, t2, b2))
+            return encode(ad.constant(z), EncoderParams(t1, b1, t2, b2, activation="sigmoid"))
 
         report = grad_check(
             fn,
@@ -77,7 +78,7 @@ class TestEncode:
         assert report.passed, report.max_relative_error
 
     def test_width_mismatch(self, rng):
-        params = init_encoder(3, 4, 2, rng)
+        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
         with pytest.raises(ValueError):
             encode(ad.constant(np.zeros((2, 5))), params)
 

@@ -143,6 +143,39 @@ class TestPredictPaths:
         assert 0.0 <= acc <= 1.0
 
 
+class TestParameters:
+    def test_with_parameters_inverts_parameters(self, small_setup):
+        _, _, _, state = small_setup
+        state.feature_center = np.arange(3.0)
+        state.meta["dataset"] = "unit-test"
+        state.encoder.activation = "sigmoid"
+        state.landmarks.dof = 2.5
+        state.include_means = True
+        params = state.parameters()
+        again = state.with_parameters(params)
+        assert all(a is b for a, b in zip(again.parameters(), params, strict=True))
+        assert again.feature_center is state.feature_center
+        assert again.meta == {"dataset": "unit-test"}
+        assert again.encoder.activation == "sigmoid"
+        assert again.landmarks.dof == 2.5
+        assert again.include_means is True
+
+    def test_with_parameters_replaces_in_order(self, small_setup):
+        _, _, _, state = small_setup
+        fresh = [Tensor(np.full_like(p.value, i)) for i, p in enumerate(state.parameters())]
+        swapped = state.with_parameters(fresh)
+        assert all(a is b for a, b in zip(swapped.parameters(), fresh, strict=True))
+        assert state.parameters()[0] is not fresh[0]
+        with pytest.raises(ValueError, match="9 parameters"):
+            state.with_parameters(fresh[:-1])
+
+    def test_frozen_shares_arrays_without_grad(self, small_setup):
+        _, _, _, state = small_setup
+        frozen = state.frozen()
+        for a, b in zip(state.parameters(), frozen.parameters(), strict=True):
+            assert b.value is a.value and not b.requires_grad and a.requires_grad
+
+
 class TestSerialization:
     def test_round_trip(self, small_setup, tmp_path):
         _, _, graphs, state = small_setup
@@ -156,6 +189,31 @@ class TestSerialization:
         assert loaded.meta["dataset"] == "unit-test"
         np.testing.assert_array_equal(tape_free_logits(graphs, state),
                                       tape_free_logits(graphs, loaded))
+
+    def test_file_with_the_format_2_keys_loads(self, small_setup, tmp_path):
+        import json
+
+        _, _, graphs, state = small_setup
+        state.feature_center = np.linspace(-1.0, 1.0, state.classifier.w_hidden.shape[0])
+        enc, clf = state.encoder, state.classifier
+        meta = {"format_version": 2, "dof": state.landmarks.dof,
+                "activation": enc.activation, "include_means": False}
+        path = str(tmp_path / "v2.npz")
+        # the key set written by format version 2, spelled out
+        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                 feature_center=state.feature_center,
+                 t1=enc.t1.value, b1=enc.b1.value, t2=enc.t2.value, b2=enc.b2.value,
+                 u=state.landmarks.u.value, w_hidden=clf.w_hidden.value,
+                 b_hidden=clf.b_hidden.value, w_out=clf.w_out.value, b_out=clf.b_out.value)
+        loaded = M.load_model(path)
+        for a, b in zip(state.parameters(), loaded.parameters(), strict=True):
+            np.testing.assert_array_equal(a.value, b.value)
+        np.testing.assert_array_equal(loaded.feature_center, state.feature_center)
+        np.testing.assert_array_equal(tape_free_logits(graphs, state),
+                                      tape_free_logits(graphs, loaded))
+        M.save_model(str(tmp_path / "again.npz"), loaded)
+        with np.load(str(tmp_path / "again.npz")) as again, np.load(path) as first:
+            assert sorted(again.files) == sorted(first.files)
 
     def test_version_check(self, small_setup, tmp_path):
         import json

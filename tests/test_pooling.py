@@ -178,7 +178,7 @@ def _pipeline_features(g, x, encoder, u, include_means=False):
 
 class TestPermutationInvariance:
     def test_pooled_features_invariant(self, rng):
-        encoder = init_encoder(4, 5, 3, rng)
+        encoder = init_encoder(4, 5, 3, rng, activation="sigmoid")
         u = Tensor(rng.standard_normal((4, 3)))
         for _ in range(5):
             g = random_graph(rng, n_types=4)
@@ -201,7 +201,7 @@ class TestDifferentiablePath:
     def test_tape_matches_plain_arrays(self, rng):
         g = random_graph(rng, n_types=3)
         x = one_hot_features(g, 3)
-        encoder = init_encoder(3, 4, 3, rng)
+        encoder = init_encoder(3, 4, 3, rng, activation="sigmoid")
         u = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         feat = _pipeline_features(g, x, encoder, u)
         h = encode_values(x, encoder)

@@ -8,6 +8,7 @@ from slim import model as M
 from slim import training
 from slim.autodiff import Tensor
 from slim.datasets import DatasetBundle, Graph, make_folds
+from slim.substructure import Variant
 from slim.synthetic import make_bundle
 from slim.training import (
     SGD,
@@ -259,6 +260,17 @@ class TestSweep:
         assert lines[0] == "K,mean_acc,std_acc"
         assert len(lines) == 3
 
+    def test_substructures_prepared_once(self, monkeypatch):
+        bundle = make_bundle(n_graphs=16, seed=6)
+        plan = make_folds(bundle, 4, seed=1)
+        calls = []
+        prepare = M.prepare_bundle
+        monkeypatch.setattr(M, "prepare_bundle",
+                            lambda *a, **kw: calls.append(1) or prepare(*a, **kw))
+        rows = sweep_k(bundle, tiny_cfg(epochs=1), [2, 3], plan)
+        assert [r.k for r in rows] == [2, 3]
+        assert len(calls) == 1
+
 
 class TestConfig:
     def test_learning_rate_must_be_non_negative(self):
@@ -280,6 +292,15 @@ class TestConfig:
         assert TrainConfig(hidden=9).resolve_hidden(14) == 9
         with pytest.raises(ValueError):
             TrainConfig(hidden="3D").resolve_hidden(14)
+
+    def test_variant_string_becomes_the_enum(self):
+        assert TrainConfig(variant="layer_wise").variant is Variant.LAYER_WISE
+        with pytest.raises(ValueError):
+            TrainConfig(variant="bogus")
+
+    def test_digit_string_hidden_becomes_an_int(self):
+        assert TrainConfig(hidden="12").hidden == 12
+        assert TrainConfig(hidden="D/2").hidden == "D/2"
 
     def test_k_reduced_when_too_few_rows_warns(self):
         bundle = make_bundle(n_graphs=4, seed=3)
