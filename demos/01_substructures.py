@@ -1,7 +1,8 @@
 """Build per-node substructure descriptors for a toy molecule.
 
 Each node of a graph contributes one substructure instance: the node-type
-counts inside its k-hop ball, read off the exact-j-hop shells. The four
+counts inside its k-hop ball. One recurrence yields the exact-j-hop shells
+and, along the way, the ball they make up with the node itself. The four
 layouts trade off how much of the layer structure is kept.
 """
 import numpy as np
@@ -19,10 +20,11 @@ mol = Graph.from_adjacency(ring, np.array([0, 1, 0, 1, 0, 1, 2, 2]), 0)
 mol.validate()
 x = one_hot_features(mol, 3)
 
-shells = hop_shells(mol.edges, mol.node_count, 2)
+shells, ball = hop_shells(mol.edges, mol.node_count, 2)
 print("directed edge list (CSR order):\n", mol.edges)
-print("\n2-hop ball (self included):\n", (np.eye(mol.node_count) + sum(shells)).astype(int))
+print("\nexactly-1-hop shell:\n", shells[0].astype(int))
 print("\nexactly-2-hops shell:\n", shells[1].astype(int))
+print("\n2-hop ball, self and both shells (what Z reads):\n", ball.astype(int))
 
 for variant in Variant:
     cfg = SubstructureConfig(hops=2, variant=variant)

@@ -278,8 +278,6 @@ def cmd_coherence(args) -> int:
         bound = coh.bound_from_ratio(args.d, args.K, args.cdcp_over_umax2)
         print(f"theorem lower bound (d={args.d}, K={args.K}): {bound:.4f}")
         return EXIT_OK
-    if args.d < 2:
-        raise ConfigError("coherence sweep with bound requires dimension >= 2")
     if args.d != 2:
         raise ConfigError("the built-in generator is 2-dimensional")
     generator = coh.GaussianMixture.default_2d(
@@ -290,8 +288,8 @@ def cmd_coherence(args) -> int:
         raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
     if max(k_values) > args.points:
         raise ConfigError("--points must be at least the largest K")
-    if args.seeds < 1 or args.components < 1:
-        raise ConfigError("--seeds and --components must be positive")
+    if args.seeds < 1 or args.components < 1 or not args.scale > 0:
+        raise ConfigError("--seeds, --components and --scale must be positive")
     seeds = list(range(args.seed, args.seed + args.seeds))
     manifest = _start_manifest("coherence", args,
                                {"d": args.d, "ks": k_values, "seeds": seeds,
@@ -370,7 +368,6 @@ def cmd_inspect(args) -> int:
     manifest = _start_manifest("inspect", args, {"graph": args.graph},
                                [f"graph{args.graph}_{name}.csv"
                                 for name in ("W", "p", "M", "C", "C_norm")])
-    os.makedirs(args.out, exist_ok=True)
 
     def dump(name, array):
         path = os.path.join(args.out, f"graph{args.graph}_{name}.csv")
@@ -402,21 +399,12 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
-def _add_common(p, dataset=True):
-    if dataset:
-        p.add_argument("--dataset", required=True, help="TU dataset name")
-        p.add_argument("--data-root", default=None,
-                       help="dataset root (default: $SLIM_DATA_DIR or ./data)")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel workers for folds/sweep cells")
-
-
 def _add_options(p, options: dict, choices: dict | None = None):
-    """One flag per option of ``options`` ({name: (default, help)}), typed
-    by its default. The flag itself defaults to None, so resolve_options can
-    tell a given flag from an omitted one."""
+    """The flags resolve_options reads: --config, and one flag per option of
+    ``options`` ({name: (default, help)}), typed by its default. The flag
+    itself defaults to None, so resolve_options can tell a given flag from
+    an omitted one."""
+    p.add_argument("--config", default=None, help="key = value config file")
     for name, (default, help_text) in options.items():
         if isinstance(default, bool):
             kind = dict(action="store_const", const=True)
@@ -444,52 +432,53 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=_HelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flag groups; each subcommand takes the groups it reads
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument("--dataset", required=True, help="TU dataset name")
+    dataset.add_argument("--data-root", default=None,
+                         help="dataset root (default: $SLIM_DATA_DIR or ./data)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output directory")
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                      help="parallel workers for folds/sweep cells")
+    train_options = argparse.ArgumentParser(add_help=False)
+    _add_train_flags(train_options)
 
-    p = sub.add_parser("cv", help="stratified cross-validation",
-                       formatter_class=_HelpFormatter)
-    _add_common(p)
-    _add_train_flags(p)
+    def command(name, help_text, fn, *parents):
+        p = sub.add_parser(name, help=help_text, parents=parents,
+                           formatter_class=_HelpFormatter)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = command("cv", "stratified cross-validation", cmd_cv,
+                dataset, out, jobs, train_options)
     p.add_argument("--folds", type=int, default=10, help="fold count")
-    p.set_defaults(fn=cmd_cv)
 
-    p = sub.add_parser("train", help="train on the full dataset and save the model",
-                       formatter_class=_HelpFormatter)
-    _add_common(p)
-    _add_train_flags(p)
-    p.set_defaults(fn=cmd_train)
+    command("train", "train on the full dataset and save the model", cmd_train,
+            dataset, out, train_options)
 
-    p = sub.add_parser("sweep-k", help="accuracy as a function of landmark count",
-                       formatter_class=_HelpFormatter)
-    _add_common(p)
-    _add_train_flags(p)
+    p = command("sweep-k", "accuracy as a function of landmark count", cmd_sweep_k,
+                dataset, out, jobs, train_options)
     p.add_argument("--ks", required=True, help="comma-separated K values")
     p.add_argument("--folds", type=int, default=10, help="fold count")
-    p.set_defaults(fn=cmd_sweep_k)
 
-    p = sub.add_parser("coherence", help="coherence sweep / analytic bound",
-                       formatter_class=_HelpFormatter)
-    _add_common(p, dataset=False)
+    p = command("coherence", "coherence sweep / analytic bound", cmd_coherence, out)
     p.add_argument("--analytic-only", action="store_true",
                    help="evaluate only the analytic bound")
     _add_options(p, COHERENCE_OPTIONS)
-    p.set_defaults(fn=cmd_coherence)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every op",
-                       formatter_class=_HelpFormatter)
+    p = command("gradcheck", "finite-difference check of every op", cmd_gradcheck)
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tolerance", type=float, default=1e-4,
                    help="max relative error allowed")
-    p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("inspect", help="dump per-graph W, p, M, C, C_norm as CSV",
-                       formatter_class=_HelpFormatter)
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="unused")
+    p = command("inspect", "dump per-graph W, p, M, C, C_norm as CSV", cmd_inspect,
+                dataset, out)
     p.add_argument("--model", required=True, help="model .npz written by train")
     p.add_argument("--graph", type=int, default=0, help="graph index")
     p.add_argument("--with-z", dest="with_z", action="store_true",
                    help="also dump the substructure matrix Z")
-    p.set_defaults(fn=cmd_inspect)
     return parser
 
 
@@ -499,8 +488,6 @@ def main(argv=None) -> int:
     if getattr(args, "out", None) is None and hasattr(args, "out"):
         dataset = getattr(args, "dataset", None) or "run"
         args.out = os.path.join("slim_runs", f"{args.command}_{dataset}")
-    if hasattr(args, "out") and args.out:
-        os.makedirs(args.out, exist_ok=True)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -101,7 +101,6 @@ class DatasetBundle:
 class FoldPlan:
     fold_count: int
     assignments: np.ndarray  # graph index -> fold index
-    seed: int
 
     def fold_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -337,4 +336,4 @@ def make_folds(bundle: DatasetBundle, fold_count: int = 10, seed: int = 0) -> Fo
         for idx in members:
             assignments[idx] = cursor
             cursor = (cursor + 1) % fold_count
-    return FoldPlan(fold_count=fold_count, assignments=assignments, seed=seed)
+    return FoldPlan(fold_count=fold_count, assignments=assignments)

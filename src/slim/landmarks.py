@@ -26,10 +26,6 @@ class LandmarkSet:
         if self.dof <= 0:
             raise ValueError("dof must be positive")
 
-    @property
-    def count(self) -> int:
-        return self.u.value.shape[0]
-
 
 def assign(h: Tensor, landmarks: LandmarkSet) -> Tensor:
     """Row-stochastic soft assignment of embeddings to landmarks.

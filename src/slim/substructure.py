@@ -93,10 +93,12 @@ def _walked_frontier(shell: np.ndarray, deg: np.ndarray,
     return frontier.reshape(n, n)
 
 
-def hop_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray]:
+def hop_shells(edges: np.ndarray, n: int,
+               hops: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Boolean shells S_1..S_hops of the n-node graph with the directed edge
-    list ``edges`` (``Graph.edges``, in CSR order): S_j[p, q] iff the hop
-    distance p -> q is j.
+    list ``edges`` (``Graph.edges``, in CSR order), S_j[p, q] iff the hop
+    distance p -> q is j, and the boolean ball I + S_1 + ... + S_hops of
+    distances at most ``hops`` that the recurrence builds along the way.
 
     S_1 is scattered from the edges. Each later frontier S_{j-1} A is walked
     along the edge list on graphs of more than DENSE_SHELL_NODES nodes while
@@ -128,15 +130,7 @@ def hop_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray]:
         shell = frontier & ~reach
         reach |= shell
         shells.append(shell)
-    return shells
-
-
-def _ball(shells: list[np.ndarray], n: int) -> np.ndarray:
-    """The 0/1 matrix I + S_1 + ... + S_k of distances at most k."""
-    ball = np.eye(n, dtype=bool)
-    for shell in shells:
-        ball |= shell
-    return ball.astype(np.float64)
+    return shells, reach
 
 
 def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) -> np.ndarray:
@@ -146,20 +140,22 @@ def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) ->
     center_emphasis       [X ; A(k) X]                width 2c
     layer_wise            [S1 X ; ... ; Sk X]         width k*c
     weighted_layer_sum    X + sum_j decay^j Sj X      width c
-    where Sj is the exact-j-hop shell and A(k) = I + S1 + ... + Sk.
+    where Sj is the exact-j-hop shell and A(k) = I + S1 + ... + Sk, the
+    ball of ``hop_shells``. Both are boolean; matmul casts them to x's
+    dtype.
     """
     n = graph.node_count
     if x.shape[0] != n:
         raise ValueError("feature matrix and graph disagree on node count")
-    shells = hop_shells(graph.edges, n, cfg.hops)
+    shells, ball = hop_shells(graph.edges, n, cfg.hops)
     if cfg.variant is Variant.LAYER_WISE:
-        return np.hstack([s.astype(np.float64) @ x for s in shells])
+        return np.hstack([s @ x for s in shells])
     if cfg.variant is Variant.WEIGHTED_LAYER_SUM:
         z = x.copy()
         for j, s in enumerate(shells, 1):
-            z += cfg.layer_decay**j * (s.astype(np.float64) @ x)
+            z += cfg.layer_decay**j * (s @ x)
         return z
-    reach_x = _ball(shells, n) @ x
+    reach_x = ball @ x
     if cfg.variant is Variant.CENTER_EMPHASIS:
         return np.hstack([x, reach_x])
     return reach_x

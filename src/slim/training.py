@@ -9,6 +9,7 @@ folds, is highest.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -56,14 +57,16 @@ class TrainConfig:
         object.__setattr__(self, "variant", Variant(self.variant))
         if isinstance(self.hidden, str) and self.hidden.isdigit():
             object.__setattr__(self, "hidden", int(self.hidden))
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
-        if self.lambda_embed < 0 or self.lambda_cluster < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("learning_rate", "lambda_embed", "lambda_cluster"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {list(OPTIMIZERS)}")
         if self.k < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("k, epochs and batch_size must be positive")
+        for name in ("latent", "hidden", "classifier_hidden", "kmeans_restarts"):
+            if isinstance(getattr(self, name), int) and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
         self.resolve_hidden(1)  # rejects an unknown width name

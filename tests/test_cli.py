@@ -1,11 +1,14 @@
+import argparse
 import dataclasses
 import json
 import os
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from slim import cli
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
@@ -62,6 +65,13 @@ class TestCv:
         code = run(["cv", "--dataset", "SYN", "--data-root", tu_root,
                     "--folds", "1", "--out", tmp_path / "o"] + FAST)
         assert code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_epochs_is_config_error_and_leaves_no_directory(self, tu_root, tmp_path):
+        code = run(["cv", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "o"] + FAST + ["--epochs", "0"])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_bad_optimizer_rejected_by_parser(self, tu_root, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -123,14 +133,19 @@ class TestErrorMapping:
 
     @pytest.mark.parametrize("line", ["variant = bogus", "hidden = 3D", "activation = relu",
                                       "k = many", "hops = 11", "layer_decay = 2",
-                                      "semi_supervised = ture"])
+                                      "semi_supervised = ture", "latent = 0", "hidden = 0",
+                                      "classifier_hidden = 0", "kmeans_restarts = 0",
+                                      "learning_rate = nan", "lambda_embed = inf",
+                                      "lambda_cluster = -inf"])
     def test_bad_config_value_is_configuration_error(self, tu_root, tmp_path, capsys, line):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"[train]\n{line}\n", encoding="utf-8")
         code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
                     "--config", cfg_file, "--out", tmp_path / "o"])
         assert code == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spelling, value", [("1", True), ("true", True), (" Yes ", True),
                                                  ("ON", True), ("0", False), ("false", False),
@@ -144,14 +159,18 @@ class TestErrorMapping:
                     "--variant", "layer_wise", "--hops", "0", "--out", out] + FAST)
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--analytic-only", "--K", "1"], ["--ks", "4"],
                                       ["--ks", "2,8", "--points", "4"],
-                                      ["--ks", "2,8", "--seeds", "0"]])
+                                      ["--ks", "2,8", "--seeds", "0"],
+                                      ["--ks", "2,8", "--scale", "-1"],
+                                      ["--ks", "2,8", "--scale", "0"]])
     def test_bad_coherence_arguments_are_configuration_errors(self, tmp_path, capsys, argv):
         assert run(["coherence", "--out", tmp_path / "o"] + argv) == 2
-        assert "configuration error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error")
+        assert not (tmp_path / "o").exists()
 
 
 class TestSweepK:
@@ -176,6 +195,7 @@ class TestCoherence:
                     "--cdcp-over-umax2", "1", "--out", tmp_path / "o"])
         assert code == 0
         assert "-1.1213" in capsys.readouterr().out
+        assert not (tmp_path / "o").exists()   # nothing written, no directory
 
     def test_analytic_requires_d2(self, tmp_path):
         code = run(["coherence", "--analytic-only", "--d", "1",
@@ -406,3 +426,73 @@ class TestHelp:
         for flag in ("--k", "--hops", "--seed", "--folds", "--optimizer"):
             assert flag in text
         assert "default" in text
+
+
+def recording_namespace(reads: set):
+    """An argparse namespace that adds the name of every attribute read
+    from it to ``reads``."""
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recorder()
+
+
+class TestEveryFlagIsRead:
+    @pytest.mark.parametrize("command, flag", [("inspect", "--seed"), ("inspect", "--config"),
+                                               ("inspect", "--jobs"), ("train", "--jobs"),
+                                               ("coherence", "--jobs")])
+    def test_removed_flags_are_rejected(self, command, flag, tmp_path, capsys):
+        argv = {"inspect": ["inspect", "--dataset", "SYN", "--model", "m.npz"],
+                "train": ["train", "--dataset", "SYN"],
+                "coherence": ["coherence", "--analytic-only"]}[command]
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--out", tmp_path / "o", flag, "5"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["cv", "train", "sweep-k", "coherence",
+                                         "gradcheck", "inspect"])
+    def test_every_accepted_flag_is_read(self, command, tu_root, tmp_path, monkeypatch):
+        model_dir = tmp_path / "m"
+        if command == "inspect":
+            assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                        "--out", model_dir] + FAST) == 0
+        cfg_file = tmp_path / "empty.cfg"
+        cfg_file.write_text("[run]\n", encoding="utf-8")
+        # a value for every flag of every subcommand; None marks a switch
+        values = {"dataset": "SYN", "data_root": tu_root, "out": tmp_path / "o",
+                  "config": cfg_file, "jobs": "1", "folds": "2", "ks": "2,4", "seed": "3",
+                  "k": "2", "hops": "2", "variant": "center_emphasis", "latent": "2",
+                  "hidden": "3", "optimizer": "sgd", "learning_rate": "0.05",
+                  "epochs": "1", "batch_size": "8", "lambda_embed": "0.02",
+                  "lambda_cluster": "0.02", "semi_supervised": None,
+                  "include_means": None, "analytic_only": None, "d": "2", "K": "4",
+                  "cdcp_over_umax2": "1", "seeds": "1", "components": "2",
+                  "scale": "0.5", "points": "16", "step": "1e-5", "tolerance": "1e-4",
+                  "model": model_dir / "model.npz", "graph": "1", "with_z": None}
+        dests = {a.dest for a in subparser(command)._actions
+                 if a.option_strings and a.dest != "help"}
+        assert dests <= set(values), f"no test value for {sorted(dests - set(values))}"
+        # the op checks are slow and read no flag themselves
+        monkeypatch.setattr(cli, "check_registered_ops", lambda step, tolerance: [])
+        monkeypatch.setattr(cli, "_end_to_end_report", lambda step, tolerance:
+                            SimpleNamespace(passed=True, as_dict=dict))
+        read = set()
+        # coherence --analytic-only writes nothing, so --out is read by the sweep
+        for given in [dests] + ([dests - {"analytic_only"}] if command == "coherence" else []):
+            argv = [command]
+            for action in subparser(command)._actions:
+                if action.dest in given:
+                    argv.append(action.option_strings[0])
+                    argv += [] if values[action.dest] is None else [str(values[action.dest])]
+            reads = set()
+            args = build_parser().parse_args(argv, namespace=recording_namespace(reads))
+            reads.clear()   # parsing itself reads every dest
+            assert args.fn(args) == 0
+            read |= reads
+        unread = dests - read
+        assert not unread, f"slim {command} accepts but never reads {sorted(unread)}"

@@ -24,18 +24,29 @@ K3 = np.ones((3, 3)) - np.eye(3)
 
 
 def shells_of(a, hops):
-    """``hop_shells`` of the graph with the dense 0/1 adjacency ``a``."""
+    """``hop_shells`` of the graph with the dense 0/1 adjacency ``a``:
+    (shells, ball)."""
     return hop_shells(directed_edges(a), a.shape[0], hops)
 
 
 def khop_ball(a, k):
-    """I + S_1 + ... + S_k from ``hop_shells``: 1 iff the hop distance is <= k."""
-    return np.eye(a.shape[0]) + sum(s.astype(float) for s in shells_of(a, k))
+    """The ball of ``hop_shells`` as 0/1 floats: 1 iff the hop distance is <= k."""
+    return shells_of(a, k)[1].astype(float)
 
 
 def exact_shell(a, j):
     """S_j from ``hop_shells``: 1 iff the hop distance is exactly j >= 1."""
-    return shells_of(a, j)[-1].astype(float)
+    return shells_of(a, j)[0][-1].astype(float)
+
+
+def assert_ball_is_the_union_of_shells(a, hops, dist):
+    """The boolean ball of ``hop_shells`` is I + S_1 + ... + S_hops, the
+    shells disjoint, and holds exactly the BFS distances ``dist`` <= hops."""
+    shells, ball = shells_of(a, hops)
+    assert ball.dtype == bool
+    np.testing.assert_array_equal(
+        ball.astype(float), np.eye(a.shape[0]) + sum(s.astype(float) for s in shells))
+    np.testing.assert_array_equal(ball, (dist >= 0) & (dist <= hops))
 
 
 def reachability_oracle(a, k):
@@ -293,8 +304,7 @@ def _graph(n, edges, types):
 def test_every_layout_equals_the_bfs_oracle(g, hops, decay):
     assert_matches_oracle(g, TYPES, hops, decay)
     dist = old_all_distances(adjacency_of(g), max(hops, 1))
-    np.testing.assert_array_equal(khop_ball(adjacency_of(g), hops),
-                                  ((dist >= 0) & (dist <= hops)).astype(float))
+    assert_ball_is_the_union_of_shells(adjacency_of(g), hops, dist)
     if hops >= 1:
         np.testing.assert_array_equal(exact_shell(adjacency_of(g), hops),
                                       (dist == hops).astype(float))
@@ -347,8 +357,8 @@ def spider(legs, length):
 
 def assert_shells_match_the_oracles(a, types, hops, decay=0.5):
     """Every layout against the BFS oracle, the ball of ``hop_shells``
-    against the boolean-power oracle and its last shell against the BFS
-    distances, all bit-exact."""
+    against the boolean-power oracle, its shells and the BFS distances, and
+    its last shell against the BFS distances, all bit-exact."""
     g = Graph.from_adjacency(a, types, 0)
     x = one_hot_features(g, TYPES)
     dist = old_all_distances(a, max(hops, 1))
@@ -357,6 +367,7 @@ def assert_shells_match_the_oracles(a, types, hops, decay=0.5):
         np.testing.assert_array_equal(build_substructures(g, x, cfg),
                                       old_build_substructures(a, x, cfg, dist))
     np.testing.assert_array_equal(khop_ball(a, hops), reachability_oracle(a, hops))
+    assert_ball_is_the_union_of_shells(a, hops, dist)
     np.testing.assert_array_equal(exact_shell(a, hops), (dist == hops).astype(float))
 
 
@@ -424,7 +435,7 @@ def test_walked_shells_on_edge_cases(name, monkeypatch):
     a, hops, walked = WALK_CASES[name]
     types = np.arange(a.shape[0]) % TYPES
     taken = walk_record(monkeypatch)
-    np.testing.assert_array_equal(shells_of(a, hops), dense_hop_shells(a, hops))
+    np.testing.assert_array_equal(shells_of(a, hops)[0], dense_hop_shells(a, hops))
     assert taken == walked
     assert_shells_match_the_oracles(a, types, hops)
 
@@ -443,7 +454,7 @@ def test_a_refused_hop_never_lists_the_shells_pairs(name, monkeypatch):
         return flatnonzero(array)
 
     monkeypatch.setattr(substructure.np, "flatnonzero", spy)
-    shells = hop_shells(edges, a.shape[0], hops)
+    shells, _ = hop_shells(edges, a.shape[0], hops)
     monkeypatch.undo()
     assert len(listed) == walked.count(True)
     np.testing.assert_array_equal(shells, dense_hop_shells(a, hops))
