@@ -1,8 +1,11 @@
 """Minimal reverse-mode differentiation over dense numpy arrays.
 
-Only the operations the pipeline needs are provided. Every op is registered
-in ``OP_REGISTRY`` together with a random-input builder so the whole set can
-be validated against central finite differences (``grad_check``).
+Only the operations the pipeline differentiates are provided: the affine
+layer ``dense``, the joint loss ``weighted_sum``, two activations and the
+cross-entropy; the fused ops of the other layers build their nodes with
+``_make``. Every op is registered in ``OP_REGISTRY`` together with a
+random-input builder so the whole set can be validated against central
+finite differences (``grad_check``).
 
 Conventions:
   * values and gradients are float64 ndarrays,
@@ -13,7 +16,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,19 +104,6 @@ def _make(value, parents, backward) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def _check_finite(name: str, *arrays):
     for a in arrays:
         if not np.all(np.isfinite(a)):
@@ -121,47 +111,39 @@ def _check_finite(name: str, *arrays):
 
 
 # ---------------------------------------------------------------------------
-# structural ops
+# layers and activations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[-1] != b.value.shape[0]:
-        raise ValueError(f"matmul: inner dimensions {a.value.shape} x {b.value.shape}")
-    va, vb = a.value, b.value
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ vb.T)
-        if b.requires_grad:
-            b._accumulate(va.T @ g)
-
-    return _make(va @ vb, (a, b), backward)
-
-
-# ---------------------------------------------------------------------------
-# elementwise ops
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.value.shape))
-
-    return _make(a.value + b.value, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    va, vb = a.value, b.value
+def dense(x: Tensor, w: Tensor, b: Tensor, shift: np.ndarray | None = None) -> Tensor:
+    """The affine layer (x - shift) w + b as one node; ``shift`` is a constant
+    row subtracted from every row of x (x - c is bitwise x + (-c))."""
+    vx = x.value if shift is None else x.value - shift
+    vw = w.value
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * vb, va.shape))
+        if x.requires_grad:
+            x._accumulate(g @ vw.T)
+        if w.requires_grad:
+            w._accumulate(vx.T @ g)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * va, vb.shape))
+            b._accumulate(g.sum(axis=0))
 
-    return _make(va * vb, (a, b), backward)
+    return _make(vx @ vw + b.value, (x, w, b), backward)
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """The scalar sum of ``weights[i] * terms[i]``, added left to right, as one
+    node; a weight of 1.0 is exact."""
+    total = terms[0].value * weights[0]
+    for t, weight in zip(terms[1:], weights[1:]):
+        total = total + t.value * weight
+
+    def backward(g):
+        for t, weight in zip(terms, weights):
+            if t.requires_grad:
+                t._accumulate(g * weight)
+
+    return _make(total, terms, backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -209,24 +191,6 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         logits._accumulate(g * d / n)
 
     return _make(v, (logits,), backward)
-
-
-def kl_div(p: Tensor, q: Tensor) -> Tensor:
-    """KL(p || q) summed over all rows, with 0*log(0) := 0."""
-    _check_finite("kl_div", p.value, q.value)
-    vp, vq = p.value, q.value
-    if np.any(vq <= 0) or np.any(vp < 0):
-        raise NumericError("kl_div: requires q > 0 and p >= 0")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(vp > 0, vp * (np.log(vp) - np.log(vq)), 0.0)
-
-    def backward(g):
-        if p.requires_grad:
-            p._accumulate(g * np.where(vp > 0, np.log(vp) - np.log(vq) + 1.0, 0.0))
-        if q.requires_grad:
-            q._accumulate(-g * vp / vq)
-
-    return _make(terms.sum(), (p, q), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +259,18 @@ def grad_check(fn: Callable[..., Tensor], inputs, step: float = 1e-5,
 def _builders():
     """Random-input builders for every registered differentiable op."""
 
-    def two(rng):
-        return rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    def layer(rng):
+        return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]
+
+    def shifted(rng):
+        shift = rng.standard_normal(4)
+        return (lambda x, w, b: dense(x, w, b, shift), layer(rng))
 
     reg = {}
-    reg["matmul"] = lambda rng: (lambda a, b: matmul(a, b), two(rng))
-    reg["add"] = lambda rng: (add, [rng.standard_normal((3, 4)), rng.standard_normal(4)])
-    reg["mul"] = lambda rng: (mul, [rng.standard_normal((3, 4)), rng.standard_normal((3, 1))])
+    reg["dense"] = lambda rng: (dense, layer(rng))
+    reg["dense_shifted"] = shifted
+    reg["weighted_sum"] = lambda rng: (lambda *terms: weighted_sum(terms, [1.0, 0.3, 2.5]),
+                                       list(rng.standard_normal(3)))
     reg["sigmoid"] = lambda rng: (sigmoid, [rng.standard_normal((3, 4))])
     reg["tanh"] = lambda rng: (tanh, [rng.standard_normal((3, 4))])
 
@@ -312,12 +281,6 @@ def _builders():
 
     reg["cross_entropy"] = ce
 
-    def kl(rng):
-        p = rng.uniform(0.1, 1.0, (4, 3))
-        q = rng.uniform(0.1, 1.0, (4, 3))
-        return (kl_div, [p / p.sum(axis=1, keepdims=True), q / q.sum(axis=1, keepdims=True)])
-
-    reg["kl_div"] = kl
     return reg
 
 

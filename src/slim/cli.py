@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-Subcommands: cv, train, sweep-k, coherence, gradcheck, inspect.
+Subcommands: cv, train, sweep-k, coherence, coherence-bound, gradcheck, inspect.
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error.
 Dataset root resolution: --data-root flag, then $SLIM_DATA_DIR, then ./data.
 Config files are plain "key = value" text with [section] headers; explicit
 command-line flags win over the file, the file wins over built-in defaults.
 The training keys are the field names of ``training.TrainConfig``, the
-coherence keys those of ``COHERENCE_OPTIONS``; any other key is a
-configuration error.
+coherence keys those of ``COHERENCE_OPTIONS`` and ``BOUND_OPTIONS``; any
+other key is a configuration error.
 """
 from __future__ import annotations
 
@@ -52,17 +52,19 @@ TRAIN_FLAGS = {
     "semi_supervised": "include unlabeled validation graphs in the unsupervised terms",
     "include_means": "append densities and landmark means to the classifier feature",
 }
-# coherence options: name -> (default, help); each has a flag and a config key
+# coherence sweep and bound options: name -> (default, help); each is a flag and a key
 COHERENCE_OPTIONS = {
     "seed": (0, "first seed of the sweep"),
-    "d": (2, "embedding dimension"),
-    "K": (8, "landmark count for --analytic-only"),
-    "cdcp_over_umax2": (1.0, "combined constant C_d*C_p/u_max^2 for --analytic-only"),
     "ks": ("2,4,8,16,32,64,128,256", "comma-separated K values"),
     "seeds": (10, "seeds per K"),
     "components": (4, "mixture components"),
     "scale": (0.5, "mixture component scale"),
     "points": (1024, "points per draw"),
+}
+BOUND_OPTIONS = {
+    "d": (2, "embedding dimension"),
+    "K": (8, "landmark count"),
+    "cdcp_over_umax2": (1.0, "combined constant C_d*C_p/u_max^2"),
 }
 # config-file spellings of a boolean; any other value is a configuration error
 BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -124,10 +126,11 @@ def data_root(args) -> str:
     return os.environ.get("SLIM_DATA_DIR", "data")
 
 
-def resolve_options(args, defaults: dict) -> dict:
+def resolve_options(args, defaults: dict, check=None) -> dict:
     """The options of ``defaults`` set by an explicit flag or, failing that,
     by the ``--config`` file (all sections), coerced to the type of their
-    default. Keys match case-insensitively; any other key is an error."""
+    default. Keys match case-insensitively; any other key is an error. A file
+    value's ValueError, from coercion or ``check(name, value)``, names both."""
     path = getattr(args, "config", None)
     file_values = {}
     if path:
@@ -151,7 +154,9 @@ def resolve_options(args, defaults: dict) -> dict:
         elif name.lower() in file_values:
             try:
                 given[name] = _coerce(file_values[name.lower()], default)
-            except ConfigError as exc:
+                if check is not None:
+                    check(name, given[name])
+            except ValueError as exc:
                 raise ConfigError(f"{path}: {name}: {exc}") from exc
     return given
 
@@ -172,14 +177,24 @@ def _coerce(value: str, like):
     return value
 
 
+def table_options(args, table: dict) -> argparse.Namespace:
+    """The options of ``table`` ({name: (default, help)}): flags over
+    config-file values over the table's defaults."""
+    defaults = {name: default for name, (default, _) in table.items()}
+    return argparse.Namespace(**{**defaults, **resolve_options(args, defaults)})
+
+
 def _train_defaults() -> dict:
     return {f.name: f.default for f in fields(training.TrainConfig)}
 
 
 def build_train_config(args) -> training.TrainConfig:
-    """Merge CLI flags over config-file values over TrainConfig defaults."""
+    """Merge CLI flags over config-file values over TrainConfig defaults. Each
+    file value is checked alone first, the merge then across fields."""
     try:
-        return training.TrainConfig(**resolve_options(args, _train_defaults()))
+        return training.TrainConfig(**resolve_options(
+            args, _train_defaults(),
+            check=lambda name, value: training.TrainConfig(**{name: value})))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -267,35 +282,22 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    defaults = {name: default for name, (default, _) in COHERENCE_OPTIONS.items()}
-    for name, value in {**defaults, **resolve_options(args, defaults)}.items():
-        setattr(args, name, value)
-    if args.analytic_only:
-        if args.d < 2:
-            raise ConfigError("analytic bound requires dimension >= 2")
-        if args.K < 2:
-            raise ConfigError("analytic bound requires K >= 2")
-        bound = coh.bound_from_ratio(args.d, args.K, args.cdcp_over_umax2)
-        print(f"theorem lower bound (d={args.d}, K={args.K}): {bound:.4f}")
-        return EXIT_OK
-    if args.d != 2:
-        raise ConfigError("the built-in generator is 2-dimensional")
-    generator = coh.GaussianMixture.default_2d(
-        components=args.components, scale=args.scale, points=args.points
-    )
-    k_values = _parse_int_list(args.ks)
+    opts = table_options(args, COHERENCE_OPTIONS)
+    k_values = _parse_int_list(opts.ks)
     if min(k_values) < 1 or len({k for k in k_values if k >= 2}) < 2:
         raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
-    if max(k_values) > args.points:
+    if max(k_values) > opts.points:
         raise ConfigError("--points must be at least the largest K")
-    if args.seeds < 1 or args.components < 1 or not args.scale > 0:
+    if opts.seeds < 1 or opts.components < 1 or not opts.scale > 0:
         raise ConfigError("--seeds, --components and --scale must be positive")
-    seeds = list(range(args.seed, args.seed + args.seeds))
+    generator = coh.GaussianMixture.default_2d(components=opts.components, scale=opts.scale,
+                                               points=opts.points)
+    seeds = list(range(opts.seed, opts.seed + opts.seeds))
     manifest = _start_manifest("coherence", args,
-                               {"d": args.d, "ks": k_values, "seeds": seeds,
-                                "components": args.components, "scale": args.scale,
-                                "points": args.points},
-                               ["coherence.csv"], seed=args.seed)
+                               {"d": generator.d, "ks": k_values, "seeds": seeds,
+                                "components": opts.components, "scale": opts.scale,
+                                "points": opts.points},
+                               ["coherence.csv"], seed=opts.seed)
     cells = coh.empirical_coherence_sweep(generator, k_values, seeds)
     with open(os.path.join(args.out, "coherence.csv"), "w", encoding="utf-8") as fh:
         fh.write("K,seed,coherence,distortion,bound\n")
@@ -307,6 +309,16 @@ def cmd_coherence(args) -> int:
                        [row["mean_coherence"] for row in defined])
     _finish_manifest(manifest)
     print(f"spearman(K, mean coherence) = {rho:.4f}")
+    return EXIT_OK
+
+
+def cmd_coherence_bound(args) -> int:
+    opts = table_options(args, BOUND_OPTIONS)
+    try:
+        bound = coh.bound_from_ratio(opts.d, opts.K, opts.cdcp_over_umax2)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    print(f"theorem lower bound (d={opts.d}, K={opts.K}): {bound:.4f}")
     return EXIT_OK
 
 
@@ -352,6 +364,8 @@ def cmd_inspect(args) -> int:
     try:
         state = M.load_model(args.model)
         sub_cfg = training.TrainConfig(**state.meta.get("config", {})).substructure()
+    except KeyError as exc:
+        raise ConfigError(f"model {args.model}: missing entry {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model {args.model}: {exc}") from exc
     bundle = _load_bundle(args)
@@ -390,6 +404,14 @@ def cmd_inspect(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one stderr line, like every other
+    configuration error, and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
     """Appends each flag's default to its help, except a default of None:
     a flag that a config file may set defaults to None, and its help names
@@ -426,7 +448,7 @@ def _add_train_flags(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slim",
         description="structural landmarking and interaction modelling for graphs",
         formatter_class=_HelpFormatter,
@@ -463,10 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", required=True, help="comma-separated K values")
     p.add_argument("--folds", type=int, default=10, help="fold count")
 
-    p = command("coherence", "coherence sweep / analytic bound", cmd_coherence, out)
-    p.add_argument("--analytic-only", action="store_true",
-                   help="evaluate only the analytic bound")
+    p = command("coherence", "coherence of k-means landmarks on a Gaussian mixture",
+                cmd_coherence, out)
     _add_options(p, COHERENCE_OPTIONS)
+
+    p = command("coherence-bound", "analytic lower bound on squared coherence",
+                cmd_coherence_bound)
+    _add_options(p, BOUND_OPTIONS)
 
     p = command("gradcheck", "finite-difference check of every op", cmd_gradcheck)
     p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")

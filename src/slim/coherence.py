@@ -94,6 +94,8 @@ def bound_from_ratio(d: int, k: int, ratio: float) -> float:
     (vacuous) for small K; returned as-is. NaN if the floor term vanishes,
     which cannot happen for K >= 2.
     """
+    if d < 2:
+        raise ValueError("bound requires dimension >= 2")
     if k < 2:
         raise ValueError("bound requires K >= 2")
     shells = math.floor((k / 2.0) ** (1.0 / d))

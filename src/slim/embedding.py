@@ -28,6 +28,10 @@ class EncoderParams:
     b2: Tensor
     activation: str
 
+    def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
+
 
 def scaled_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; fan_in is the first axis."""
@@ -37,8 +41,6 @@ def scaled_uniform(rng: np.random.Generator, shape) -> np.ndarray:
 
 def init_encoder(width_in: int, hidden: int, latent: int,
                  rng: np.random.Generator, activation: str) -> EncoderParams:
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
     return EncoderParams(
         t1=Tensor(scaled_uniform(rng, (width_in, hidden)), requires_grad=True),
         b1=Tensor(np.zeros(hidden), requires_grad=True),
@@ -51,8 +53,8 @@ def init_encoder(width_in: int, hidden: int, latent: int,
 def encode(z: Tensor, params: EncoderParams) -> Tensor:
     """Differentiable encoder forward pass; rows of z map independently."""
     act = ACTIVATIONS[params.activation]
-    h1 = act(ad.add(ad.matmul(z, params.t1), params.b1))
-    return act(ad.add(ad.matmul(h1, params.t2), params.b2))
+    h1 = act(ad.dense(z, params.t1, params.b1))
+    return act(ad.dense(h1, params.t2, params.b2))
 
 
 def encode_values(z: np.ndarray, params: EncoderParams) -> np.ndarray:

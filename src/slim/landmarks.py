@@ -20,33 +20,28 @@ from .autodiff import Tensor
 @dataclass
 class LandmarkSet:
     u: Tensor           # K x d landmark vectors
-    dof: float = 1.0    # Student-t degrees of freedom
-
-    def __post_init__(self):
-        if self.dof <= 0:
-            raise ValueError("dof must be positive")
 
 
 def assign(h: Tensor, landmarks: LandmarkSet) -> Tensor:
     """Row-stochastic soft assignment of embeddings to landmarks.
 
-    W[j, k] = (1 + |h_j - u_k|^2 / dof)^(-(dof+1)/2), normalized over k.
-    One tape node, differentiable with respect to both h and the landmark
-    vectors. The backward keeps the kernel, its base 1 + d2/dof, the row sums
-    and W; the clip of the distances at 0 passes the gradient unchanged.
+    W[j, k] = 1 / (1 + |h_j - u_k|^2), normalized over k: the Student-t
+    kernel at one degree of freedom (Xie et al. 2016, DEC). One tape node,
+    differentiable with respect to both h and the landmark vectors. The
+    backward keeps the kernel, its base 1 + d2, the row sums and W; the clip
+    of the distances at 0 passes the gradient unchanged.
     """
-    u, dof = landmarks.u, landmarks.dof
+    u = landmarks.u
     vh, vu = h.value, u.value
     base = pairwise_sq_distances(vh, vu)
-    base /= dof
     base += 1.0
-    kernel = base ** (-(dof + 1.0) / 2.0)
+    kernel = 1.0 / base
     r = kernel.sum(axis=1, keepdims=True)
     w = kernel / r
 
     def backward(g):
         g_kernel = (g - (g * w).sum(axis=1, keepdims=True)) / r
-        g_d2 = -g_kernel * ((dof + 1.0) / (2.0 * dof)) * kernel / base
+        g_d2 = -g_kernel * kernel / base
         if h.requires_grad:
             h._accumulate(2.0 * (vh * g_d2.sum(axis=1, keepdims=True) - g_d2 @ vu))
         if u.requires_grad:
@@ -72,8 +67,19 @@ def target_distribution(w: np.ndarray) -> np.ndarray:
 
 
 def cluster_loss(w: Tensor, target: np.ndarray) -> Tensor:
-    """KL(target || w); gradient reaches w only."""
-    return ad.kl_div(ad.constant(target), w)
+    """KL(target || W) summed over all rows, with 0 log 0 := 0. The target is
+    a constant array; the gradient reaches W only."""
+    ad._check_finite("cluster_loss", target, w.value)
+    vw = w.value
+    if np.any(vw <= 0) or np.any(target < 0):
+        raise ad.NumericError("cluster_loss: requires W > 0 and target >= 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(target > 0, target * (np.log(target) - np.log(vw)), 0.0)
+
+    def backward(g):
+        w._accumulate(-g * target / vw)
+
+    return ad._make(terms.sum(), (w,), backward)
 
 
 def hard_distortion(h: np.ndarray, u: np.ndarray) -> float:
@@ -156,13 +162,20 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     return best
 
 
-def _assign_case(n, k, dof):
-    return lambda rng: (lambda h, u: assign(h, LandmarkSet(u, dof)),
+def _assign_case(n, k):
+    return lambda rng: (lambda h, u: assign(h, LandmarkSet(u)),
                         [rng.standard_normal((n, 3)), rng.standard_normal((k, 3))])
 
 
-# the dof is read from model files, so a non-integer one is checked too; one
-# row below K landmarks, and a single landmark, whose W is constant
-ad.OP_REGISTRY["student_t_assign"] = _assign_case(5, 4, 1.0)
-ad.OP_REGISTRY["student_t_assign_one_row"] = _assign_case(1, 4, 2.5)
-ad.OP_REGISTRY["student_t_assign_one_landmark"] = _assign_case(5, 1, 0.7)
+def _cluster_kl_case(rng):
+    w, target = rng.uniform(0.1, 1.0, (2, 4, 3))
+    target[0, 1] = 0.0   # a zero target entry contributes nothing
+    return (lambda w: cluster_loss(w, target / target.sum(axis=1, keepdims=True)),
+            [w / w.sum(axis=1, keepdims=True)])
+
+
+# one row below K landmarks, and a single landmark, whose W is constant
+ad.OP_REGISTRY["student_t_assign"] = _assign_case(5, 4)
+ad.OP_REGISTRY["student_t_assign_one_row"] = _assign_case(1, 4)
+ad.OP_REGISTRY["student_t_assign_one_landmark"] = _assign_case(5, 1)
+ad.OP_REGISTRY["cluster_kl"] = _cluster_kl_case

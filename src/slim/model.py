@@ -11,7 +11,6 @@ its directed edge list (``Graph.edges``); no n x n adjacency is stored.
 """
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -121,10 +120,8 @@ def classifier_logits(features: Tensor, params: ClassifierParams,
     # optimizer cold start on these weak-variance features and never recover.
     # centering removes the large shared feature baseline, whose l1 mass
     # otherwise makes the first adaptive steps saturate every hidden unit
-    if center is not None:
-        features = ad.add(features, ad.constant(-center))
-    hidden = ad.tanh(ad.add(ad.matmul(features, params.w_hidden), params.b_hidden))
-    return ad.add(ad.matmul(hidden, params.w_out), params.b_out)
+    hidden = ad.tanh(ad.dense(features, params.w_hidden, params.b_hidden, shift=center))
+    return ad.dense(hidden, params.w_out, params.b_out)
 
 
 @dataclass
@@ -184,24 +181,24 @@ def joint_loss(batch: list[GraphData], state: ModelState,
     if len(labeled) != len(batch):
         raise ValueError("joint_loss: one labeled flag per graph")
     fwd = batch_forward(batch, state, labeled)
-    parts = []
+    parts = []   # (term, weight)
     ce_value = embed_value = cluster_value = 0.0
     if fwd.features is not None:
         logits = classifier_logits(fwd.features, state.classifier, state.feature_center)
         ce = ad.cross_entropy(logits, [d.label for d, lab in zip(batch, labeled) if lab])
         ce_value = float(ce.value)
-        parts.append(ce)
+        parts.append((ce, 1.0))
     if lambda_embed > 0:
         embed = embedding.cooccurrence_op(fwd.h, fwd.bounds, [d.edges for d in batch])
         embed_value = float(embed.value)
-        parts.append(ad.mul(embed, ad.constant(lambda_embed)))
+        parts.append((embed, lambda_embed))
     if lambda_cluster > 0 and targets_w is not None:
         cluster = landmarks.cluster_loss(fwd.w, np.vstack(targets_w))
         cluster_value = float(cluster.value)
-        parts.append(ad.mul(cluster, ad.constant(lambda_cluster)))
+        parts.append((cluster, lambda_cluster))
     if not parts:
         raise ValueError("joint_loss: no labeled graphs and no active unsupervised terms")
-    total = functools.reduce(ad.add, parts)
+    total = ad.weighted_sum(*zip(*parts))
     breakdown = LossBreakdown(float(total.value), ce_value, embed_value, cluster_value)
     if not np.isfinite(breakdown.total):
         raise ad.NumericError(
@@ -270,7 +267,6 @@ def save_model(path: str, state: ModelState):
     meta = dict(state.meta)
     meta.update(
         format_version=MODEL_FORMAT_VERSION,
-        dof=state.landmarks.dof,
         activation=state.encoder.activation,
         include_means=state.include_means,
     )
@@ -288,11 +284,13 @@ def load_model(path: str) -> ModelState:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {meta.get('format_version')}")
+        if meta.get("dof", 1.0) != 1.0:   # older files record the kernel's dof, all 1.0
+            raise ValueError(f"meta dof {meta['dof']!r}: the Student-t kernel has one dof")
         parts = _grouped(Tensor(data[name], requires_grad=True) for _, name in PARAMETERS)
         center = data["feature_center"]
     return ModelState(
         encoder=embedding.EncoderParams(**parts["encoder"], activation=meta["activation"]),
-        landmarks=landmarks.LandmarkSet(**parts["landmarks"], dof=meta["dof"]),
+        landmarks=landmarks.LandmarkSet(**parts["landmarks"]),
         classifier=ClassifierParams(**parts["classifier"]),
         include_means=bool(meta["include_means"]),
         feature_center=None if center.size == 0 else center,

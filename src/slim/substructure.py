@@ -58,13 +58,6 @@ class SubstructureConfig:
         if self.variant is Variant.LAYER_WISE and self.hops < 1:
             raise ValueError(f"{self.variant.value} requires hops >= 1")
 
-    def feature_width(self, c: int) -> int:
-        if self.variant is Variant.CENTER_EMPHASIS:
-            return 2 * c
-        if self.variant is Variant.LAYER_WISE:
-            return self.hops * c
-        return c
-
 
 def _walked_frontier(shell: np.ndarray, deg: np.ndarray,
                      indices: np.ndarray) -> np.ndarray | None:

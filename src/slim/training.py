@@ -141,7 +141,7 @@ def init_state(cfg: TrainConfig, width_in: int, c: int, classes: int,
                rng: np.random.Generator) -> M.ModelState:
     hidden = cfg.resolve_hidden(width_in)
     encoder = init_encoder(width_in, hidden, cfg.latent, rng, cfg.activation)
-    lm = LandmarkSet(Tensor(np.zeros((cfg.k, cfg.latent)), requires_grad=True), dof=1.0)
+    lm = LandmarkSet(Tensor(np.zeros((cfg.k, cfg.latent)), requires_grad=True))
     clf = M.init_classifier(feature_width(cfg.k, c, cfg.include_means),
                             cfg.classifier_hidden, classes, rng)
     return M.ModelState(encoder=encoder, landmarks=lm, classifier=clf,

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -203,11 +204,11 @@ def is_binary_oracle(a):
     return bool(np.isin(a, (0.0, 1.0)).all())
 
 
-def assign_values(h, u, dof=1.0):
+def assign_values(h, u):
     """``landmarks.assign`` on plain arrays, in the direct formula."""
     d2 = np.maximum((h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :]
                     - 2.0 * h @ u.T, 0.0)
-    kernel = (1.0 + d2 / dof) ** (-(dof + 1.0) / 2.0)
+    kernel = 1.0 / (1.0 + d2)
     return kernel / kernel.sum(axis=1, keepdims=True)
 
 
@@ -246,10 +247,100 @@ def old_row_normalize(a):
 
 
 def old_assign(h, landmarks):
-    """``landmarks.assign`` as the chain of three generic tape ops that the
-    fused op ``landmarks.assign`` must reproduce bit for bit."""
+    """``landmarks.assign`` as the chain of three generic tape ops, with the
+    general Student-t kernel at one degree of freedom, that the fused op
+    ``landmarks.assign`` must reproduce bit for bit."""
     d2 = old_squared_distance_rows(h, landmarks.u)
-    return old_row_normalize(old_student_t_kernel(d2, landmarks.dof))
+    return old_row_normalize(old_student_t_kernel(d2, 1.0))
+
+
+# the general tape ops the pipeline once composed: ``autodiff.dense`` is
+# matmul then a broadcast add, ``autodiff.weighted_sum`` the scalar adds and
+# muls, and ``landmarks.cluster_loss`` the KL op with its target as a tensor
+
+
+def old_unbroadcast(g, shape):
+    """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def old_matmul(a, b):
+    if a.value.shape[-1] != b.value.shape[0]:
+        raise ValueError(f"matmul: inner dimensions {a.value.shape} x {b.value.shape}")
+    va, vb = a.value, b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ vb.T)
+        if b.requires_grad:
+            b._accumulate(va.T @ g)
+
+    return ad._make(va @ vb, (a, b), backward)
+
+
+def old_add(a, b):
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(old_unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(old_unbroadcast(g, b.value.shape))
+
+    return ad._make(a.value + b.value, (a, b), backward)
+
+
+def old_mul(a, b):
+    va, vb = a.value, b.value
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(old_unbroadcast(g * vb, va.shape))
+        if b.requires_grad:
+            b._accumulate(old_unbroadcast(g * va, vb.shape))
+
+    return ad._make(va * vb, (a, b), backward)
+
+
+def old_kl_div(p, q):
+    """KL(p || q) summed over all rows, with 0*log(0) := 0."""
+    ad._check_finite("kl_div", p.value, q.value)
+    vp, vq = p.value, q.value
+    if np.any(vq <= 0) or np.any(vp < 0):
+        raise ad.NumericError("kl_div: requires q > 0 and p >= 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(vp > 0, vp * (np.log(vp) - np.log(vq)), 0.0)
+
+    def backward(g):
+        if p.requires_grad:
+            p._accumulate(g * np.where(vp > 0, np.log(vp) - np.log(vq) + 1.0, 0.0))
+        if q.requires_grad:
+            q._accumulate(-g * vp / vq)
+
+    return ad._make(terms.sum(), (p, q), backward)
+
+
+def old_dense(x, w, b, shift=None):
+    """``autodiff.dense`` as the ops it replaced: the shift added as a
+    negated constant, then matmul and a broadcast add."""
+    if shift is not None:
+        x = old_add(x, ad.constant(-shift))
+    return old_add(old_matmul(x, w), b)
+
+
+def old_weighted_sum(terms, weights):
+    """``autodiff.weighted_sum`` as the ops it replaced: a weight of 1.0
+    takes the term itself, any other a mul by a constant, then the parts
+    are added left to right."""
+    parts = [t if weight == 1.0 else old_mul(t, ad.constant(weight))
+             for t, weight in zip(terms, weights)]
+    return functools.reduce(old_add, parts)
 
 
 def pool_graph_oracle(w, src, dst):

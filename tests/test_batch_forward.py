@@ -4,7 +4,8 @@
 batches were run as one disjoint union: one encoder, assignment and fused
 pooling node per graph, the co-occurrence loss composed from elementary ops,
 and the feature rows concatenated, with the assignment as the chain of three
-generic ops (``old_assign`` of conftest). It also feeds the classifier the
+generic ops (``old_assign`` of conftest). Its layers, loss sums and KL are the
+general matmul, add, mul and kl_div ops of conftest. It also feeds the classifier the
 full row-major K*K flattening of C_norm, not the scaled upper triangle. It is
 kept here as the parity oracle, with the ops it needs that the pipeline no
 longer has; ``unfolded`` gives it the full-layout copy of a model.
@@ -28,8 +29,9 @@ from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
-from conftest import (adjacency_of, directed_edges, fold_triangle, graph_feature, old_assign,
-                      pooled_features, unfold_triangle)
+from conftest import (adjacency_of, directed_edges, fold_triangle, graph_feature, old_add,
+                      old_assign, old_dense, old_kl_div, old_matmul, old_mul, pooled_features,
+                      unfold_triangle)
 
 
 def old_graph_feature_op(w, x, adjacency, include_means=False):
@@ -108,17 +110,27 @@ def old_sum_all(a):
 
 
 def old_cooccurrence_loss(h, adjacency):
-    logp = old_log_softmax_rows(ad.matmul(h, old_transpose(h)))
-    return ad.mul(old_sum_all(ad.mul(logp, ad.constant(adjacency))), ad.constant(-1.0))
+    logp = old_log_softmax_rows(old_matmul(h, old_transpose(h)))
+    return old_mul(old_sum_all(old_mul(logp, ad.constant(adjacency))), ad.constant(-1.0))
+
+
+def old_encode(z, enc):
+    act = embedding.ACTIVATIONS[enc.activation]
+    return act(old_dense(act(old_dense(ad.constant(z), enc.t1, enc.b1)), enc.t2, enc.b2))
+
+
+def old_classifier_logits(features, clf, center):
+    return old_dense(ad.tanh(old_dense(features, clf.w_hidden, clf.b_hidden, center)),
+                     clf.w_out, clf.b_out)
 
 
 def old_logits(batch, state):
-    rows = [old_graph_feature_op(old_assign(embedding.encode(
-                ad.constant(data.z), state.encoder), state.landmarks),
-                data.x, adjacency_of(data), state.include_means)
+    rows = [old_graph_feature_op(old_assign(old_encode(data.z, state.encoder),
+                                            state.landmarks),
+                                 data.x, adjacency_of(data), state.include_means)
             for data in batch]
-    return M.classifier_logits(old_concat_rows(rows), state.classifier,
-                               state.feature_center).value
+    return old_classifier_logits(old_concat_rows(rows), state.classifier,
+                                 state.feature_center).value
 
 
 def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
@@ -126,7 +138,7 @@ def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
     labeled = [True] * len(batch) if labeled is None else labeled
     rows, labels, embed_terms, cluster_terms = [], [], [], []
     for i, data in enumerate(batch):
-        h = embedding.encode(ad.constant(data.z), state.encoder)
+        h = old_encode(data.z, state.encoder)
         w = old_assign(h, state.landmarks)
         if labeled[i]:
             rows.append(old_graph_feature_op(w, data.x, adjacency_of(data),
@@ -135,21 +147,21 @@ def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
         if lambda_embed > 0:
             embed_terms.append(old_cooccurrence_loss(h, adjacency_of(data)))
         if lambda_cluster > 0 and targets_w is not None:
-            cluster_terms.append(landmarks.cluster_loss(w, targets_w[i]))
+            cluster_terms.append(old_kl_div(ad.constant(targets_w[i]), w))
     parts = []
     if rows:
-        logits = M.classifier_logits(old_concat_rows(rows), state.classifier,
-                                     state.feature_center)
+        logits = old_classifier_logits(old_concat_rows(rows), state.classifier,
+                                       state.feature_center)
         parts.append(ad.cross_entropy(logits, np.asarray(labels)))
     for terms, lam in ((embed_terms, lambda_embed), (cluster_terms, lambda_cluster)):
         if terms:
             tot = terms[0]
             for t in terms[1:]:
-                tot = ad.add(tot, t)
-            parts.append(ad.mul(tot, ad.constant(lam)))
+                tot = old_add(tot, t)
+            parts.append(old_mul(tot, ad.constant(lam)))
     total = parts[0]
     for t in parts[1:]:
-        total = ad.add(total, t)
+        total = old_add(total, t)
     return total
 
 
@@ -176,7 +188,7 @@ def unfolded(state):
     return M.ModelState(
         encoder=embedding.EncoderParams(copy(enc.t1), copy(enc.b1), copy(enc.t2),
                                         copy(enc.b2), activation=enc.activation),
-        landmarks=landmarks.LandmarkSet(copy(lm.u), dof=lm.dof),
+        landmarks=landmarks.LandmarkSet(copy(lm.u)),
         classifier=M.ClassifierParams(copy(clf.w_hidden, full=True), copy(clf.b_hidden),
                                       copy(clf.w_out), copy(clf.b_out)),
         include_means=state.include_means,

@@ -12,7 +12,7 @@ from slim import cli
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
-from slim.cli import COHERENCE_OPTIONS, _coerce, build_parser, main
+from slim.cli import BOUND_OPTIONS, COHERENCE_OPTIONS, _coerce, build_parser, main
 from slim.datasets import save_tu_dataset
 from slim.embedding import encode_values
 from slim.pooling import upper_triangle
@@ -145,6 +145,8 @@ class TestErrorMapping:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
+        key = line.split(" = ")[0]
+        assert f"{cfg_file}: {key}: " in err[0], err[0]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spelling, value", [("1", True), ("true", True), (" Yes ", True),
@@ -161,7 +163,7 @@ class TestErrorMapping:
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["--analytic-only", "--K", "1"], ["--ks", "4"],
+    @pytest.mark.parametrize("argv", [["--ks", "0,2,4"], ["--ks", "4"],
                                       ["--ks", "2,8", "--points", "4"],
                                       ["--ks", "2,8", "--seeds", "0"],
                                       ["--ks", "2,8", "--scale", "-1"],
@@ -171,6 +173,21 @@ class TestErrorMapping:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        # the bound's options on the sweep, and the sweep's on the bound
+        ["coherence", "--analytic-only", "--ks", "2,4", "--scale", "-1", "--seeds", "0"],
+        ["coherence", "--ks", "2,4", "--seeds", "1", "--points", "32", "--K", "99",
+         "--cdcp-over-umax2", "-5"],
+        ["coherence-bound", "--ks", "2,4"],
+        ["coherence-bound", "--out", "o"]])
+    def test_options_of_the_other_coherence_command_are_usage_errors(self, tmp_path,
+                                                                     capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "unrecognized arguments" in lines[0]
 
 
 class TestSweepK:
@@ -190,17 +207,21 @@ class TestSweepK:
 
 
 class TestCoherence:
-    def test_analytic_only_hand_case(self, tmp_path, capsys):
-        code = run(["coherence", "--analytic-only", "--d", "2", "--K", "8",
-                    "--cdcp-over-umax2", "1", "--out", tmp_path / "o"])
+    def test_analytic_only_hand_case(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run(["coherence-bound", "--d", "2", "--K", "8", "--cdcp-over-umax2", "1"])
         assert code == 0
-        assert "-1.1213" in capsys.readouterr().out
-        assert not (tmp_path / "o").exists()   # nothing written, no directory
+        assert capsys.readouterr().out == "theorem lower bound (d=2, K=8): -1.1213\n"
+        assert os.listdir(tmp_path) == []   # nothing written, no directory
 
-    def test_analytic_requires_d2(self, tmp_path):
-        code = run(["coherence", "--analytic-only", "--d", "1",
-                    "--out", tmp_path / "o"])
-        assert code == 2
+    def test_analytic_requires_d2(self, capsys):
+        assert run(["coherence-bound", "--d", "1"]) == 2
+        assert capsys.readouterr().err == ("configuration error: bound requires "
+                                           "dimension >= 2\n")
+
+    def test_analytic_requires_k2(self, capsys):
+        assert run(["coherence-bound", "--K", "1"]) == 2
+        assert capsys.readouterr().err == "configuration error: bound requires K >= 2\n"
 
     def test_sweep_csv_and_spearman(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -264,8 +285,8 @@ class TestInspect:
         state = M.load_model(str(model_dir / "model.npz"))
         data = M.prepare_graph(g, c, training.TrainConfig().substructure())
         h = encode_values(data.z, state.encoder)
-        pf = pooled_features(data.x, assign_values(h, state.landmarks.u.value,
-                                                   state.landmarks.dof), adjacency_of(g))
+        pf = pooled_features(data.x, assign_values(h, state.landmarks.u.value),
+                             adjacency_of(g))
         for dumped, want in ((p, pf.p), (m, pf.m), (cmat, pf.c), (cn, pf.c_norm)):
             np.testing.assert_allclose(dumped, want, rtol=1e-9, atol=0)
         # and the classifier reads the same C_norm
@@ -277,22 +298,33 @@ class TestInspect:
                                      {"layer_decay": 0}, {"hops": None},
                                      {"variant": "layer_wise", "hops": 0},
                                      # trained as node_distribution: Z is 3x too wide
-                                     {"variant": "layer_wise"}])
+                                     {"variant": "layer_wise"},
+                                     # top-level meta entries; None removes the entry
+                                     {"meta": {"activation": "relu"}},
+                                     {"meta": {"dof": 2.5}}, {"meta": {"activation": None}}])
     def test_corrupt_model_config_is_configuration_error(self, tu_root, tmp_path,
                                                          capsys, bad):
         model_dir = tmp_path / "m"
         assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
                     "--out", model_dir] + FAST) == 0
-        state = M.load_model(str(model_dir / "model.npz"))
-        state.meta["config"].update(bad)
         corrupt = tmp_path / "corrupt.npz"
-        M.save_model(str(corrupt), state)
+        with np.load(model_dir / "model.npz") as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        top = bad.get("meta", {})
+        meta.update({key: value for key, value in top.items() if value is not None})
+        for key in [key for key, value in top.items() if value is None]:
+            del meta[key]
+        meta["config"].update({key: value for key, value in bad.items() if key != "meta"})
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(corrupt, **arrays)
         capsys.readouterr()
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
                     "--model", corrupt, "--out", tmp_path / "o"])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and "corrupt.npz" in err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error") and "corrupt.npz" in err[0]
         assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
@@ -335,8 +367,7 @@ class TestOptionNames:
     def test_file_without_a_section_is_configuration_error(self, tmp_path, capsys):
         cfg_file = tmp_path / "flat.cfg"
         cfg_file.write_text("d = 2\n", encoding="utf-8")
-        assert run(["coherence", "--analytic-only", "--config", cfg_file,
-                    "--out", tmp_path / "o"]) == 2
+        assert run(["coherence-bound", "--config", cfg_file]) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err and "flat.cfg" in err and "Traceback" not in err
 
@@ -412,11 +443,13 @@ class TestHelp:
             assert f"(default: {getattr(default, 'value', default)})" in text, text
 
     def test_coherence_defaults_shown_once_from_its_table(self, capsys, monkeypatch):
-        helps = help_lines("coherence", capsys, monkeypatch)
-        for name, (default, _) in COHERENCE_OPTIONS.items():
-            text = helps["--" + name.replace("_", "-")]
-            assert text.count("default:") == 1, text
-            assert f"(default: {default})" in text, text
+        for command, table in (("coherence", COHERENCE_OPTIONS),
+                               ("coherence-bound", BOUND_OPTIONS)):
+            helps = help_lines(command, capsys, monkeypatch)
+            for name, (default, _) in table.items():
+                text = helps["--" + name.replace("_", "-")]
+                assert text.count("default:") == 1, text
+                assert f"(default: {default})" in text, text
 
     def test_help_lists_defaults(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -443,11 +476,14 @@ def recording_namespace(reads: set):
 class TestEveryFlagIsRead:
     @pytest.mark.parametrize("command, flag", [("inspect", "--seed"), ("inspect", "--config"),
                                                ("inspect", "--jobs"), ("train", "--jobs"),
-                                               ("coherence", "--jobs")])
+                                               ("coherence", "--jobs"), ("coherence", "--d"),
+                                               ("coherence", "--K"),
+                                               ("coherence", "--cdcp-over-umax2"),
+                                               ("coherence", "--analytic-only")])
     def test_removed_flags_are_rejected(self, command, flag, tmp_path, capsys):
         argv = {"inspect": ["inspect", "--dataset", "SYN", "--model", "m.npz"],
                 "train": ["train", "--dataset", "SYN"],
-                "coherence": ["coherence", "--analytic-only"]}[command]
+                "coherence": ["coherence"]}[command]
         with pytest.raises(SystemExit) as err:
             run(argv + ["--out", tmp_path / "o", flag, "5"])
         assert err.value.code == 2
@@ -455,7 +491,7 @@ class TestEveryFlagIsRead:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["cv", "train", "sweep-k", "coherence",
-                                         "gradcheck", "inspect"])
+                                         "coherence-bound", "gradcheck", "inspect"])
     def test_every_accepted_flag_is_read(self, command, tu_root, tmp_path, monkeypatch):
         model_dir = tmp_path / "m"
         if command == "inspect":
@@ -470,7 +506,7 @@ class TestEveryFlagIsRead:
                   "hidden": "3", "optimizer": "sgd", "learning_rate": "0.05",
                   "epochs": "1", "batch_size": "8", "lambda_embed": "0.02",
                   "lambda_cluster": "0.02", "semi_supervised": None,
-                  "include_means": None, "analytic_only": None, "d": "2", "K": "4",
+                  "include_means": None, "d": "2", "K": "4",
                   "cdcp_over_umax2": "1", "seeds": "1", "components": "2",
                   "scale": "0.5", "points": "16", "step": "1e-5", "tolerance": "1e-4",
                   "model": model_dir / "model.npz", "graph": "1", "with_z": None}
@@ -481,18 +517,14 @@ class TestEveryFlagIsRead:
         monkeypatch.setattr(cli, "check_registered_ops", lambda step, tolerance: [])
         monkeypatch.setattr(cli, "_end_to_end_report", lambda step, tolerance:
                             SimpleNamespace(passed=True, as_dict=dict))
+        argv = [command]
+        for action in subparser(command)._actions:
+            if action.dest in dests:
+                argv.append(action.option_strings[0])
+                argv += [] if values[action.dest] is None else [str(values[action.dest])]
         read = set()
-        # coherence --analytic-only writes nothing, so --out is read by the sweep
-        for given in [dests] + ([dests - {"analytic_only"}] if command == "coherence" else []):
-            argv = [command]
-            for action in subparser(command)._actions:
-                if action.dest in given:
-                    argv.append(action.option_strings[0])
-                    argv += [] if values[action.dest] is None else [str(values[action.dest])]
-            reads = set()
-            args = build_parser().parse_args(argv, namespace=recording_namespace(reads))
-            reads.clear()   # parsing itself reads every dest
-            assert args.fn(args) == 0
-            read |= reads
+        args = build_parser().parse_args(argv, namespace=recording_namespace(read))
+        read.clear()   # parsing itself reads every dest
+        assert args.fn(args) == 0
         unread = dests - read
         assert not unread, f"slim {command} accepts but never reads {sorted(unread)}"

@@ -77,6 +77,13 @@ class TestEncode:
         )
         assert report.passed, report.max_relative_error
 
+    def test_unknown_activation_is_refused_at_construction(self, rng):
+        params = init_encoder(3, 4, 2, rng, activation="tanh")
+        with pytest.raises(ValueError, match="activation"):
+            EncoderParams(params.t1, params.b1, params.t2, params.b2, activation="relu")
+        with pytest.raises(ValueError, match="activation"):
+            init_encoder(3, 4, 2, rng, activation="relu")
+
     def test_width_mismatch(self, rng):
         params = init_encoder(3, 4, 2, rng, activation="sigmoid")
         with pytest.raises(ValueError):

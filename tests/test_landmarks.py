@@ -20,7 +20,7 @@ from slim.landmarks import (
     target_distribution,
 )
 
-from conftest import assign_values, lloyd_oracle, old_assign
+from conftest import assign_values, lloyd_oracle, old_assign, old_kl_div
 
 
 def exhaustive_two_means(points):
@@ -39,9 +39,9 @@ def exhaustive_two_means(points):
     return best_centers, best_cost
 
 
-def assign_arrays(h, u, dof=1.0):
+def assign_arrays(h, u):
     """The shipped assignment on plain arrays, without a tape."""
-    return assign(Tensor(h), LandmarkSet(Tensor(u), dof=dof)).value
+    return assign(Tensor(h), LandmarkSet(Tensor(u))).value
 
 
 class TestAssign:
@@ -51,10 +51,10 @@ class TestAssign:
         np.testing.assert_allclose(assign_arrays(h, u), [[0.5, 0.5]])
 
     def test_student_t_hand_case(self):
-        # distances^2 of 0 and 3 with dof 1: kernels 1 and 1/4
+        # distances^2 of 0 and 3: kernels 1 and 1/4
         h = np.array([[0.0]])
         u = np.array([[0.0], [np.sqrt(3.0)]])
-        np.testing.assert_allclose(assign_arrays(h, u, dof=1.0), [[0.8, 0.2]])
+        np.testing.assert_allclose(assign_arrays(h, u), [[0.8, 0.2]])
 
     def test_single_landmark(self, rng):
         h = rng.standard_normal((6, 3))
@@ -69,13 +69,13 @@ class TestAssign:
     def test_tape_matches_values(self, rng):
         h = rng.standard_normal((5, 3))
         u = rng.standard_normal((4, 3))
-        lm = LandmarkSet(Tensor(u), dof=1.0)
+        lm = LandmarkSet(Tensor(u))
         w = assign(Tensor(h), lm)
         np.testing.assert_allclose(w.value, assign_values(h, u), rtol=1e-12)
 
     def test_gradients_wrt_embeddings_and_landmarks(self, rng):
         def fn(h, u):
-            return assign(h, LandmarkSet(u, dof=1.0))
+            return assign(h, LandmarkSet(u))
 
         report = grad_check(
             fn, [rng.standard_normal((5, 3)), rng.standard_normal((4, 3))],
@@ -83,9 +83,22 @@ class TestAssign:
         )
         assert report.passed, report.max_relative_error
 
-    def test_dof_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LandmarkSet(Tensor(np.zeros((2, 2))), dof=0.0)
+
+class TestClusterLoss:
+    def test_bit_identical_to_kl_div_with_a_constant_target(self, rng):
+        w0 = rng.uniform(0.05, 1.0, (30, 6))
+        w0 /= w0.sum(axis=1, keepdims=True)
+        target = target_distribution(w0)
+        target[3, 2] = 0.0
+        seed = np.array(0.7)
+        results = []
+        for fn in (cluster_loss, lambda w, t: old_kl_div(ad.constant(t), w)):
+            w = Tensor(w0.copy(), requires_grad=True)
+            out = fn(w, target)
+            out.backward(seed)
+            results.append((out.value, w.grad))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTargetDistribution:
@@ -245,8 +258,8 @@ class TestPairwiseSqDistances:
         raw = (h * h).sum(axis=1)[:, None] + (u * u).sum(axis=1)[None, :] - 2.0 * h @ u.T
         d2 = np.maximum(raw, 0.0)
         np.testing.assert_array_equal(pairwise_sq_distances(h, u), d2)
-        kernel = (1.0 + d2 / 1.5) ** (-(1.5 + 1.0) / 2.0)
-        np.testing.assert_array_equal(assign_arrays(h, u, 1.5),
+        kernel = 1.0 / (1.0 + d2)
+        np.testing.assert_array_equal(assign_arrays(h, u),
                                       kernel / kernel.sum(axis=1, keepdims=True))
         assert hard_distortion(h, u) == float(d2.min(axis=1).sum())
         assert distortion(h, u) == float(np.sqrt(d2).min(axis=1).mean())
@@ -259,7 +272,7 @@ class TestPairwiseSqDistances:
 
 @st.composite
 def assign_inputs(draw):
-    """(h, u, dof, seed of the output gradient): normal rows, rows rounded to
+    """(h, u, seed of the output gradient): normal rows, rows rounded to
     one decimal (ties and exact zero distances), or fewer rows than landmarks."""
     kind = draw(st.sampled_from(["normal", "rounded", "few_rows"]))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -272,20 +285,19 @@ def assign_inputs(draw):
     if kind == "rounded":
         h, u = np.round(h, 1), np.round(u, 1)
         u[: min(n, k) // 2] = h[: min(n, k) // 2]
-    dof = draw(st.sampled_from([1.0, 0.5, 2.5, 3.0, 7.3]))
-    return h, u, dof, seed
+    return h, u, seed
 
 
 class TestStudentTAssignMatchesTheOpChain:
     @settings(max_examples=150, deadline=None)
     @given(assign_inputs())
     def test_values_and_both_gradients_bit_identical(self, case):
-        h0, u0, dof, seed = case
+        h0, u0, seed = case
         g = np.random.default_rng(seed + 1).standard_normal((len(h0), len(u0)))
         results = []
         for fn in (assign, old_assign):
             h, u = Tensor(h0, requires_grad=True), Tensor(u0, requires_grad=True)
-            w = fn(h, LandmarkSet(u, dof=dof))
+            w = fn(h, LandmarkSet(u))
             w.backward(g)
             results.append((w.value, h.grad, u.grad))
         for got, want in zip(*results):
@@ -307,7 +319,7 @@ class TestSelfTrainingConsistency:
             before = hard_distortion(points, u0)
             h = Tensor(points)
             u = Tensor(u0.copy(), requires_grad=True)
-            w = assign(h, LandmarkSet(u, dof=1.0))
+            w = assign(h, LandmarkSet(u))
             target = target_distribution(w.value)
             cluster_loss(w, target).backward()
             u_after = u0 - 0.05 * u.grad

@@ -30,7 +30,7 @@ def sharpened_targets(batch, state):
     """Per-graph clustering targets from the plain-array reference paths."""
     return [
         target_distribution(assign_values(encode_values(g.z, state.encoder),
-                                          state.landmarks.u.value, state.landmarks.dof))
+                                          state.landmarks.u.value))
         for g in batch
     ]
 
@@ -47,7 +47,7 @@ def manual_joint_loss(batch, state, lam_e, lam_c, targets):
     embed = cluster = 0.0
     for data, target in zip(batch, targets):
         h = encode_values(data.z, state.encoder)
-        w = assign_values(h, state.landmarks.u.value, state.landmarks.dof)
+        w = assign_values(h, state.landmarks.u.value)
         pf = pooled_features(data.x, w, adjacency_of(data))
         feats.append(graph_feature(pf, state.include_means))
         labels.append(data.label)
@@ -149,7 +149,6 @@ class TestParameters:
         state.feature_center = np.arange(3.0)
         state.meta["dataset"] = "unit-test"
         state.encoder.activation = "sigmoid"
-        state.landmarks.dof = 2.5
         state.include_means = True
         params = state.parameters()
         again = state.with_parameters(params)
@@ -157,7 +156,6 @@ class TestParameters:
         assert again.feature_center is state.feature_center
         assert again.meta == {"dataset": "unit-test"}
         assert again.encoder.activation == "sigmoid"
-        assert again.landmarks.dof == 2.5
         assert again.include_means is True
 
     def test_with_parameters_replaces_in_order(self, small_setup):
@@ -185,7 +183,7 @@ class TestSerialization:
         loaded = M.load_model(path)
         for a, b in zip(state.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
-        assert loaded.landmarks.dof == state.landmarks.dof
+        assert "dof" not in loaded.meta
         assert loaded.meta["dataset"] == "unit-test"
         np.testing.assert_array_equal(tape_free_logits(graphs, state),
                                       tape_free_logits(graphs, loaded))
@@ -196,7 +194,7 @@ class TestSerialization:
         _, _, graphs, state = small_setup
         state.feature_center = np.linspace(-1.0, 1.0, state.classifier.w_hidden.shape[0])
         enc, clf = state.encoder, state.classifier
-        meta = {"format_version": 2, "dof": state.landmarks.dof,
+        meta = {"format_version": 2, "dof": 1.0,
                 "activation": enc.activation, "include_means": False}
         path = str(tmp_path / "v2.npz")
         # the key set written by format version 2, spelled out
@@ -214,6 +212,25 @@ class TestSerialization:
         M.save_model(str(tmp_path / "again.npz"), loaded)
         with np.load(str(tmp_path / "again.npz")) as again, np.load(path) as first:
             assert sorted(again.files) == sorted(first.files)
+
+    def test_a_dof_other_than_one_is_refused(self, small_setup, tmp_path):
+        import json
+
+        _, _, _, state = small_setup
+        path = str(tmp_path / "model.npz")
+        M.save_model(path, state)
+        blob = dict(np.load(path))
+        meta = json.loads(bytes(blob["meta"]).decode("utf-8"))
+        assert "dof" not in meta
+        for dof, loads in ((1.0, True), (1, True), (2.5, False), (0.7, False)):
+            blob["meta"] = np.frombuffer(json.dumps({**meta, "dof": dof}).encode(),
+                                         dtype=np.uint8)
+            np.savez(path, **blob)
+            if loads:
+                M.load_model(path)
+            else:
+                with pytest.raises(ValueError, match="dof"):
+                    M.load_model(path)
 
     def test_version_check(self, small_setup, tmp_path):
         import json

@@ -171,7 +171,7 @@ class TestGraphFeature:
 def _pipeline_features(g, x, encoder, u, include_means=False):
     """Differentiable substructure-to-feature pipeline used for grad checks."""
     h = encode(ad.constant(x), encoder)
-    w = assign(h, LandmarkSet(u, dof=1.0))
+    w = assign(h, LandmarkSet(u))
     return graph_feature_op(w, [(0, g.node_count)], [x], [g.edges],
                             include_means)
 
@@ -215,7 +215,7 @@ class TestDifferentiablePath:
         x = one_hot_features(g, 3)
 
         def fn(h, u):
-            w = assign(h, LandmarkSet(u, dof=1.0))
+            w = assign(h, LandmarkSet(u))
             return graph_feature_op(w, [(0, g.node_count)], [x],
                                     [g.edges], include_means)
 

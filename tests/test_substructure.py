@@ -130,10 +130,12 @@ class TestBuildSubstructures:
             Variant.LAYER_WISE: np.zeros((1, 6)),
             Variant.WEIGHTED_LAYER_SUM: x,
         }
+        # c, 2c and hops * c columns, for c = 3 node types and 2 hops
+        widths = {Variant.NODE_DISTRIBUTION: 3, Variant.CENTER_EMPHASIS: 6,
+                  Variant.LAYER_WISE: 6, Variant.WEIGHTED_LAYER_SUM: 3}
         for variant in Variant:
-            cfg = SubstructureConfig(hops=2, variant=variant)
-            z = build_substructures(g, x, cfg)
-            assert z.shape == (1, cfg.feature_width(3))
+            z = build_substructures(g, x, SubstructureConfig(hops=2, variant=variant))
+            assert z.shape == (1, widths[variant])
             np.testing.assert_array_equal(z, expected[variant])
 
     def test_node_distribution_row_sums_are_ball_sizes(self, rng):
