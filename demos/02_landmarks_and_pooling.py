@@ -23,7 +23,7 @@ state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
 
 # fit landmarks on the embeddings of every graph, encoded chunk by chunk
 stacked = np.vstack([fwd.h.value for fwd in M.forward_chunks(graphs, state, pooled=False)])
-state.landmarks.u.value = init_landmarks(stacked, cfg.k, seed=0)
+state.u.value = init_landmarks(stacked, cfg.k, seed=0)
 print(f"{stacked.shape[0]} substructure instances -> {cfg.k} landmarks")
 
 batch = M.batch_forward(graphs[:4], state.frozen())

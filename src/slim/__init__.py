@@ -22,14 +22,8 @@ from .datasets import (
     one_hot_features,
     save_tu_dataset,
 )
-from .embedding import EncoderParams, cooccurrence_loss, encode, encode_values
-from .landmarks import (
-    LandmarkSet,
-    assign,
-    cluster_loss,
-    init_landmarks,
-    target_distribution,
-)
+from .embedding import cooccurrence_loss, encode, encode_values
+from .landmarks import assign, cluster_loss, init_landmarks, target_distribution
 from .model import ModelState, joint_loss, load_model, save_model
 from .substructure import SubstructureConfig, Variant, build_substructures
 from .training import CVResult, TrainConfig, cross_validate, sweep_k, train

@@ -179,9 +179,29 @@ def _coerce(value: str, like):
 
 def table_options(args, table: dict) -> argparse.Namespace:
     """The options of ``table`` ({name: (default, help)}): flags over
-    config-file values over the table's defaults."""
+    config-file values over the table's defaults, each range-checked alone
+    by ``_check_coherence_option``; a file value's error names the file and
+    the key."""
     defaults = {name: default for name, (default, _) in table.items()}
-    return argparse.Namespace(**{**defaults, **resolve_options(args, defaults)})
+    opts = {**defaults, **resolve_options(args, defaults, check=_check_coherence_option)}
+    for name, value in opts.items():
+        _check_coherence_option(name, value)
+    return argparse.Namespace(**opts)
+
+
+def _check_coherence_option(name: str, value):
+    """Raises ConfigError when one coherence or bound option is out of range
+    on its own; checks across options follow the merge."""
+    if name == "ks":
+        k_values = _parse_int_list(value)
+        if min(k_values) < 1 or len({k for k in k_values if k >= 2}) < 2:
+            raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
+    elif name in ("seeds", "components", "scale") and not value > 0:
+        raise ConfigError(f"{name} must be positive")
+    elif name == "d" and value < 2:
+        raise ConfigError("bound requires dimension >= 2")
+    elif name == "K" and value < 2:
+        raise ConfigError("bound requires K >= 2")
 
 
 def _train_defaults() -> dict:
@@ -243,7 +263,7 @@ def cmd_train(args) -> int:
     graphs = M.prepare_bundle(bundle, cfg.substructure())
     state, history = training.train(graphs, cfg, bundle.class_count,
                                     bundle.node_label_count)
-    state.meta.update(dataset=bundle.name, config=asdict(cfg))
+    state.meta["dataset"] = bundle.name
     with open(os.path.join(args.out, "epochs.jsonl"), "w", encoding="utf-8") as fh:
         for m in history:
             fh.write(json.dumps(asdict(m)) + "\n")
@@ -284,12 +304,8 @@ def cmd_sweep_k(args) -> int:
 def cmd_coherence(args) -> int:
     opts = table_options(args, COHERENCE_OPTIONS)
     k_values = _parse_int_list(opts.ks)
-    if min(k_values) < 1 or len({k for k in k_values if k >= 2}) < 2:
-        raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
     if max(k_values) > opts.points:
         raise ConfigError("--points must be at least the largest K")
-    if opts.seeds < 1 or opts.components < 1 or not opts.scale > 0:
-        raise ConfigError("--seeds, --components and --scale must be positive")
     generator = coh.GaussianMixture.default_2d(components=opts.components, scale=opts.scale,
                                                points=opts.points)
     seeds = list(range(opts.seed, opts.seed + opts.seeds))
@@ -314,10 +330,7 @@ def cmd_coherence(args) -> int:
 
 def cmd_coherence_bound(args) -> int:
     opts = table_options(args, BOUND_OPTIONS)
-    try:
-        bound = coh.bound_from_ratio(opts.d, opts.K, opts.cdcp_over_umax2)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    bound = coh.bound_from_ratio(opts.d, opts.K, opts.cdcp_over_umax2)
     print(f"theorem lower bound (d={opts.d}, K={opts.K}): {bound:.4f}")
     return EXIT_OK
 
@@ -345,7 +358,7 @@ def _end_to_end_report(step: float, tolerance: float):
     rng = np.random.default_rng(7)
     state = training.init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
                                 bundle.class_count, rng)
-    state.landmarks.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.5
+    state.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.5
     data = graphs[0]
     target = L.target_distribution(M.batch_forward([data], state.frozen()).w.value)
 
@@ -363,18 +376,16 @@ def cmd_inspect(args) -> int:
         raise DatasetError(f"model file not found: {args.model}")
     try:
         state = M.load_model(args.model)
-        sub_cfg = training.TrainConfig(**state.meta.get("config", {})).substructure()
-    except KeyError as exc:
-        raise ConfigError(f"model {args.model}: missing entry {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model {args.model}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     bundle = _load_bundle(args)
     if not 0 <= args.graph < len(bundle.graphs):
         raise ConfigError(f"graph index {args.graph} out of range")
-    data = M.prepare_graph(bundle.graphs[args.graph], bundle.node_label_count, sub_cfg)
-    width_in = state.encoder.t1.value.shape[0]
+    data = M.prepare_graph(bundle.graphs[args.graph], bundle.node_label_count,
+                           state.config.substructure())
+    width_in = state.t1.value.shape[0]
     if data.z.shape[1] != width_in:
-        raise ConfigError(f"model {args.model}: its {sub_cfg.variant.value} config gives "
+        raise ConfigError(f"model {args.model}: its {state.config.variant.value} config gives "
                           f"{data.z.shape[1]}-wide substructure rows on {bundle.name}, "
                           f"but the encoder takes {width_in}")
     w = M.batch_forward([data], state.frozen(), [False]).w.value
@@ -421,6 +432,13 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
         return action.help if action.default is None else super()._get_help_string(action)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_options(p, options: dict, choices: dict | None = None):
     """The flags resolve_options reads: --config, and one flag per option of
     ``options`` ({name: (default, help)}), typed by its default. The flag
@@ -444,7 +462,7 @@ def _add_options(p, options: dict, choices: dict | None = None):
 def _add_train_flags(p):
     defaults = _train_defaults()
     _add_options(p, {name: (defaults[name], text) for name, text in TRAIN_FLAGS.items()},
-                 choices={"optimizer": training.OPTIMIZERS})
+                 choices={"optimizer": M.OPTIMIZERS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output directory")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    jobs.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
                       help="parallel workers for folds/sweep cells")
     train_options = argparse.ArgumentParser(add_help=False)
     _add_train_flags(train_options)

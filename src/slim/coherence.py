@@ -16,6 +16,10 @@ import numpy as np
 
 from .landmarks import init_landmarks, pairwise_sq_distances
 
+ARC_RADIUS = 3.0            # of the quarter arc holding default_2d's centers
+C_P_GRID_PAD = 4.0          # C_p grid margin around the centers, in mixture scales
+SWEEP_KMEANS_RESTARTS = 2   # k-means restarts per cell of the empirical sweep
+
 
 def mutual_coherence(u: np.ndarray) -> float:
     """Largest absolute normalized correlation between two distinct landmarks."""
@@ -129,13 +133,13 @@ class GaussianMixture:
     points: int = 1024         # points per draw
 
     @staticmethod
-    def default_2d(components: int = 4, spread: float = 3.0, scale: float = 0.5,
+    def default_2d(components: int = 4, scale: float = 0.5,
                    points: int = 1024) -> "GaussianMixture":
         # components sit on a quarter arc so landmark directions are spread
         # but not antipodal: small dictionaries can be incoherent, crowded
         # ones cannot
         angles = 0.5 * math.pi * (np.arange(components) + 0.5) / components
-        means = spread * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        means = ARC_RADIUS * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return GaussianMixture(means=means, scale=scale, points=points)
 
     @property
@@ -152,12 +156,12 @@ class GaussianMixture:
         d2 = ((z[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
         return np.exp(-d2 / (2.0 * self.scale**2)).mean(axis=1) / norm
 
-    def estimate_c_p(self, grid_points: int = 200, pad: float = 4.0) -> float:
+    def estimate_c_p(self, grid_points: int = 200) -> float:
         """Numerically integrate density^(d/(d+1)) on a grid (d <= 3 only)."""
         if self.d > 3:
             raise ValueError("grid estimation of C_p is limited to d <= 3")
-        lo = self.means.min(axis=0) - pad * self.scale - 1.0
-        hi = self.means.max(axis=0) + pad * self.scale + 1.0
+        lo = self.means.min(axis=0) - C_P_GRID_PAD * self.scale - 1.0
+        hi = self.means.max(axis=0) + C_P_GRID_PAD * self.scale + 1.0
         axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(self.d)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
@@ -181,7 +185,7 @@ class SweepCell:
 
 
 def empirical_coherence_sweep(generator: GaussianMixture, k_values: list[int],
-                              seeds: list[int], kmeans_restarts: int = 2) -> list[SweepCell]:
+                              seeds: list[int]) -> list[SweepCell]:
     """k-means landmarks on fresh mixture draws, one cell per (K, seed)."""
     if max(k_values) > generator.points:
         raise ValueError("generator must produce at least max(K) points per draw")
@@ -191,7 +195,7 @@ def empirical_coherence_sweep(generator: GaussianMixture, k_values: list[int],
         for seed in seeds:
             rng = np.random.default_rng(seed)
             data = generator.sample(rng)
-            u = init_landmarks(data, k, seed, restarts=kmeans_restarts)
+            u = init_landmarks(data, k, seed, restarts=SWEEP_KMEANS_RESTARTS)
             coh = mutual_coherence(u) if k >= 2 else None
             bound = None
             if k >= 2 and c_p is not None:

@@ -9,28 +9,17 @@ over the rows of a whole batch of graphs at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
+if TYPE_CHECKING:
+    from .model import ModelState
+
 ACTIVATIONS = {"sigmoid": ad.sigmoid, "tanh": ad.tanh}
-
-
-@dataclass
-class EncoderParams:
-    t1: Tensor
-    b1: Tensor
-    t2: Tensor
-    b2: Tensor
-    activation: str
-
-    def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
 
 
 def scaled_uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -39,27 +28,17 @@ def scaled_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, shape)
 
 
-def init_encoder(width_in: int, hidden: int, latent: int,
-                 rng: np.random.Generator, activation: str) -> EncoderParams:
-    return EncoderParams(
-        t1=Tensor(scaled_uniform(rng, (width_in, hidden)), requires_grad=True),
-        b1=Tensor(np.zeros(hidden), requires_grad=True),
-        t2=Tensor(scaled_uniform(rng, (hidden, latent)), requires_grad=True),
-        b2=Tensor(np.zeros(latent), requires_grad=True),
-        activation=activation,
-    )
+def encode(z: Tensor, state: ModelState) -> Tensor:
+    """Differentiable encoder forward pass of ``state``; rows of z map
+    independently."""
+    act = ACTIVATIONS[state.config.activation]
+    h1 = act(ad.dense(z, state.t1, state.b1))
+    return act(ad.dense(h1, state.t2, state.b2))
 
 
-def encode(z: Tensor, params: EncoderParams) -> Tensor:
-    """Differentiable encoder forward pass; rows of z map independently."""
-    act = ACTIVATIONS[params.activation]
-    h1 = act(ad.dense(z, params.t1, params.b1))
-    return act(ad.dense(h1, params.t2, params.b2))
-
-
-def encode_values(z: np.ndarray, params: EncoderParams) -> np.ndarray:
+def encode_values(z: np.ndarray, state: ModelState) -> np.ndarray:
     """Tape-free encoder forward; a reference for tests and demos."""
-    return encode(ad.constant(z), params).value
+    return encode(ad.constant(z), state).value
 
 
 def cooccurrence_loss(h: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.ndarray]:

@@ -9,29 +9,26 @@ flows through it.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 
+# Lloyd's iterations stop when no center moves this far, or after this many
+KMEANS_TOL = 1e-6
+KMEANS_MAX_ITER = 100
 
-@dataclass
-class LandmarkSet:
-    u: Tensor           # K x d landmark vectors
 
-
-def assign(h: Tensor, landmarks: LandmarkSet) -> Tensor:
+def assign(h: Tensor, u: Tensor) -> Tensor:
     """Row-stochastic soft assignment of embeddings to landmarks.
 
     W[j, k] = 1 / (1 + |h_j - u_k|^2), normalized over k: the Student-t
     kernel at one degree of freedom (Xie et al. 2016, DEC). One tape node,
-    differentiable with respect to both h and the landmark vectors. The
-    backward keeps the kernel, its base 1 + d2, the row sums and W; the clip
-    of the distances at 0 passes the gradient unchanged.
+    differentiable with respect to both h and the K x d landmark vectors u.
+    The backward keeps the kernel, its base 1 + d2, the row sums and W; the
+    clip of the distances at 0 passes the gradient unchanged.
     """
-    u = landmarks.u
     vh, vu = h.value, u.value
     base = pairwise_sq_distances(vh, vu)
     base += 1.0
@@ -134,7 +131,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, tol: float, max_iter: int) -
 
 
 def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
-                   restarts: int = 4, tol: float = 1e-6, max_iter: int = 100) -> np.ndarray:
+                   restarts: int = 4) -> np.ndarray:
     """k-means++ seeding followed by Lloyd iterations; best of ``restarts`` runs.
 
     Duplicate rows below k distinct values trigger a warning and a small
@@ -153,7 +150,7 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
         )
     best, best_cost = None, np.inf
     for _ in range(max(1, restarts)):
-        centers = _lloyd(points, _kmeans_pp_seed(points, k, rng), tol, max_iter)
+        centers = _lloyd(points, _kmeans_pp_seed(points, k, rng), KMEANS_TOL, KMEANS_MAX_ITER)
         cost = hard_distortion(points, centers)
         if cost < best_cost:
             best, best_cost = centers, cost
@@ -163,8 +160,7 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
 
 
 def _assign_case(n, k):
-    return lambda rng: (lambda h, u: assign(h, LandmarkSet(u)),
-                        [rng.standard_normal((n, 3)), rng.standard_normal((k, 3))])
+    return lambda rng: (assign, [rng.standard_normal((n, 3)), rng.standard_normal((k, 3))])
 
 
 def _cluster_kl_case(rng):

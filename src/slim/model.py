@@ -1,4 +1,4 @@
-"""The full differentiable pipeline and its parameter container.
+"""The full differentiable pipeline and the model record.
 
 A batch of graphs is run as one disjoint union: the substructure rows of
 all graphs are stacked, encoded and softly assigned to the landmarks in one
@@ -12,7 +12,8 @@ its directed edge list (``Graph.edges``); no n x n adjacency is stored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -20,14 +21,66 @@ from . import autodiff as ad
 from . import embedding, landmarks, pooling
 from .autodiff import Tensor
 from .datasets import DatasetBundle, Graph, one_hot_features
-from .substructure import SubstructureConfig, build_substructures
+from .substructure import SubstructureConfig, Variant, build_substructures
 
-MODEL_FORMAT_VERSION = 2
-# the model's parameters as (ModelState field, parameter field), in the order
-# of ``ModelState.parameters()``; each name is also its key in a model file
-PARAMETERS = (("encoder", "t1"), ("encoder", "b1"), ("encoder", "t2"), ("encoder", "b2"),
-              ("landmarks", "u"), ("classifier", "w_hidden"), ("classifier", "b_hidden"),
-              ("classifier", "w_out"), ("classifier", "b_out"))
+MODEL_FORMAT_VERSION = 3
+# the ModelState parameter fields, in optimizer order; each name is also its
+# key in a model file
+PARAMETERS = ("t1", "b1", "t2", "b2", "u", "w_hidden", "b_hidden", "w_out", "b_out")
+OPTIMIZERS = ("sgd", "adagrad")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    hops: int = 3
+    variant: Variant = Variant.NODE_DISTRIBUTION
+    layer_decay: float = 0.5
+    k: int = 100
+    latent: int = 32
+    hidden: int | str = "2D"          # "D", "D/2", "2D" resolve against input width
+    classifier_hidden: int = 64
+    optimizer: str = "adagrad"        # one of OPTIMIZERS
+    learning_rate: float = 1e-2
+    epochs: int = 300
+    batch_size: int = 32
+    lambda_embed: float = 0.01
+    lambda_cluster: float = 0.01
+    seed: int = 0
+    semi_supervised: bool = False
+    include_means: bool = False
+    activation: str = "tanh"          # "sigmoid" available behind this switch
+    kmeans_restarts: int = 4
+
+    def __post_init__(self):
+        object.__setattr__(self, "variant", Variant(self.variant))
+        if isinstance(self.hidden, str) and self.hidden.isdigit():
+            object.__setattr__(self, "hidden", int(self.hidden))
+        for name in ("learning_rate", "lambda_embed", "lambda_cluster"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"optimizer must be one of {list(OPTIMIZERS)}")
+        if self.k < 1 or self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("k, epochs and batch_size must be positive")
+        for name in ("latent", "hidden", "classifier_hidden", "kmeans_restarts"):
+            if isinstance(getattr(self, name), int) and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.activation not in embedding.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {sorted(embedding.ACTIVATIONS)}")
+        self.resolve_hidden(1)  # rejects an unknown width name
+        self.substructure()     # rejects hops and layer_decay out of range
+
+    def substructure(self) -> SubstructureConfig:
+        return SubstructureConfig(hops=self.hops, variant=self.variant,
+                                  layer_decay=self.layer_decay)
+
+    def resolve_hidden(self, width_in: int) -> int:
+        if isinstance(self.hidden, int):
+            return self.hidden
+        table = {"D": width_in, "D/2": max(1, width_in // 2), "2D": 2 * width_in}
+        if self.hidden not in table:
+            raise ValueError(f"hidden must be an int or one of {sorted(table)}")
+        return table[self.hidden]
 
 
 @dataclass(frozen=True)
@@ -56,42 +109,35 @@ def prepare_bundle(bundle: DatasetBundle, cfg: SubstructureConfig) -> list[Graph
 
 
 @dataclass
-class ClassifierParams:
+class ModelState:
+    """One model: the config that built it, the encoder ``t1 .. b2``, the
+    K x d landmarks ``u``, the classifier ``w_hidden .. b_out``, the offset
+    subtracted from classifier inputs (fitted on the training features when
+    the landmarks are initialized) and provenance such as the dataset."""
+
+    config: TrainConfig
+    t1: Tensor
+    b1: Tensor
+    t2: Tensor
+    b2: Tensor
+    u: Tensor
     w_hidden: Tensor
     b_hidden: Tensor
     w_out: Tensor
     b_out: Tensor
-
-
-def init_classifier(width_in: int, hidden: int, classes: int,
-                    rng: np.random.Generator) -> ClassifierParams:
-    return ClassifierParams(
-        w_hidden=Tensor(embedding.scaled_uniform(rng, (width_in, hidden)), requires_grad=True),
-        b_hidden=Tensor(np.zeros(hidden), requires_grad=True),
-        w_out=Tensor(embedding.scaled_uniform(rng, (hidden, classes)), requires_grad=True),
-        b_out=Tensor(np.zeros(classes), requires_grad=True),
-    )
-
-
-@dataclass
-class ModelState:
-    encoder: embedding.EncoderParams
-    landmarks: landmarks.LandmarkSet
-    classifier: ClassifierParams
-    include_means: bool = False
-    # constant offset subtracted from classifier inputs, fitted once on the
-    # training features when the landmarks are initialized
     feature_center: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def parameters(self) -> list[Tensor]:
-        return [getattr(getattr(self, part), name) for part, name in PARAMETERS]
+        return [getattr(self, name) for name in PARAMETERS]
 
     def with_parameters(self, tensors) -> ModelState:
         """The same model with ``tensors`` in place of ``parameters()``, in that
         order; every other field is kept."""
-        return replace(self, **{part: replace(getattr(self, part), **fields)
-                                for part, fields in _grouped(tensors).items()})
+        tensors = list(tensors)
+        if len(tensors) != len(PARAMETERS):
+            raise ValueError(f"expected {len(PARAMETERS)} parameters, got {len(tensors)}")
+        return replace(self, **dict(zip(PARAMETERS, tensors)))
 
     def zero_grad(self):
         for p in self.parameters():
@@ -103,25 +149,14 @@ class ModelState:
         return self.with_parameters(ad.constant(p.value) for p in self.parameters())
 
 
-def _grouped(tensors) -> dict[str, dict[str, Tensor]]:
-    """``tensors`` in PARAMETERS order as {ModelState field: {name: tensor}}."""
-    tensors = list(tensors)
-    if len(tensors) != len(PARAMETERS):
-        raise ValueError(f"expected {len(PARAMETERS)} parameters, got {len(tensors)}")
-    parts: dict[str, dict[str, Tensor]] = {}
-    for (part, name), tensor in zip(PARAMETERS, tensors):
-        parts.setdefault(part, {})[name] = tensor
-    return parts
-
-
-def classifier_logits(features: Tensor, params: ClassifierParams,
-                      center: np.ndarray | None = None) -> Tensor:
+def classifier_logits(features: Tensor, state: ModelState) -> Tensor:
     # saturating hidden activation: a relu head can die wholesale during the
     # optimizer cold start on these weak-variance features and never recover.
     # centering removes the large shared feature baseline, whose l1 mass
     # otherwise makes the first adaptive steps saturate every hidden unit
-    hidden = ad.tanh(ad.dense(features, params.w_hidden, params.b_hidden, shift=center))
-    return ad.dense(hidden, params.w_out, params.b_out)
+    hidden = ad.tanh(ad.dense(features, state.w_hidden, state.b_hidden,
+                              shift=state.feature_center))
+    return ad.dense(hidden, state.w_out, state.b_out)
 
 
 @dataclass
@@ -144,15 +179,14 @@ def batch_forward(batch: list[GraphData], state: ModelState,
     """
     ends = np.cumsum([data.z.shape[0] for data in batch]).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
-    h = embedding.encode(ad.constant(np.vstack([data.z for data in batch])),
-                         state.encoder)
-    w = landmarks.assign(h, state.landmarks)
+    h = embedding.encode(ad.constant(np.vstack([data.z for data in batch])), state)
+    w = landmarks.assign(h, state.u)
     keep = [i for i in range(len(batch)) if pooled is None or pooled[i]]
     features = None
     if keep:
         features = pooling.graph_feature_op(
             w, [bounds[i] for i in keep], [batch[i].x for i in keep],
-            [batch[i].edges for i in keep], state.include_means)
+            [batch[i].edges for i in keep], state.config.include_means)
     return BatchForward(bounds, h, w, features)
 
 
@@ -184,7 +218,7 @@ def joint_loss(batch: list[GraphData], state: ModelState,
     parts = []   # (term, weight)
     ce_value = embed_value = cluster_value = 0.0
     if fwd.features is not None:
-        logits = classifier_logits(fwd.features, state.classifier, state.feature_center)
+        logits = classifier_logits(fwd.features, state)
         ce = ad.cross_entropy(logits, [d.label for d, lab in zip(batch, labeled) if lab])
         ce_value = float(ce.value)
         parts.append((ce, 1.0))
@@ -240,12 +274,12 @@ def accuracy(graphs: list[GraphData], state: ModelState) -> float:
     """Fraction of graphs predicted correctly."""
     if not graphs:
         return float("nan")
-    clf = state.frozen().classifier
+    frozen = state.frozen()
     preds, rows = [], []
 
     def classify():
         feats = rows[0] if len(rows) == 1 else np.vstack(rows)
-        logits = classifier_logits(ad.constant(feats), clf, state.feature_center)
+        logits = classifier_logits(ad.constant(feats), frozen)
         preds.extend(logits.value.argmax(axis=1))
         rows.clear()
 
@@ -263,36 +297,39 @@ def accuracy(graphs: list[GraphData], state: ModelState) -> float:
 
 
 def save_model(path: str, state: ModelState):
-    """Write all parameter matrices plus a JSON meta header to one .npz file."""
-    meta = dict(state.meta)
-    meta.update(
-        format_version=MODEL_FORMAT_VERSION,
-        activation=state.encoder.activation,
-        include_means=state.include_means,
-    )
+    """Write the parameters, the feature centre and a JSON meta header (the
+    provenance, the format version and the config) to one .npz file."""
+    meta = {**state.meta, "format_version": MODEL_FORMAT_VERSION,
+            "config": asdict(state.config)}
     center = (np.zeros(0) if state.feature_center is None else state.feature_center)
     np.savez(
         path,
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
         feature_center=center,
-        **{name: p.value for (_, name), p in zip(PARAMETERS, state.parameters())},
+        **{name: p.value for name, p in zip(PARAMETERS, state.parameters())},
     )
 
 
 def load_model(path: str) -> ModelState:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("format_version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version: {meta.get('format_version')}")
-        if meta.get("dof", 1.0) != 1.0:   # older files record the kernel's dof, all 1.0
-            raise ValueError(f"meta dof {meta['dof']!r}: the Student-t kernel has one dof")
-        parts = _grouped(Tensor(data[name], requires_grad=True) for _, name in PARAMETERS)
-        center = data["feature_center"]
-    return ModelState(
-        encoder=embedding.EncoderParams(**parts["encoder"], activation=meta["activation"]),
-        landmarks=landmarks.LandmarkSet(**parts["landmarks"]),
-        classifier=ClassifierParams(**parts["classifier"]),
-        include_means=bool(meta["include_means"]),
-        feature_center=None if center.size == 0 else center,
-        meta=meta,
-    )
+    """Read a model file of format 3, or of format 2 with a config (every
+    ``slim train`` output). Raises ValueError, naming ``path``, for a file
+    that does not describe a model."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            version = meta.pop("format_version", None)
+            if version not in (2, MODEL_FORMAT_VERSION):
+                raise ValueError(f"unsupported model format version: {version}")
+            if meta.pop("dof", 1.0) != 1.0:   # format 2 recorded the kernel's dof, 1.0
+                raise ValueError("meta dof: the Student-t kernel has one dof")
+            if "config" not in meta:
+                raise ValueError("the model file records no config")
+            for key in ("activation", "include_means"):   # format 2 copies of config keys
+                meta.pop(key, None)
+            config = TrainConfig(**meta.pop("config"))
+            params = {name: Tensor(data[name], requires_grad=True) for name in PARAMETERS}
+            center = data["feature_center"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return ModelState(config=config, **params,
+                      feature_center=None if center.size == 0 else center, meta=meta)

@@ -17,6 +17,7 @@ RING_TYPES = (0, 1)       # backbone atom types
 MOTIF_CENTER = 2          # substituent branching atom
 MOTIF_LEAF = 3            # substituent leaf atom
 NOISE_TYPES = (4, 5, 6)   # chain/decoration atoms shared by both classes
+CLASS0_SHARE = 0.66       # fraction of class-0 graphs in a bundle
 
 
 def _ring(n: int) -> np.ndarray:
@@ -94,11 +95,10 @@ def make_graph(rng: np.random.Generator, label: int) -> Graph:
     return Graph.from_adjacency(a, np.array(labels), label)
 
 
-def make_bundle(n_graphs: int = 188, seed: int = 0, name: str = "synthetic",
-                class_balance: float = 0.66) -> DatasetBundle:
+def make_bundle(n_graphs: int = 188, seed: int = 0, name: str = "synthetic") -> DatasetBundle:
     """A two-class bundle sized like a small chemistry benchmark."""
     rng = np.random.default_rng(seed)
-    n_class0 = int(round(n_graphs * class_balance))
+    n_class0 = int(round(n_graphs * CLASS0_SHARE))
     graphs = [make_graph(rng, 0) for _ in range(n_class0)]
     graphs += [make_graph(rng, 1) for _ in range(n_graphs - n_class0)]
     order = rng.permutation(len(graphs))

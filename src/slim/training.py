@@ -9,7 +9,6 @@ folds, is highest.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -19,70 +18,16 @@ import numpy as np
 from . import model as M
 from .autodiff import Tensor
 from .datasets import DatasetBundle, FoldPlan
-from .embedding import ACTIVATIONS, init_encoder
-from .landmarks import LandmarkSet, init_landmarks, target_distribution
+from .embedding import scaled_uniform
+from .landmarks import init_landmarks, target_distribution
+from .model import TrainConfig
 from .pooling import feature_width
-from .substructure import SubstructureConfig, Variant
 
 DIVERGENCE_LIMIT = 1e6
-OPTIMIZERS = ("sgd", "adagrad")
 
 
 class DivergenceError(RuntimeError):
     """Training loss exceeded the divergence limit."""
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    hops: int = 3
-    variant: Variant = Variant.NODE_DISTRIBUTION
-    layer_decay: float = 0.5
-    k: int = 100
-    latent: int = 32
-    hidden: int | str = "2D"          # "D", "D/2", "2D" resolve against input width
-    classifier_hidden: int = 64
-    optimizer: str = "adagrad"        # one of OPTIMIZERS
-    learning_rate: float = 1e-2
-    epochs: int = 300
-    batch_size: int = 32
-    lambda_embed: float = 0.01
-    lambda_cluster: float = 0.01
-    seed: int = 0
-    semi_supervised: bool = False
-    include_means: bool = False
-    activation: str = "tanh"          # "sigmoid" available behind this switch
-    kmeans_restarts: int = 4
-
-    def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
-        if isinstance(self.hidden, str) and self.hidden.isdigit():
-            object.__setattr__(self, "hidden", int(self.hidden))
-        for name in ("learning_rate", "lambda_embed", "lambda_cluster"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be finite and non-negative")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {list(OPTIMIZERS)}")
-        if self.k < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("k, epochs and batch_size must be positive")
-        for name in ("latent", "hidden", "classifier_hidden", "kmeans_restarts"):
-            if isinstance(getattr(self, name), int) and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}")
-        self.resolve_hidden(1)  # rejects an unknown width name
-        self.substructure()     # rejects hops and layer_decay out of range
-
-    def substructure(self) -> SubstructureConfig:
-        return SubstructureConfig(hops=self.hops, variant=self.variant,
-                                  layer_decay=self.layer_decay)
-
-    def resolve_hidden(self, width_in: int) -> int:
-        if isinstance(self.hidden, int):
-            return self.hidden
-        table = {"D": width_in, "D/2": max(1, width_in // 2), "2D": 2 * width_in}
-        if self.hidden not in table:
-            raise ValueError(f"hidden must be an int or one of {sorted(table)}")
-        return table[self.hidden]
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +82,29 @@ class EpochMetrics:
     val_accuracy: float | None
 
 
+def _classifier(width_in: int, cfg: TrainConfig, classes: int,
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """New classifier weights for ``width_in`` features; draws ``w_hidden``,
+    then ``w_out``."""
+    return dict(w_hidden=scaled_uniform(rng, (width_in, cfg.classifier_hidden)),
+                b_hidden=np.zeros(cfg.classifier_hidden),
+                w_out=scaled_uniform(rng, (cfg.classifier_hidden, classes)),
+                b_out=np.zeros(classes))
+
+
 def init_state(cfg: TrainConfig, width_in: int, c: int, classes: int,
                rng: np.random.Generator) -> M.ModelState:
+    """A new model of ``cfg`` for ``width_in``-wide substructure rows, ``c``
+    node types and ``classes`` classes. Draws ``t1``, ``t2``, ``w_hidden``
+    and ``w_out`` from ``rng`` in that order; the biases and the landmarks
+    start at zero."""
     hidden = cfg.resolve_hidden(width_in)
-    encoder = init_encoder(width_in, hidden, cfg.latent, rng, cfg.activation)
-    lm = LandmarkSet(Tensor(np.zeros((cfg.k, cfg.latent)), requires_grad=True))
-    clf = M.init_classifier(feature_width(cfg.k, c, cfg.include_means),
-                            cfg.classifier_hidden, classes, rng)
-    return M.ModelState(encoder=encoder, landmarks=lm, classifier=clf,
-                        include_means=cfg.include_means)
+    values = dict(t1=scaled_uniform(rng, (width_in, hidden)), b1=np.zeros(hidden),
+                  t2=scaled_uniform(rng, (hidden, cfg.latent)), b2=np.zeros(cfg.latent),
+                  u=np.zeros((cfg.k, cfg.latent)),
+                  **_classifier(feature_width(cfg.k, c, cfg.include_means), cfg, classes, rng))
+    return M.ModelState(config=cfg, **{name: Tensor(value, requires_grad=True)
+                                       for name, value in values.items()})
 
 
 def refresh_targets(graphs: list[M.GraphData], state: M.ModelState) -> list[np.ndarray]:
@@ -183,10 +142,10 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     if k < cfg.k:
         warnings.warn(f"only {len(stacked)} substructure rows; lowering K to {k}",
                       stacklevel=2)
-        state.landmarks.u.value = np.zeros((k, cfg.latent))
-        state.classifier = M.init_classifier(feature_width(k, c, cfg.include_means),
-                                             cfg.classifier_hidden, classes, rng)
-    state.landmarks.u.value = init_landmarks(
+        for name, value in _classifier(feature_width(k, c, cfg.include_means),
+                                       cfg, classes, rng).items():
+            getattr(state, name).value = value
+    state.u.value = init_landmarks(
         stacked, k, int(kmeans_seed.generate_state(1)[0]), restarts=cfg.kmeans_restarts
     )
     center = 0.0

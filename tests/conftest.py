@@ -9,6 +9,7 @@ import pytest
 from slim import autodiff as ad
 from slim.datasets import DatasetBundle, Graph, load_tu_dataset
 from slim.pooling import DENSITY_EPS
+from slim.training import TrainConfig, init_state
 
 
 def write_tu_files(base, name, edges, indicator, graph_labels, node_labels=None):
@@ -66,6 +67,13 @@ def random_graph(rng, n=None, n_types=4, p_edge=0.35):
     np.fill_diagonal(a, 0.0)
     labels = rng.integers(0, n_types, n)
     return Graph.from_adjacency(a, labels, int(rng.integers(2)))
+
+
+def encoder_model(rng, width_in, hidden, latent, activation="sigmoid"):
+    """A new model whose encoder maps ``width_in``-wide rows through
+    ``hidden`` units to ``latent``; for tests of the encoder alone."""
+    cfg = TrainConfig(k=2, latent=latent, hidden=hidden, activation=activation)
+    return init_state(cfg, width_in, 1, 2, rng)
 
 
 def directed_edges(a):
@@ -246,11 +254,11 @@ def old_row_normalize(a):
     return ad._make(v, (a,), backward)
 
 
-def old_assign(h, landmarks):
+def old_assign(h, u):
     """``landmarks.assign`` as the chain of three generic tape ops, with the
     general Student-t kernel at one degree of freedom, that the fused op
     ``landmarks.assign`` must reproduce bit for bit."""
-    d2 = old_squared_distance_rows(h, landmarks.u)
+    d2 = old_squared_distance_rows(h, u)
     return old_row_normalize(old_student_t_kernel(d2, 1.0))
 
 

@@ -23,7 +23,7 @@ from slim.coherence import (
     unit_ball_volume,
 )
 from slim.datasets import load_tu_dataset, make_folds, one_hot_features, save_tu_dataset
-from slim.landmarks import LandmarkSet, assign, hard_distortion, init_landmarks
+from slim.landmarks import assign, hard_distortion, init_landmarks
 from slim.pooling import DENSITY_EPS, pool_graph
 from slim.training import TrainConfig, cross_validate, sweep_k
 
@@ -105,7 +105,7 @@ class TestCriterion5PoolingInvariants:
         # the shipped assignment op and pooling kernel, with M and C derived
         # from the kernel's output as `slim inspect` derives them
         def pooled(x, h, u, adjacency):
-            w = assign(Tensor(h), LandmarkSet(Tensor(u))).value
+            w = assign(Tensor(h), Tensor(u)).value
             p, _, v, c_norm = pool_graph(w, *directed_edges(adjacency))
             c = c_norm * np.outer(p + DENSITY_EPS, p + DENSITY_EPS)
             return w, (p, x.T @ v, c, c_norm)

@@ -9,8 +9,7 @@ from slim.autodiff import (
     check_registered_ops,
     grad_check,
 )
-from slim.landmarks import (LandmarkSet, assign, cluster_loss, pairwise_sq_distances,
-                            target_distribution)
+from slim.landmarks import assign, cluster_loss, pairwise_sq_distances, target_distribution
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
@@ -37,8 +36,8 @@ def pipeline_ops():
             rng = np.random.default_rng(1)
             state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
                                bundle.class_count, rng)
-            state.landmarks.u.value = rng.standard_normal((cfg.k, cfg.latent))
-            state.feature_center = np.zeros(state.classifier.w_hidden.shape[0])
+            state.u.value = rng.standard_normal((cfg.k, cfg.latent))
+            state.feature_center = np.zeros(state.w_hidden.shape[0])
             fwd = M.batch_forward(graphs, state.frozen(), [False] * len(graphs))
             targets = [target_distribution(fwd.w.value[r0:r1]) for r0, r1 in fwd.bounds]
             total, parts = M.joint_loss(graphs, state, 0.01, 0.01, targets)
@@ -307,6 +306,6 @@ class TestSquaredDistance:
         # squared distances 0 and 25: the kernels are 1 and 1/26
         h = np.array([[0.0, 0.0], [3.0, 4.0]])
         np.testing.assert_allclose(pairwise_sq_distances(h, h), [[0.0, 25.0], [25.0, 0.0]])
-        out = assign(Tensor(h), LandmarkSet(Tensor(h)))
+        out = assign(Tensor(h), Tensor(h))
         np.testing.assert_allclose(out.value, [[26 / 27, 1 / 27], [1 / 27, 26 / 27]],
                                    rtol=1e-15)

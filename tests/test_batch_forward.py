@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slim import autodiff as ad
-from slim import embedding, landmarks
+from slim import embedding
 from slim import model as M
 from slim import training
 from slim.autodiff import Tensor
@@ -114,23 +114,23 @@ def old_cooccurrence_loss(h, adjacency):
     return old_mul(old_sum_all(old_mul(logp, ad.constant(adjacency))), ad.constant(-1.0))
 
 
-def old_encode(z, enc):
-    act = embedding.ACTIVATIONS[enc.activation]
-    return act(old_dense(act(old_dense(ad.constant(z), enc.t1, enc.b1)), enc.t2, enc.b2))
+def old_encode(z, state):
+    act = embedding.ACTIVATIONS[state.config.activation]
+    return act(old_dense(act(old_dense(ad.constant(z), state.t1, state.b1)),
+                         state.t2, state.b2))
 
 
-def old_classifier_logits(features, clf, center):
-    return old_dense(ad.tanh(old_dense(features, clf.w_hidden, clf.b_hidden, center)),
-                     clf.w_out, clf.b_out)
+def old_classifier_logits(features, state):
+    return old_dense(ad.tanh(old_dense(features, state.w_hidden, state.b_hidden,
+                                       state.feature_center)),
+                     state.w_out, state.b_out)
 
 
 def old_logits(batch, state):
-    rows = [old_graph_feature_op(old_assign(old_encode(data.z, state.encoder),
-                                            state.landmarks),
-                                 data.x, adjacency_of(data), state.include_means)
+    rows = [old_graph_feature_op(old_assign(old_encode(data.z, state), state.u),
+                                 data.x, adjacency_of(data), state.config.include_means)
             for data in batch]
-    return old_classifier_logits(old_concat_rows(rows), state.classifier,
-                                 state.feature_center).value
+    return old_classifier_logits(old_concat_rows(rows), state).value
 
 
 def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
@@ -138,11 +138,11 @@ def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
     labeled = [True] * len(batch) if labeled is None else labeled
     rows, labels, embed_terms, cluster_terms = [], [], [], []
     for i, data in enumerate(batch):
-        h = old_encode(data.z, state.encoder)
-        w = old_assign(h, state.landmarks)
+        h = old_encode(data.z, state)
+        w = old_assign(h, state.u)
         if labeled[i]:
             rows.append(old_graph_feature_op(w, data.x, adjacency_of(data),
-                                             state.include_means))
+                                             state.config.include_means))
             labels.append(data.label)
         if lambda_embed > 0:
             embed_terms.append(old_cooccurrence_loss(h, adjacency_of(data)))
@@ -150,8 +150,7 @@ def old_joint_loss(batch, state, lambda_embed, lambda_cluster, targets_w=None,
             cluster_terms.append(old_kl_div(ad.constant(targets_w[i]), w))
     parts = []
     if rows:
-        logits = old_classifier_logits(old_concat_rows(rows), state.classifier,
-                                       state.feature_center)
+        logits = old_classifier_logits(old_concat_rows(rows), state)
         parts.append(ad.cross_entropy(logits, np.asarray(labels)))
     for terms, lam in ((embed_terms, lambda_embed), (cluster_terms, lambda_cluster)):
         if terms:
@@ -169,8 +168,8 @@ def make_state(graphs, c, classes, rng, include_means=False, k=5):
     cfg = TrainConfig(k=k, latent=4, hidden=6, classifier_hidden=7,
                       include_means=include_means)
     state = init_state(cfg, graphs[0].z.shape[1], c, classes, rng)
-    state.landmarks.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.4
-    state.feature_center = rng.standard_normal(state.classifier.w_hidden.shape[0]) * 0.01
+    state.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.4
+    state.feature_center = rng.standard_normal(state.w_hidden.shape[0]) * 0.01
     return state
 
 
@@ -178,20 +177,16 @@ def unfolded(state):
     """An independent copy of ``state`` whose classifier reads the full K*K
     layout: W_ij = W_ji = v_ij / sqrt(2), W_ii = v_ii, and the same for the
     feature centre. Its logits equal those of ``state``."""
-    k = state.landmarks.u.shape[0]
+    k = state.u.shape[0]
 
     def copy(t, full=False):
         return Tensor(unfold_triangle(t.value, k) if full else t.value.copy(),
                       requires_grad=True)
 
-    enc, lm, clf = state.encoder, state.landmarks, state.classifier
     return M.ModelState(
-        encoder=embedding.EncoderParams(copy(enc.t1), copy(enc.b1), copy(enc.t2),
-                                        copy(enc.b2), activation=enc.activation),
-        landmarks=landmarks.LandmarkSet(copy(lm.u)),
-        classifier=M.ClassifierParams(copy(clf.w_hidden, full=True), copy(clf.b_hidden),
-                                      copy(clf.w_out), copy(clf.b_out)),
-        include_means=state.include_means,
+        config=state.config,
+        **{name: copy(p, full=name == "w_hidden")
+           for name, p in zip(M.PARAMETERS, state.parameters())},
         feature_center=unfold_triangle(state.feature_center, k),
     )
 
@@ -233,7 +228,7 @@ class TestParityWithPerGraphTape:
             full = unfolded(state)
             old = old_joint_loss(batch, full, lam_e, lam_c, targets, labeled)
             old_grads = grads_of(old, full)
-            old_grads[5] = fold_triangle(old_grads[5], state.landmarks.u.shape[0])
+            old_grads[5] = fold_triangle(old_grads[5], state.u.shape[0])
             new, parts = M.joint_loss(batch, state, lam_e, lam_c, targets, labeled)
             assert new.value.item() == pytest.approx(old.value.item(), rel=0, abs=1e-10)
             assert parts.total == new.value.item()
@@ -253,8 +248,7 @@ class TestParityWithPerGraphTape:
         batch, probe = graphs[:12], graphs[12:]
 
         def logits(s):
-            return M.classifier_logits(M.batch_forward(probe, s.frozen()).features,
-                                       s.classifier, s.feature_center).value
+            return M.classifier_logits(M.batch_forward(probe, s.frozen()).features, s).value
 
         before = logits(state)
         np.testing.assert_allclose(before, old_logits(probe, full), rtol=0, atol=1e-10)

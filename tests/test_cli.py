@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
 from slim.cli import BOUND_OPTIONS, COHERENCE_OPTIONS, _coerce, build_parser, main
-from slim.datasets import save_tu_dataset
+from slim.datasets import load_tu_dataset, save_tu_dataset
 from slim.embedding import encode_values
 from slim.pooling import upper_triangle
 from slim.synthetic import make_bundle
@@ -167,11 +168,38 @@ class TestErrorMapping:
                                       ["--ks", "2,8", "--points", "4"],
                                       ["--ks", "2,8", "--seeds", "0"],
                                       ["--ks", "2,8", "--scale", "-1"],
-                                      ["--ks", "2,8", "--scale", "0"]])
+                                      ["--ks", "2,8", "--scale", "0"],
+                                      # "--config" followed by the file's one line
+                                      ["--ks", "2,8", "--config", "scale = -1"],
+                                      ["--config", "ks = 0,2"],
+                                      ["--ks", "2,8", "--config", "seeds = 0"],
+                                      ["--ks", "2,8", "--config", "components = 0"],
+                                      ["coherence-bound", "--config", "d = 1"],
+                                      ["coherence-bound", "--config", "K = 1"]])
     def test_bad_coherence_arguments_are_configuration_errors(self, tmp_path, capsys, argv):
-        assert run(["coherence", "--out", tmp_path / "o"] + argv) == 2
+        command, argv = (argv[0], argv[1:]) if argv[0] == "coherence-bound" else (
+            "coherence", argv + ["--out", tmp_path / "o"])
+        line = argv[argv.index("--config") + 1] if "--config" in argv else None
+        if line is not None:
+            cfg_file = tmp_path / "coh.cfg"
+            cfg_file.write_text(f"[coherence]\n{line}\n", encoding="utf-8")
+            argv = [cfg_file if a == line else a for a in argv]
+        assert run([command] + argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error")
+        if line is not None:
+            assert f"{cfg_file}: {line.split(' = ')[0]}: " in err[0], err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["cv", "--jobs", "0"], ["cv", "--jobs", "-4"],
+                                      ["sweep-k", "--ks", "2,4", "--jobs", "-1"]])
+    def test_jobs_below_one_is_a_usage_error(self, tu_root, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            run(argv + ["--dataset", "SYN", "--data-root", tu_root,
+                        "--out", tmp_path / "o"] + FAST)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "argument --jobs: must be at least 1" in lines[0]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -265,8 +293,6 @@ class TestInspect:
                     "--model", model_dir / "model.npz", "--graph", "0",
                     "--out", out])
         assert code == 0
-        from slim.datasets import load_tu_dataset
-
         bundle = load_tu_dataset(tu_root, "SYN")
         g = bundle.graphs[0]
         n, c, k = g.node_count, bundle.node_label_count, 4
@@ -284,8 +310,8 @@ class TestInspect:
         # the values, written with %.10g, against the dense reference formulas
         state = M.load_model(str(model_dir / "model.npz"))
         data = M.prepare_graph(g, c, training.TrainConfig().substructure())
-        h = encode_values(data.z, state.encoder)
-        pf = pooled_features(data.x, assign_values(h, state.landmarks.u.value),
+        h = encode_values(data.z, state)
+        pf = pooled_features(data.x, assign_values(h, state.u.value),
                              adjacency_of(g))
         for dumped, want in ((p, pf.p), (m, pf.m), (cmat, pf.c), (cn, pf.c_norm)):
             np.testing.assert_allclose(dumped, want, rtol=1e-9, atol=0)
@@ -299,9 +325,10 @@ class TestInspect:
                                      {"variant": "layer_wise", "hops": 0},
                                      # trained as node_distribution: Z is 3x too wide
                                      {"variant": "layer_wise"},
+                                     {"activation": "relu"},
                                      # top-level meta entries; None removes the entry
-                                     {"meta": {"activation": "relu"}},
-                                     {"meta": {"dof": 2.5}}, {"meta": {"activation": None}}])
+                                     {"meta": {"dof": 2.5}}, {"meta": {"config": None}},
+                                     {"unknown_option": 1}])
     def test_corrupt_model_config_is_configuration_error(self, tu_root, tmp_path,
                                                          capsys, bad):
         model_dir = tmp_path / "m"
@@ -311,11 +338,11 @@ class TestInspect:
         with np.load(model_dir / "model.npz") as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["config"].update({key: value for key, value in bad.items() if key != "meta"})
         top = bad.get("meta", {})
         meta.update({key: value for key, value in top.items() if value is not None})
         for key in [key for key, value in top.items() if value is None]:
             del meta[key]
-        meta["config"].update({key: value for key, value in bad.items() if key != "meta"})
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         np.savez(corrupt, **arrays)
         capsys.readouterr()
@@ -326,6 +353,22 @@ class TestInspect:
         assert len(err) == 1
         assert err[0].startswith("configuration error") and "corrupt.npz" in err[0]
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_library_saved_model_dumps_its_own_w(self, tu_root, tmp_path):
+        # trained and saved through the library at a radius other than the
+        # default: inspect rebuilds Z from the model's own config
+        bundle = load_tu_dataset(tu_root, "SYN")
+        cfg = training.TrainConfig(hops=1, k=4, epochs=1)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        state, _ = training.train(graphs, cfg, bundle.class_count, bundle.node_label_count)
+        M.save_model(str(tmp_path / "model.npz"), state)
+        out = tmp_path / "inspect"
+        assert run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", tmp_path / "model.npz", "--graph", "3", "--out", out]) == 0
+        want = io.StringIO()
+        np.savetxt(want, M.batch_forward([graphs[3]], state.frozen()).w.value,
+                   delimiter=",", fmt="%.10g")
+        assert (out / "graph3_W.csv").read_text() == want.getvalue()
 
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
@@ -394,7 +437,7 @@ class TestOptionNames:
                     "--config", cfg_file, "--out", out]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert config == {name: value for name, (_, value) in EVERY_FIELD.items()}
-        assert M.load_model(str(out / "model.npz")).meta["config"] == config
+        assert dataclasses.asdict(M.load_model(str(out / "model.npz")).config) == config
 
     @pytest.mark.parametrize("command", ["cv", "train", "sweep-k"])
     def test_training_flags_are_config_fields(self, command):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,17 +8,12 @@ from hypothesis import strategies as st
 
 from slim import autodiff as ad
 from slim.autodiff import Tensor, grad_check
-from slim.embedding import (
-    EncoderParams,
-    cooccurrence_loss,
-    cooccurrence_op,
-    encode,
-    encode_values,
-    init_encoder,
-)
+from slim.embedding import cooccurrence_loss, cooccurrence_op, encode, encode_values
+from slim.training import TrainConfig
 
 from conftest import (adjacency_of, cooccurrence_grad_oracle, cooccurrence_loss_oracle,
-                      cooccurrence_loss_reference, directed_edges, random_graph)
+                      cooccurrence_loss_reference, directed_edges, encoder_model,
+                      random_graph)
 
 
 def cooc(h, adjacency) -> float:
@@ -25,14 +21,14 @@ def cooc(h, adjacency) -> float:
     return cooccurrence_op(Tensor(h), [(0, len(h))], [directed_edges(adjacency)]).value.item()
 
 
-def zero_params(d_in=3, h=4, d_out=2):
-    return EncoderParams(
-        t1=Tensor(np.zeros((d_in, h))),
-        b1=Tensor(np.zeros(h)),
-        t2=Tensor(np.zeros((h, d_out))),
-        b2=Tensor(np.zeros(d_out)),
-        activation="sigmoid",
-    )
+def encoder_state(rng, activation="sigmoid"):
+    """A model whose encoder maps 3-wide rows through 4 hidden units to 2."""
+    return encoder_model(rng, 3, 4, 2, activation)
+
+
+def zero_params():
+    state = encoder_state(np.random.default_rng(0))
+    return state.with_parameters(Tensor(np.zeros_like(p.value)) for p in state.parameters())
 
 
 class TestEncode:
@@ -42,23 +38,23 @@ class TestEncode:
         np.testing.assert_allclose(h, np.full((5, 2), 0.5))
 
     def test_identical_rows_map_identically(self, rng):
-        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
+        params = encoder_state(rng)
         z = np.tile(rng.standard_normal(3), (4, 1))
         h = encode_values(z, params)
         assert np.all(h == h[0])
 
     def test_rows_in_unit_interval(self, rng):
-        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
+        params = encoder_state(rng)
         h = encode_values(rng.standard_normal((20, 3)) * 5, params)
         assert np.all((h > 0) & (h < 1))
 
     def test_deterministic(self, rng):
-        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
+        params = encoder_state(rng)
         z = rng.standard_normal((6, 3))
         assert np.array_equal(encode_values(z, params), encode_values(z, params))
 
     def test_tanh_switch(self, rng):
-        params = init_encoder(3, 4, 2, rng, activation="tanh")
+        params = encoder_state(rng, activation="tanh")
         h = encode_values(rng.standard_normal((10, 3)), params)
         assert np.all((h > -1) & (h < 1))
         assert np.any(h < 0)
@@ -66,8 +62,10 @@ class TestEncode:
     def test_gradients_wrt_all_params(self, rng):
         z = rng.standard_normal((4, 3))
 
+        state = encoder_state(rng)
+
         def fn(t1, b1, t2, b2):
-            return encode(ad.constant(z), EncoderParams(t1, b1, t2, b2, activation="sigmoid"))
+            return encode(ad.constant(z), replace(state, t1=t1, b1=b1, t2=t2, b2=b2))
 
         report = grad_check(
             fn,
@@ -77,15 +75,13 @@ class TestEncode:
         )
         assert report.passed, report.max_relative_error
 
-    def test_unknown_activation_is_refused_at_construction(self, rng):
-        params = init_encoder(3, 4, 2, rng, activation="tanh")
+    def test_unknown_activation_is_refused_at_construction(self):
+        # the model's config is the one place the activation is named
         with pytest.raises(ValueError, match="activation"):
-            EncoderParams(params.t1, params.b1, params.t2, params.b2, activation="relu")
-        with pytest.raises(ValueError, match="activation"):
-            init_encoder(3, 4, 2, rng, activation="relu")
+            TrainConfig(activation="relu")
 
     def test_width_mismatch(self, rng):
-        params = init_encoder(3, 4, 2, rng, activation="sigmoid")
+        params = encoder_state(rng)
         with pytest.raises(ValueError):
             encode(ad.constant(np.zeros((2, 5))), params)
 

@@ -10,7 +10,6 @@ from slim import autodiff as ad
 from slim import landmarks
 from slim.autodiff import Tensor, grad_check
 from slim.landmarks import (
-    LandmarkSet,
     _lloyd,
     assign,
     cluster_loss,
@@ -41,7 +40,7 @@ def exhaustive_two_means(points):
 
 def assign_arrays(h, u):
     """The shipped assignment on plain arrays, without a tape."""
-    return assign(Tensor(h), LandmarkSet(Tensor(u))).value
+    return assign(Tensor(h), Tensor(u)).value
 
 
 class TestAssign:
@@ -69,13 +68,12 @@ class TestAssign:
     def test_tape_matches_values(self, rng):
         h = rng.standard_normal((5, 3))
         u = rng.standard_normal((4, 3))
-        lm = LandmarkSet(Tensor(u))
-        w = assign(Tensor(h), lm)
+        w = assign(Tensor(h), Tensor(u))
         np.testing.assert_allclose(w.value, assign_values(h, u), rtol=1e-12)
 
     def test_gradients_wrt_embeddings_and_landmarks(self, rng):
         def fn(h, u):
-            return assign(h, LandmarkSet(u))
+            return assign(h, u)
 
         report = grad_check(
             fn, [rng.standard_normal((5, 3)), rng.standard_normal((4, 3))],
@@ -297,7 +295,7 @@ class TestStudentTAssignMatchesTheOpChain:
         results = []
         for fn in (assign, old_assign):
             h, u = Tensor(h0, requires_grad=True), Tensor(u0, requires_grad=True)
-            w = fn(h, LandmarkSet(u))
+            w = fn(h, u)
             w.backward(g)
             results.append((w.value, h.grad, u.grad))
         for got, want in zip(*results):
@@ -319,7 +317,7 @@ class TestSelfTrainingConsistency:
             before = hard_distortion(points, u0)
             h = Tensor(points)
             u = Tensor(u0.copy(), requires_grad=True)
-            w = assign(h, LandmarkSet(u))
+            w = assign(h, u)
             target = target_distribution(w.value)
             cluster_loss(w, target).backward()
             u_after = u0 - 0.05 * u.grad

@@ -1,3 +1,7 @@
+import json
+import typing
+from dataclasses import asdict, fields, replace
+
 import numpy as np
 import pytest
 
@@ -22,23 +26,22 @@ def small_setup(rng):
     graphs = M.prepare_bundle(bundle, cfg.substructure())
     state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
                        bundle.class_count, rng)
-    state.landmarks.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.4
+    state.u.value = rng.standard_normal((cfg.k, cfg.latent)) * 0.4
     return bundle, cfg, graphs, state
 
 
 def sharpened_targets(batch, state):
     """Per-graph clustering targets from the plain-array reference paths."""
     return [
-        target_distribution(assign_values(encode_values(g.z, state.encoder),
-                                          state.landmarks.u.value))
+        target_distribution(assign_values(encode_values(g.z, state),
+                                          state.u.value))
         for g in batch
     ]
 
 
 def tape_free_logits(graphs, state):
     feats = np.vstack([f.features.value for f in M.forward_chunks(graphs, state)])
-    return M.classifier_logits(ad.constant(feats), state.frozen().classifier,
-                               state.feature_center).value
+    return M.classifier_logits(ad.constant(feats), state.frozen()).value
 
 
 def manual_joint_loss(batch, state, lam_e, lam_c, targets):
@@ -46,18 +49,17 @@ def manual_joint_loss(batch, state, lam_e, lam_c, targets):
     feats, labels = [], []
     embed = cluster = 0.0
     for data, target in zip(batch, targets):
-        h = encode_values(data.z, state.encoder)
-        w = assign_values(h, state.landmarks.u.value)
+        h = encode_values(data.z, state)
+        w = assign_values(h, state.u.value)
         pf = pooled_features(data.x, w, adjacency_of(data))
-        feats.append(graph_feature(pf, state.include_means))
+        feats.append(graph_feature(pf, state.config.include_means))
         labels.append(data.label)
         embed += cooccurrence_loss_reference(h, adjacency_of(data))
         with np.errstate(divide="ignore", invalid="ignore"):
             cluster += float(np.where(target > 0, target * np.log(target / w), 0.0).sum())
     f = np.stack(feats)
-    cp = state.classifier
-    hidden = np.tanh(f @ cp.w_hidden.value + cp.b_hidden.value)
-    logits = hidden @ cp.w_out.value + cp.b_out.value
+    hidden = np.tanh(f @ state.w_hidden.value + state.b_hidden.value)
+    logits = hidden @ state.w_out.value + state.b_out.value
     z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1))
     ce = float((lse - z[np.arange(len(labels)), labels]).mean())
@@ -90,7 +92,7 @@ class TestJointLoss:
         cfg = TrainConfig(k=2, latent=3, hidden=4, classifier_hidden=4, epochs=1)
         data = M.prepare_graph(g, 1, cfg.substructure())
         state = init_state(cfg, data.z.shape[1], 1, 2, rng)
-        state.classifier.b_out.value = np.array([40.0, -40.0])
+        state.b_out.value = np.array([40.0, -40.0])
         w = M.batch_forward([data], state.frozen()).w.value
         total, _ = M.joint_loss([data, data], state, 0.01, 0.01,
                                 [w.copy(), w.copy()])
@@ -103,7 +105,7 @@ class TestJointLoss:
 
     def test_non_finite_loss_aborts_with_diagnostics(self, small_setup):
         _, _, graphs, state = small_setup
-        state.encoder.t1.value = np.full_like(state.encoder.t1.value, np.nan)
+        state.t1.value = np.full_like(state.t1.value, np.nan)
         with pytest.raises(NumericError):
             M.joint_loss(graphs[:2], state, 0.01, 0.01)
 
@@ -122,10 +124,10 @@ class TestJointLoss:
 class TestPredictPaths:
     def test_predict_matches_tape_logits(self, small_setup, rng):
         _, _, graphs, state = small_setup
-        state.feature_center = rng.standard_normal(state.classifier.w_hidden.shape[0])
+        state.feature_center = rng.standard_normal(state.w_hidden.shape[0])
         fwd = M.batch_forward(graphs, state)
         assert fwd.features.requires_grad
-        logits = M.classifier_logits(fwd.features, state.classifier, state.feature_center)
+        logits = M.classifier_logits(fwd.features, state)
         np.testing.assert_allclose(tape_free_logits(graphs, state), logits.value,
                                    rtol=1e-12)
         labels = np.array([g.label for g in graphs])
@@ -148,15 +150,13 @@ class TestParameters:
         _, _, _, state = small_setup
         state.feature_center = np.arange(3.0)
         state.meta["dataset"] = "unit-test"
-        state.encoder.activation = "sigmoid"
-        state.include_means = True
+        state.config = replace(state.config, activation="sigmoid", include_means=True)
         params = state.parameters()
         again = state.with_parameters(params)
         assert all(a is b for a, b in zip(again.parameters(), params, strict=True))
         assert again.feature_center is state.feature_center
         assert again.meta == {"dataset": "unit-test"}
-        assert again.encoder.activation == "sigmoid"
-        assert again.include_means is True
+        assert again.config is state.config
 
     def test_with_parameters_replaces_in_order(self, small_setup):
         _, _, _, state = small_setup
@@ -174,6 +174,27 @@ class TestParameters:
             assert b.value is a.value and not b.requires_grad and a.requires_grad
 
 
+def format_2_file(small_setup, tmp_path, rng, with_config=True):
+    """A model and its file, with the meta keys ``slim train`` wrote in
+    format 2 spelled out. The top-level copies of two config entries
+    disagree with the config, which is the one that is read."""
+    bundle, cfg, graphs, _ = small_setup
+    cfg = replace(cfg, activation="sigmoid", include_means=True)
+    state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
+                       bundle.class_count, rng)
+    state.u.value = rng.standard_normal(state.u.shape)
+    state.feature_center = np.linspace(-1.0, 1.0, state.w_hidden.shape[0])
+    meta = {"format_version": 2, "dataset": "unit-test", "config": asdict(cfg),
+            "activation": "tanh", "include_means": False}
+    if not with_config:
+        del meta["config"]
+    path = str(tmp_path / "v2.npz")
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             feature_center=state.feature_center,
+             **{name: getattr(state, name).value for name in M.PARAMETERS})
+    return state, path
+
+
 class TestSerialization:
     def test_round_trip(self, small_setup, tmp_path):
         _, _, graphs, state = small_setup
@@ -183,27 +204,17 @@ class TestSerialization:
         loaded = M.load_model(path)
         for a, b in zip(state.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.value, b.value)
-        assert "dof" not in loaded.meta
-        assert loaded.meta["dataset"] == "unit-test"
+        assert loaded.config == state.config
+        assert loaded.meta == {"dataset": "unit-test"}
         np.testing.assert_array_equal(tape_free_logits(graphs, state),
                                       tape_free_logits(graphs, loaded))
 
-    def test_file_with_the_format_2_keys_loads(self, small_setup, tmp_path):
-        import json
-
-        _, _, graphs, state = small_setup
-        state.feature_center = np.linspace(-1.0, 1.0, state.classifier.w_hidden.shape[0])
-        enc, clf = state.encoder, state.classifier
-        meta = {"format_version": 2, "dof": 1.0,
-                "activation": enc.activation, "include_means": False}
-        path = str(tmp_path / "v2.npz")
-        # the key set written by format version 2, spelled out
-        np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-                 feature_center=state.feature_center,
-                 t1=enc.t1.value, b1=enc.b1.value, t2=enc.t2.value, b2=enc.b2.value,
-                 u=state.landmarks.u.value, w_hidden=clf.w_hidden.value,
-                 b_hidden=clf.b_hidden.value, w_out=clf.w_out.value, b_out=clf.b_out.value)
+    def test_file_with_the_format_2_keys_loads(self, small_setup, tmp_path, rng):
+        graphs = small_setup[2]
+        state, path = format_2_file(small_setup, tmp_path, rng)
+        cfg = state.config
         loaded = M.load_model(path)
+        assert loaded.config == cfg and loaded.meta == {"dataset": "unit-test"}
         for a, b in zip(state.parameters(), loaded.parameters(), strict=True):
             np.testing.assert_array_equal(a.value, b.value)
         np.testing.assert_array_equal(loaded.feature_center, state.feature_center)
@@ -212,10 +223,15 @@ class TestSerialization:
         M.save_model(str(tmp_path / "again.npz"), loaded)
         with np.load(str(tmp_path / "again.npz")) as again, np.load(path) as first:
             assert sorted(again.files) == sorted(first.files)
+            assert set(json.loads(bytes(again["meta"]).decode("utf-8"))) == {
+                "dataset", "format_version", "config"}
+
+    def test_format_2_file_without_a_config_is_refused(self, small_setup, tmp_path, rng):
+        _, path = format_2_file(small_setup, tmp_path, rng, with_config=False)
+        with pytest.raises(ValueError, match="v2.npz: the model file records no config"):
+            M.load_model(path)
 
     def test_a_dof_other_than_one_is_refused(self, small_setup, tmp_path):
-        import json
-
         _, _, _, state = small_setup
         path = str(tmp_path / "model.npz")
         M.save_model(path, state)
@@ -233,8 +249,6 @@ class TestSerialization:
                     M.load_model(path)
 
     def test_version_check(self, small_setup, tmp_path):
-        import json
-
         _, _, _, state = small_setup
         path = str(tmp_path / "model.npz")
         M.save_model(path, state)
@@ -245,3 +259,28 @@ class TestSerialization:
         np.savez(path, **blob)
         with pytest.raises(ValueError, match="format version"):
             M.load_model(path)
+
+
+# a value other than the default for every TrainConfig field
+EVERY_FIELD = {"hops": 2, "variant": "weighted_layer_sum", "layer_decay": 0.25, "k": 3,
+               "latent": 3, "hidden": "D/2", "classifier_hidden": 6, "optimizer": "sgd",
+               "learning_rate": 0.02, "epochs": 1, "batch_size": 7, "lambda_embed": 0.02,
+               "lambda_cluster": 0.03, "seed": 9, "semi_supervised": True,
+               "include_means": True, "activation": "sigmoid", "kmeans_restarts": 2}
+
+
+def test_the_model_file_holds_every_parameter_and_option(tmp_path, rng):
+    # a parameter or an option added without file support fails here
+    hints = typing.get_type_hints(M.ModelState)
+    assert tuple(name for name, hint in hints.items() if hint is Tensor) == M.PARAMETERS
+    assert {f.name for f in fields(TrainConfig)} == set(EVERY_FIELD)
+    cfg = TrainConfig(**EVERY_FIELD)
+    for f in fields(TrainConfig):
+        assert getattr(cfg, f.name) != f.default, f.name
+    path = str(tmp_path / "model.npz")
+    M.save_model(path, init_state(cfg, 8, 3, 2, rng))
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(M.PARAMETERS + ("feature_center", "meta"))
+    loaded = M.load_model(path)
+    for f in fields(TrainConfig):
+        assert getattr(loaded.config, f.name) == getattr(cfg, f.name), f.name

@@ -4,8 +4,8 @@ import pytest
 from slim import autodiff as ad
 from slim.autodiff import Tensor, grad_check
 from slim.datasets import Graph, one_hot_features
-from slim.embedding import encode, encode_values, init_encoder
-from slim.landmarks import LandmarkSet, assign
+from slim.embedding import encode, encode_values
+from slim.landmarks import assign
 from slim.pooling import (
     DENSITY_EPS,
     feature_width,
@@ -13,8 +13,8 @@ from slim.pooling import (
     pool_graph,
 )
 
-from conftest import (adjacency_of, assign_values, directed_edges, graph_feature,
-                      pooled_features, random_graph, unfold_triangle)
+from conftest import (adjacency_of, assign_values, directed_edges, encoder_model,
+                      graph_feature, pooled_features, random_graph, unfold_triangle)
 
 TRIANGLE = np.ones((3, 3)) - np.eye(3)
 EDGE = TRIANGLE[:2, :2]
@@ -171,14 +171,14 @@ class TestGraphFeature:
 def _pipeline_features(g, x, encoder, u, include_means=False):
     """Differentiable substructure-to-feature pipeline used for grad checks."""
     h = encode(ad.constant(x), encoder)
-    w = assign(h, LandmarkSet(u))
+    w = assign(h, u)
     return graph_feature_op(w, [(0, g.node_count)], [x], [g.edges],
                             include_means)
 
 
 class TestPermutationInvariance:
     def test_pooled_features_invariant(self, rng):
-        encoder = init_encoder(4, 5, 3, rng, activation="sigmoid")
+        encoder = encoder_model(rng, 4, 5, 3)
         u = Tensor(rng.standard_normal((4, 3)))
         for _ in range(5):
             g = random_graph(rng, n_types=4)
@@ -189,8 +189,7 @@ class TestPermutationInvariance:
             xp = one_hot_features(gp, c)
             feats = [_pipeline_features(g, x, encoder, u).value,
                      _pipeline_features(gp, xp, encoder, u).value]
-            parts = [pooled(xi, assign(Tensor(encode_values(xi, encoder)),
-                                       LandmarkSet(u)).value, a)
+            parts = [pooled(xi, assign(Tensor(encode_values(xi, encoder)), u).value, a)
                      for xi, a in ((x, adjacency_of(g)), (xp, adjacency_of(gp)))]
             for got, want in zip(parts[1], parts[0]):
                 np.testing.assert_allclose(got, want, atol=1e-6)
@@ -201,7 +200,7 @@ class TestDifferentiablePath:
     def test_tape_matches_plain_arrays(self, rng):
         g = random_graph(rng, n_types=3)
         x = one_hot_features(g, 3)
-        encoder = init_encoder(3, 4, 3, rng, activation="sigmoid")
+        encoder = encoder_model(rng, 3, 4, 3)
         u = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         feat = _pipeline_features(g, x, encoder, u)
         h = encode_values(x, encoder)
@@ -215,7 +214,7 @@ class TestDifferentiablePath:
         x = one_hot_features(g, 3)
 
         def fn(h, u):
-            w = assign(h, LandmarkSet(u))
+            w = assign(h, u)
             return graph_feature_op(w, [(0, g.node_count)], [x],
                                     [g.edges], include_means)
 

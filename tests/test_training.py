@@ -308,5 +308,5 @@ class TestConfig:
         graphs = M.prepare_bundle(bundle, cfg.substructure())
         with pytest.warns(UserWarning, match="lowering K"):
             state, _ = train(graphs, cfg, 2, bundle.node_label_count)
-        assert state.landmarks.u.value.shape[0] < 200
+        assert state.u.value.shape[0] < 200
 
