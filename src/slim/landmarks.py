@@ -8,7 +8,10 @@ flows through it.
 """
 from __future__ import annotations
 
+import mmap
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,6 +21,8 @@ from .autodiff import Tensor
 # Lloyd's iterations stop when no center moves this far, or after this many
 KMEANS_TOL = 1e-6
 KMEANS_MAX_ITER = 100
+# entries of the n x K distances that a Lloyd step finishes per block of rows
+LLOYD_BLOCK = 1 << 15
 
 
 def assign(h: Tensor, u: Tensor) -> Tensor:
@@ -85,16 +90,23 @@ def hard_distortion(h: np.ndarray, u: np.ndarray) -> float:
 
 
 def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds (Arthur & Vassilvitskii 2007). The squared distances
+    to each new center are formed in one n x d and one n buffer kept for the
+    whole call, with the same operations as ``((points - c) ** 2).sum(axis=1)``."""
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(len(points))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    diff = np.subtract(points, centers[0])
+    d2 = np.square(diff, out=diff).sum(axis=1)
+    step = np.empty_like(d2)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[i] = points[rng.integers(len(points))]
             continue
         centers[i] = points[rng.choice(len(points), p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+        np.subtract(points, centers[i], out=diff)
+        np.square(diff, out=diff).sum(axis=1, out=step)
+        np.minimum(d2, step, out=d2)
     return centers
 
 
@@ -104,22 +116,41 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, tol: float, max_iter: int) -
     The distances are (|p|^2 + |c|^2) - P (2C)'. Scaling by 2 is exact at
     every rounding step of the product, so P (2C)' and (2P) C' are both
     exactly 2 (P C'), and d2 is bit-for-bit that of the direct formula
-    |p|^2 + |c|^2 - 2 P C', in two n x K passes instead of three. The
-    centroid sums come from one flat bincount over the points in row-major
-    order, which visits the rows of each (center, column) bin in row order:
-    the same additions in the same order as one bincount per column, or as
-    ``np.add.at``.
+    |p|^2 + |c|^2 - 2 P C'. The product is one BLAS call into the n x K
+    part of the call's work buffer; the norms are added to it and it is
+    subtracted from them a block of rows at a time. The centroid sums are
+    one bincount per column over a transposed copy of the points, made once
+    per call in the buffer's n x d part (after the squared points for the
+    norms): each (center, column) bin adds its rows in row order, as
+    ``np.add.at`` does.
+
+    The work buffer is an anonymous memory map, returned to the system when
+    the call's arrays are gone. From malloc it would come from the arena of
+    the pool thread that runs the call, and glibc keeps an arena's freed
+    pages below its trim threshold for the rest of the process: each pool
+    thread would hold an n x K array's worth of memory that nothing else
+    can use.
     """
-    d, k = points.shape[1], len(centers)
-    pp = (points * points).sum(axis=1)
-    flat, bins = points.ravel(), np.arange(d)
+    (n, d), k = points.shape, len(centers)
+    work = np.frombuffer(mmap.mmap(-1, 8 * n * (k + d)), dtype=np.float64)
+    d2 = work[:n * k].reshape(n, k)
+    pp = np.square(points, out=work[n * k:].reshape(n, d)).sum(axis=1)
+    columns = work[n * k:].reshape(d, n)
+    columns[...] = points.T
+    rows = max(1, LLOYD_BLOCK // k)
+    norms = np.empty((min(n, rows), k))
+    sums = np.empty((k, d))
     for _ in range(max_iter):
-        d2 = np.add.outer(pp, (centers * centers).sum(axis=1))
-        d2 -= points @ (2.0 * centers).T
+        cc = (centers * centers).sum(axis=1)
+        np.matmul(points, (2.0 * centers).T, out=d2)
+        for r in range(0, n, rows):
+            block = d2[r:r + rows]
+            np.subtract(np.add.outer(pp[r:r + rows], cc, out=norms[:len(block)]), block,
+                        out=block)
         nearest = d2.argmin(axis=1)
+        for j, column in enumerate(columns):
+            sums[:, j] = np.bincount(nearest, weights=column, minlength=k)
         new = centers.copy()
-        sums = np.bincount((nearest[:, None] * d + bins).ravel(), weights=flat,
-                           minlength=k * d).reshape(k, d)
         sizes = np.bincount(nearest, minlength=k)
         occupied = sizes > 0
         new[occupied] = sums[occupied] / sizes[occupied, None]
@@ -130,9 +161,24 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, tol: float, max_iter: int) -
     return centers
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
 def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
                    restarts: int = 4) -> np.ndarray:
     """k-means++ seeding followed by Lloyd iterations; best of ``restarts`` runs.
+
+    The calling thread draws every restart's seeds from one generator, in
+    restart order, and hands each seeded Lloyd run to a pool of
+    ``min(restarts, usable CPUs)`` threads that lives only inside this call
+    (numpy releases the GIL in Lloyd's array work). It then scores the runs
+    in restart order and keeps the first of the lowest costs, so the
+    landmarks are the same for any CPU count. Only the private ``_lloyd``
+    runs on the pool, never a public function that a tracer could wrap.
 
     Duplicate rows below k distinct values trigger a warning and a small
     jitter so the returned landmarks are usable as distinct parameters.
@@ -148,12 +194,16 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
             "centroids jittered",
             stacklevel=2,
         )
+    runs = max(1, restarts)
     best, best_cost = None, np.inf
-    for _ in range(max(1, restarts)):
-        centers = _lloyd(points, _kmeans_pp_seed(points, k, rng), KMEANS_TOL, KMEANS_MAX_ITER)
-        cost = hard_distortion(points, centers)
-        if cost < best_cost:
-            best, best_cost = centers, cost
+    with ThreadPoolExecutor(max_workers=min(runs, _usable_cpus())) as pool:
+        lloyds = [pool.submit(_lloyd, points, _kmeans_pp_seed(points, k, rng),
+                              KMEANS_TOL, KMEANS_MAX_ITER) for _ in range(runs)]
+        for lloyd in lloyds:
+            centers = lloyd.result()
+            cost = hard_distortion(points, centers)
+            if cost < best_cost:
+                best, best_cost = centers, cost
     if len(np.unique(best, axis=0)) < k:
         best = best + rng.normal(scale=1e-4, size=best.shape)
     return best

@@ -122,7 +122,9 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     """Train one model; returns (ModelState, list[EpochMetrics]).
 
     ``unlabeled_graphs`` join the co-occurrence and clustering terms but never
-    the classification loss; their labels are not read anywhere.
+    the classification loss; their labels are not read anywhere. When the
+    pool has fewer substructure rows than ``cfg.k``, K is lowered to the row
+    count and the returned state's config records the K used.
     """
     if not train_graphs:
         raise ValueError("training split must be non-empty")
@@ -145,6 +147,7 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
         for name, value in _classifier(feature_width(k, c, cfg.include_means),
                                        cfg, classes, rng).items():
             getattr(state, name).value = value
+        state = replace(state, config=replace(cfg, k=k))
     state.u.value = init_landmarks(
         stacked, k, int(kmeans_seed.generate_state(1)[0]), restarts=cfg.kmeans_restarts
     )

@@ -8,6 +8,7 @@ import pytest
 
 from slim import autodiff as ad
 from slim.datasets import DatasetBundle, Graph, load_tu_dataset
+from slim.landmarks import KMEANS_MAX_ITER, KMEANS_TOL, hard_distortion
 from slim.pooling import DENSITY_EPS
 from slim.training import TrainConfig, init_state
 
@@ -162,6 +163,43 @@ def lloyd_oracle(points, centers, tol, max_iter):
         if shift < tol:
             break
     return centers
+
+
+def kmeans_pp_seed_oracle(points, k, rng):
+    """``landmarks._kmeans_pp_seed`` with a new n x d difference, its square
+    and a new n-vector of distances at every step."""
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(len(points))]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = points[rng.integers(len(points))]
+            continue
+        centers[i] = points[rng.choice(len(points), p=d2 / total)]
+        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+def init_landmarks_oracle(embeddings, k, seed, restarts=4, candidates=None):
+    """``landmarks.init_landmarks`` as one sequential loop over the restarts
+    on the calling thread, with the direct forms of the seeding and of
+    Lloyd's step. Each restart's (centers, cost) is appended to
+    ``candidates`` when a list is given."""
+    points = np.asarray(embeddings, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    best, best_cost = None, np.inf
+    for _ in range(max(1, restarts)):
+        centers = lloyd_oracle(points, kmeans_pp_seed_oracle(points, k, rng),
+                               KMEANS_TOL, KMEANS_MAX_ITER)
+        cost = hard_distortion(points, centers)
+        if candidates is not None:
+            candidates.append((centers, cost))
+        if cost < best_cost:
+            best, best_cost = centers, cost
+    if len(np.unique(best, axis=0)) < k:
+        best = best + rng.normal(scale=1e-4, size=best.shape)
+    return best
 
 
 def cooccurrence_loss_oracle(h, adjacency):

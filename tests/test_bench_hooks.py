@@ -14,7 +14,7 @@ import types
 
 import numpy as np
 
-from slim import embedding
+from slim import embedding, landmarks
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -99,3 +99,20 @@ def test_cooccurrence_hook_still_sees_a_dense_adjacency():
     tracer = tracing_module().Tracer()
     tracer._count_cooc(h, a)
     assert (tracer.cooc_scores, tracer.cooc_links) == (16, 4)
+
+
+def test_restart_pool_leaves_the_spans_of_the_calling_thread_intact():
+    # the tracer keeps one span stack for the process, so only private,
+    # unwrapped functions may run on the k-means restart pool
+    tracer = tracing_module().Tracer()
+    points = np.random.default_rng(3).standard_normal((400, 4))
+    tracer.install()
+    try:
+        landmarks.init_landmarks(points, 6, seed=1, restarts=4)
+    finally:
+        tracer.uninstall()
+    assert tracer.stack == []
+    distortion = {parent: stats[0] for (name, parent, _), stats in tracer.stats.items()
+                  if name == "landmarks.hard_distortion"}
+    assert distortion == {"landmarks.init_landmarks": 4}
+    assert {root for _, _, root in tracer.stats} == {"landmarks.init_landmarks"}

@@ -1,5 +1,9 @@
 import itertools
+import os
+import threading
+import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,7 +23,14 @@ from slim.landmarks import (
     target_distribution,
 )
 
-from conftest import assign_values, lloyd_oracle, old_assign, old_kl_div
+from conftest import (
+    assign_values,
+    init_landmarks_oracle,
+    kmeans_pp_seed_oracle,
+    lloyd_oracle,
+    old_assign,
+    old_kl_div,
+)
 
 
 def exhaustive_two_means(points):
@@ -385,3 +396,138 @@ class TestLloydMatchesDirectForm:
         start = points[rng.choice(len(points), 100, replace=False)]
         np.testing.assert_array_equal(landmarks._lloyd(points, start, 1e-6, 8),
                                       lloyd_oracle(points, start, 1e-6, 8))
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_row_blocks_of_any_size(self, block, monkeypatch):
+        # blocks of one row, a ragged last block, and one block per call
+        rng = np.random.default_rng(8)
+        points = np.round(rng.standard_normal((50, 3)) * 3.0, 1)
+        start = points[rng.choice(len(points), 6, replace=False)]
+        monkeypatch.setattr(landmarks, "LLOYD_BLOCK", block)
+        np.testing.assert_array_equal(landmarks._lloyd(points, start, 1e-6, 20),
+                                      lloyd_oracle(points, start, 1e-6, 20))
+
+
+class TestSeedingMatchesFreshArrays:
+    @pytest.mark.parametrize("kind", ["normal", "duplicates"])
+    def test_seeds_and_generator_state(self, kind):
+        rng = np.random.default_rng(21)
+        points = rng.standard_normal((200, 4)) * 3.0
+        if kind == "duplicates":   # the total reaches 0 and seeds redraw uniformly
+            points = points[rng.integers(0, 3, len(points))]
+        shipped_rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        np.testing.assert_array_equal(landmarks._kmeans_pp_seed(points, 8, shipped_rng),
+                                      kmeans_pp_seed_oracle(points, 8, oracle_rng))
+        assert shipped_rng.random() == oracle_rng.random()
+
+
+def four_symmetric_clouds():
+    """Four clouds of the same shape at the corners of a square, in exact
+    binary fractions: at K = 4 every restart finds the same clouds, in the
+    order its seeds visit them, at the same cost to the last bit."""
+    offsets = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [-0.25, -0.25]])
+    corners = np.array([[4.0, 4.0], [-4.0, 4.0], [4.0, -4.0], [-4.0, -4.0]])
+    return (corners[:, None, :] + offsets[None, :, :]).reshape(-1, 2)
+
+
+@pytest.fixture(params=[1, 16], ids=["one-cpu", "many-cpus"])
+def cpus(request, monkeypatch):
+    """The usable CPU count that ``init_landmarks`` sizes its pool by."""
+    monkeypatch.setattr(landmarks, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+class TestRestartPoolMatchesTheSequentialLoop:
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4, 5])
+    def test_restarts(self, restarts, cpus):
+        points = np.random.default_rng(restarts).standard_normal((120, 4)) * 2.0
+        np.testing.assert_array_equal(init_landmarks(points, 7, 11, restarts=restarts),
+                                      init_landmarks_oracle(points, 7, 11, restarts=restarts))
+
+    def test_k_equal_to_the_row_count(self, cpus):
+        points = np.random.default_rng(2).standard_normal((9, 3))
+        np.testing.assert_array_equal(init_landmarks(points, 9, 5),
+                                      init_landmarks_oracle(points, 9, 5))
+
+    def test_duplicate_rows_take_the_jitter_path(self, cpus):
+        points = np.random.default_rng(3).standard_normal((4, 2))[[0, 1, 2, 3] * 5]
+        with pytest.warns(UserWarning, match="distinct"):
+            shipped = init_landmarks(points, 6, 2)
+        np.testing.assert_array_equal(shipped, init_landmarks_oracle(points, 6, 2))
+        assert len(np.unique(shipped, axis=0)) == 6
+
+    def test_a_cost_tie_keeps_the_first_restart(self, cpus):
+        points = four_symmetric_clouds()
+        candidates = []
+        oracle = init_landmarks_oracle(points, 4, 0, restarts=5, candidates=candidates)
+        lowest = min(cost for _, cost in candidates)
+        tied = [centers for centers, cost in candidates if cost == lowest]
+        assert len(tied) >= 2 and not np.array_equal(tied[0], tied[1])
+        np.testing.assert_array_equal(oracle, tied[0])
+        np.testing.assert_array_equal(init_landmarks(points, 4, 0, restarts=5), oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kmeans_inputs(), st.integers(1, 5), st.integers(1, 8))
+    def test_random_inputs(self, case, restarts, cpu_count):
+        points, k, seed = case
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer distinct rows than k
+            mp.setattr(landmarks, "_usable_cpus", lambda: cpu_count)
+            np.testing.assert_array_equal(
+                init_landmarks(points, k, seed, restarts=restarts),
+                init_landmarks_oracle(points, k, seed, restarts=restarts))
+
+
+class TestRestartPool:
+    @pytest.mark.parametrize("restarts,cpu_count,workers",
+                             [(4, 1, 1), (4, 2, 2), (2, 16, 2), (0, 8, 1)])
+    def test_pool_size(self, restarts, cpu_count, workers, monkeypatch):
+        sizes = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(landmarks, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(landmarks, "_usable_cpus", lambda: cpu_count)
+        init_landmarks(np.random.default_rng(0).standard_normal((20, 2)), 3, 0,
+                       restarts=restarts)
+        assert sizes == [workers]
+
+    def test_usable_cpus_reads_the_affinity_mask_then_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert landmarks._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert landmarks._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert landmarks._usable_cpus() == 1
+
+    def test_lloyd_allocates_nothing_with_a_row_per_point(self):
+        # the n x K and n x d arrays live in a memory map that is unmapped
+        # at return; a pool thread's allocator would keep them otherwise
+        rng = np.random.default_rng(6)
+        points = np.tanh(rng.standard_normal((20000, 32)))
+        tracemalloc.start()
+        try:
+            landmarks._lloyd(points, points[:100].copy(), 1e-6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points.nbytes / 4
+
+    def test_no_thread_outlives_the_call(self, rng):
+        before = threading.active_count()
+        init_landmarks(rng.standard_normal((200, 3)), 5, 0, restarts=4)
+        assert threading.active_count() == before
+
+    def test_a_failed_restart_raises_after_every_thread_ended(self, monkeypatch):
+        def failing(points, centers, tol, max_iter):
+            raise FloatingPointError("lloyd failed")
+
+        before = threading.active_count()
+        monkeypatch.setattr(landmarks, "_lloyd", failing)
+        with pytest.raises(FloatingPointError, match="lloyd failed"):
+            init_landmarks(np.random.default_rng(1).standard_normal((20, 2)), 3, 0)
+        assert threading.active_count() == before

@@ -1,4 +1,6 @@
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from slim.training import (
     DivergenceError,
     TrainConfig,
     cross_validate,
+    init_state,
     sweep_k,
     train,
     write_sweep_csv,
@@ -167,6 +170,14 @@ class TestTrain:
                 assert getattr(got, field) == pytest.approx(getattr(want, field),
                                                             rel=1e-12, abs=0.0)
 
+    def test_no_thread_outlives_training(self):
+        bundle = make_bundle(n_graphs=8, seed=4)
+        cfg = tiny_cfg(epochs=1)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        before = threading.active_count()
+        train(graphs, cfg, 2, bundle.node_label_count)
+        assert threading.active_count() == before
+
     def test_empty_training_split_rejected(self):
         cfg = tiny_cfg()
         with pytest.raises(ValueError):
@@ -302,11 +313,21 @@ class TestConfig:
         assert TrainConfig(hidden="12").hidden == 12
         assert TrainConfig(hidden="D/2").hidden == "D/2"
 
-    def test_k_reduced_when_too_few_rows_warns(self):
+    def test_k_reduced_when_too_few_rows_warns(self, tmp_path):
         bundle = make_bundle(n_graphs=4, seed=3)
         cfg = tiny_cfg(k=200, epochs=1)
         graphs = M.prepare_bundle(bundle, cfg.substructure())
         with pytest.warns(UserWarning, match="lowering K"):
             state, _ = train(graphs, cfg, 2, bundle.node_label_count)
         assert state.u.value.shape[0] < 200
+        # the record holds the K its arrays were built with, and keeps it
+        assert state.config.k == state.u.value.shape[0]
+        assert state.config == replace(cfg, k=state.config.k)
+        path = str(tmp_path / "model.npz")
+        M.save_model(path, state)
+        assert M.load_model(path).config == state.config
+        rebuilt = init_state(state.config, graphs[0].z.shape[1], bundle.node_label_count,
+                             2, np.random.default_rng(0))
+        assert ([p.value.shape for p in rebuilt.parameters()]
+                == [p.value.shape for p in state.parameters()])
 
