@@ -113,8 +113,16 @@ class FoldPlan:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh.read().splitlines()]
+    """The stripped lines of a UTF-8 text file; raises ParseError naming the
+    line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} line {line_no}: not UTF-8 text ({exc.reason})") from None
+    return [line.strip() for line in text.splitlines()]
 
 
 def _require(path: str):
@@ -138,7 +146,8 @@ def _load_ints(path: str, delimiter: str | None = None) -> np.ndarray | None:
 def _int_column(path: str) -> np.ndarray:
     """One integer per non-empty line.
 
-    Raises ParseError naming the first line that is not one integer.
+    Raises ParseError naming the first line that is not one integer or
+    lies outside the int64 range.
     """
     values = _load_ints(path)
     # a 2-D read keeps a one-line "1 2" file from passing as a column of two
@@ -151,9 +160,12 @@ def _int_column(path: str) -> np.ndarray:
         if not line:
             continue
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise ParseError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
+        if not -2**63 <= value < 2**63:
+            raise ParseError(f"{path} line {line_no}: {line!r} does not fit in 64 bits")
+        values.append(value)
     return np.array(values, dtype=np.int64)
 
 

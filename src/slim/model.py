@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -329,7 +330,9 @@ def load_model(path: str) -> ModelState:
             config = TrainConfig(**meta.pop("config"))
             params = {name: Tensor(data[name], requires_grad=True) for name in PARAMETERS}
             center = data["feature_center"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # an empty file ends before numpy's format check (EOFError); a cut one
+        # has lost the zip archive's directory (BadZipFile)
         raise ValueError(f"{path}: {exc}") from exc
     return ModelState(config=config, **params,
                       feature_center=None if center.size == 0 else center, meta=meta)

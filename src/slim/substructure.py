@@ -3,22 +3,29 @@
 Each node contributes one substructure instance: the multiset of node types
 inside its k-hop ball, arranged by one of four layouts (rows of the matrix Z).
 The exact-j-hop shells S_1..S_k of every source come from one frontier
-recurrence, S_j = (S_{j-1} A > 0) minus everything reached before. The
-boolean product S_{j-1} A is formed one of two ways, both exact:
+recurrence, S_j = (S_{j-1} A > 0) minus everything reached before, formed
+one of two ways, both exact:
 
-  dense    the float32 product of the 0/1 matrices. It counts paths, and
-           every count stays below 2**24, so ``> 0`` reads it exactly. It
-           costs O(n^3) per hop and is kept for graphs of at most
-           DENSE_SHELL_NODES nodes and for hops too dense to walk.
-  walked   for every pair (p, k) of S_{j-1}, every edge (k, q) of the
-           graph's CSR edge list sets (p, q). It only ORs, so it is exact
-           at any size. It costs O(n^2 + walks) per hop, and is taken while
-           the graph has at most n^2/8 directed edges and the hop at most
-           n^2/8 walked edges, a count taken before any pair is listed
-           (deg . column counts of S_{j-1}, O(n^2)). Each of the walk's
-           int64 index arrays then holds no more bytes than one n x n
-           boolean matrix, so its peak memory stays below that of the
-           three n x n float32 arrays of the product it replaces.
+  dense    n x n booleans, the frontier S_{j-1} A the float32 product of the
+           0/1 matrices. It counts paths, and every count stays below 2**24,
+           so ``> 0`` reads it exactly. Z is the product of the ball or the
+           shells with the one-hot labels X. It costs O(n^3) per hop.
+  walked   each shell a sorted array of int64 pair keys p * n + q. S_1 is
+           the edge list's keys; S_j lists, for every pair (p, k) of
+           S_{j-1}, every edge (k, q) of the graph's CSR, then sorts and
+           deduplicates the keys and drops those already reached (a
+           ``searchsorted`` into the sorted keys of the reach, which each
+           shell then joins). S_j X is one ``bincount`` of the label of q
+           under p, the same integers as the product. It costs
+           O(walks log walks) per hop and holds no n x n array.
+
+A graph walks when it has more than DENSE_SHELL_NODES nodes, at most n^2/8
+directed edges, and no hop walks more than n^2/8 steps, a count taken from
+the degrees (deg[k] summed over the pairs of S_{j-1}) before any step is
+listed. Otherwise the whole graph takes the dense recurrence. So each shell
+holds at most n^2/8 keys, no more bytes than one n x n boolean matrix, and
+the walk lists a hop's steps a chunk of sources at a time, so that its index
+arrays stay a few MiB however long the hop.
 """
 from __future__ import annotations
 
@@ -27,13 +34,15 @@ from enum import Enum
 
 import numpy as np
 
-from .datasets import Graph
+from .datasets import Graph, _sorted_unique
 
 MAX_HOPS = 10
-# at or below this many nodes every hop takes the dense product: on sparse
-# tree-plus-chords graphs (1 BLAS thread) it is faster up to about 200
-# nodes, and the edge walk is faster from about 240
+# at or below this many nodes every graph takes the dense product: on sparse
+# tree-plus-chords graphs (1 BLAS thread, 3 hops) it is faster up to about
+# 200 nodes, and the walk is faster from about 250
 DENSE_SHELL_NODES = 200
+# walk steps listed at once: the walk's index arrays stay a few MiB
+WALK_CHUNK = 1 << 18
 
 
 class Variant(str, Enum):
@@ -59,51 +68,15 @@ class SubstructureConfig:
             raise ValueError(f"{self.variant.value} requires hops >= 1")
 
 
-def _walked_frontier(shell: np.ndarray, deg: np.ndarray,
-                     indices: np.ndarray) -> np.ndarray | None:
-    """The boolean product S A of a shell S and the adjacency of the CSR
-    (row lengths ``deg``, column array ``indices``), from walking every edge
-    (k, q) of every pair (p, k) of S: S A has (p, q) iff some walk ends
-    there. None, and the caller takes the dense product, when the walk has
-    more than n^2/8 steps."""
-    n = shell.shape[0]
-    # a pair (p, k) walks the deg(k) edges of k, so the walk's length is
-    # known before any pair is listed; each pair walks at least one edge (k
-    # is reached from p, so k has one), so the bound also bounds the pairs
-    walks = int(deg @ np.count_nonzero(shell, axis=0))
-    if walks > n * n // 8:
-        return None
-    p, k = np.divmod(np.flatnonzero(shell), n)
-    counts = deg[k]
-    # CSR position of each step: the first edge of k plus the step's rank
-    # among the steps of its pair
-    pos = np.repeat((np.cumsum(deg) - deg)[k] - (np.cumsum(counts) - counts), counts)
-    pos += np.arange(walks)
-    keys = np.repeat(p * n, counts)
-    keys += indices[pos]
-    frontier = np.zeros(n * n, dtype=bool)
-    frontier[keys] = True
-    return frontier.reshape(n, n)
-
-
 def hop_shells(edges: np.ndarray, n: int,
                hops: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Boolean shells S_1..S_hops of the n-node graph with the directed edge
-    list ``edges`` (``Graph.edges``, in CSR order), S_j[p, q] iff the hop
-    distance p -> q is j, and the boolean ball I + S_1 + ... + S_hops of
-    distances at most ``hops`` that the recurrence builds along the way.
-
-    S_1 is scattered from the edges. Each later frontier S_{j-1} A is walked
-    along the edge list on graphs of more than DENSE_SHELL_NODES nodes while
-    the graph and the walk stay within their bounds, and is the float32
-    product otherwise (see the module docstring). Both give the same
-    booleans, so the shells do not depend on the path taken.
-    """
+    list ``edges`` (``Graph.edges``), S_j[p, q] iff the hop distance p -> q
+    is j, and the boolean ball I + S_1 + ... + S_hops of distances at most
+    ``hops`` that the recurrence builds along the way: the dense path of the
+    module docstring."""
     src, dst = edges
-    # in CSR order, dst is the column array of the CSR with row lengths deg
-    walkable = n > DENSE_SHELL_NODES and src.size <= n * n // 8
-    deg = np.bincount(src, minlength=n) if walkable else None
-    a32 = None  # scattered at the first dense hop, then kept for the others
+    a32 = None  # scattered at the first hop past S_1, then kept
     reach = np.eye(n, dtype=bool)
     shells = []
     for j in range(hops):
@@ -111,19 +84,82 @@ def hop_shells(edges: np.ndarray, n: int,
             frontier = np.zeros((n, n), dtype=bool)
             frontier[src, dst] = True
         else:
-            frontier = None if deg is None else _walked_frontier(shells[-1], deg, dst)
-            if frontier is None:
-                if a32 is None:
-                    a32 = np.zeros((n, n), dtype=np.float32)
-                    a32[src, dst] = 1.0
-                # float32 is exact here: a product of 0/1 matrices counts
-                # paths, and every count stays below 2**24 for graphs under
-                # 2**24 nodes
-                frontier = shells[-1].astype(np.float32) @ a32 > 0
+            if a32 is None:
+                a32 = np.zeros((n, n), dtype=np.float32)
+                a32[src, dst] = 1.0
+            # float32 is exact here: a product of 0/1 matrices counts paths,
+            # and every count stays below 2**24 for graphs under 2**24 nodes
+            frontier = shells[-1].astype(np.float32) @ a32 > 0
         shell = frontier & ~reach
         reach |= shell
         shells.append(shell)
     return shells, reach
+
+
+def _walk(pairs: np.ndarray, n: int, deg: np.ndarray, first: np.ndarray,
+          dst: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The sorted keys (p, q) of every edge (k, q) of every pair (p, k) of
+    the sorted keys ``pairs``, less those in the sorted keys ``reach``; the
+    CSR has row lengths ``deg``, row starts ``first`` and columns ``dst``."""
+    p, k = np.divmod(pairs, n)
+    steps = deg[k]
+    # CSR position of each step: the first edge of k plus the step's rank
+    # among the steps of its pair
+    pos = np.repeat(first[k] - (np.cumsum(steps) - steps), steps)
+    pos += np.arange(pos.size)
+    keys = np.repeat(p * n, steps)
+    keys += dst[pos]
+    keys = _sorted_unique(keys)
+    at = np.searchsorted(reach, keys)
+    at[at == reach.size] = 0
+    return keys[reach[at] != keys]
+
+
+def _walked_hop(shell: np.ndarray, n: int, deg: np.ndarray, first: np.ndarray,
+                dst: np.ndarray, reach: np.ndarray) -> np.ndarray | None:
+    """The keys of the next shell after ``shell`` (sorted keys) given the
+    sorted keys ``reach`` of every pair reached so far, walked a chunk of
+    sources at a time; None when the hop walks more than n^2/8 steps."""
+    # a pair (p, k) walks the deg(k) edges of k
+    ends = np.cumsum(deg[shell % n])
+    walks = int(ends[-1]) if ends.size else 0
+    if walks > n * n // 8:
+        return None
+    # cut about every WALK_CHUNK steps, back at the first pair of the source
+    # holding the cut: every chunk then holds whole sources, so its keys
+    # are disjoint from and ordered after the chunk before (a source of more
+    # than WALK_CHUNK steps leaves empty chunks, which walk nothing)
+    at = np.searchsorted(ends, np.arange(WALK_CHUNK, walks, WALK_CHUNK), side="right")
+    cuts = np.concatenate([[0], np.searchsorted(shell, shell[at] // n * n), [shell.size]])
+    return np.concatenate([_walk(shell[lo:hi], n, deg, first, dst, reach)
+                           for lo, hi in zip(cuts[:-1], cuts[1:])])
+
+
+def walked_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray] | None:
+    """The shells S_1..S_hops of the n-node graph with the directed edge
+    list ``edges`` (``Graph.edges``, in CSR order) as sorted int64 keys
+    p * n + q: the walked path of the module docstring. None, and the
+    caller takes ``hop_shells``, when the graph or one of its hops is not
+    walked."""
+    if n <= DENSE_SHELL_NODES or edges.shape[1] > n * n // 8:
+        return None
+    src, dst = edges
+    # in CSR order, dst is the column array of the CSR with row lengths deg
+    deg = np.bincount(src, minlength=n)
+    first = np.cumsum(deg) - deg
+    reach = np.arange(n, dtype=np.int64) * (n + 1)
+    shells = []
+    for j in range(hops):
+        if j == 0:
+            shell = src * n + dst
+        else:
+            # the union of two sorted runs with no key in common
+            reach = np.sort(np.concatenate([reach, shells[-1]]), kind="stable")
+            shell = _walked_hop(shells[-1], n, deg, first, dst, reach)
+            if shell is None:
+                return None
+        shells.append(shell)
+    return shells
 
 
 def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) -> np.ndarray:
@@ -133,22 +169,33 @@ def build_substructures(graph: Graph, x: np.ndarray, cfg: SubstructureConfig) ->
     center_emphasis       [X ; A(k) X]                width 2c
     layer_wise            [S1 X ; ... ; Sk X]         width k*c
     weighted_layer_sum    X + sum_j decay^j Sj X      width c
-    where Sj is the exact-j-hop shell and A(k) = I + S1 + ... + Sk, the
-    ball of ``hop_shells``. Both are boolean; matmul casts them to x's
-    dtype.
+    where X = ``one_hot_features(graph, c)``, Sj is the exact-j-hop shell and
+    A(k) = I + S1 + ... + Sk the ball. On the dense path the products read
+    the booleans of ``hop_shells``; on the walked path Sj X counts the labels
+    of ``graph.node_labels`` over the keys of ``walked_shells``. Both sum
+    0/1 terms exactly, so Z does not depend on the path.
     """
     n = graph.node_count
     if x.shape[0] != n:
         raise ValueError("feature matrix and graph disagree on node count")
-    shells, ball = hop_shells(graph.edges, n, cfg.hops)
+    walked = walked_shells(graph.edges, n, cfg.hops)
+    if walked is not None:
+        # row p of S_j X counts the labels of the q of S_j's pairs (p, q)
+        c = x.shape[1]
+        layers = [np.bincount(s // n * c + graph.node_labels[s % n],
+                              minlength=n * c).reshape(n, c).astype(x.dtype) for s in walked]
+        ball_x = x + sum(layers)
+    elif cfg.variant in (Variant.LAYER_WISE, Variant.WEIGHTED_LAYER_SUM):
+        layers = [s @ x for s in hop_shells(graph.edges, n, cfg.hops)[0]]
+    else:
+        ball_x = hop_shells(graph.edges, n, cfg.hops)[1] @ x
     if cfg.variant is Variant.LAYER_WISE:
-        return np.hstack([s @ x for s in shells])
+        return np.hstack(layers)
     if cfg.variant is Variant.WEIGHTED_LAYER_SUM:
         z = x.copy()
-        for j, s in enumerate(shells, 1):
-            z += cfg.layer_decay**j * (s @ x)
+        for j, sx in enumerate(layers, 1):
+            z += cfg.layer_decay**j * sx
         return z
-    reach_x = ball @ x
     if cfg.variant is Variant.CENTER_EMPHASIS:
-        return np.hstack([x, reach_x])
-    return reach_x
+        return np.hstack([x, ball_x])
+    return ball_x

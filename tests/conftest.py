@@ -224,7 +224,8 @@ def cooccurrence_grad_oracle(h, adjacency):
 
 
 def int_column_oracle(path):
-    """``datasets._int_column`` as one ``int()`` per non-empty line."""
+    """``datasets._int_column`` as one ``int()`` per non-empty line, each
+    checked against the int64 range."""
     from slim.datasets import ParseError, _read_lines
 
     values = []
@@ -232,9 +233,12 @@ def int_column_oracle(path):
         if not line:
             continue
         try:
-            values.append(int(line))
+            value = int(line)
         except ValueError:
             raise ParseError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
+        if not -2**63 <= value < 2**63:
+            raise ParseError(f"{path} line {line_no}: {line!r} does not fit in 64 bits")
+        values.append(value)
     return np.array(values, dtype=np.int64)
 
 

@@ -132,6 +132,34 @@ class TestErrorMapping:
                                     "embed=0.1 cluster=0.0"]
         assert "Traceback" not in err
 
+    def test_non_utf8_byte_in_a_dataset_file_is_an_io_error(self, tu_root, tmp_path, capsys):
+        path = os.path.join(tu_root, "SYN", "SYN_graph_labels.txt")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:1] + b"\xff" + data[1:])
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "o"] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("dataset error") and "SYN_graph_labels.txt line 1" in err[0]
+
+    @pytest.mark.parametrize("suffix", ["graph_indicator", "graph_labels", "node_labels"])
+    def test_integer_beyond_64_bits_is_an_io_error(self, tu_root, tmp_path, capsys, suffix):
+        path = os.path.join(tu_root, "SYN", f"SYN_{suffix}.txt")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[1] = str(2**63)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "o"] + FAST)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("dataset error") and f"SYN_{suffix}.txt line 2" in err[0]
+
     @pytest.mark.parametrize("line", ["variant = bogus", "hidden = 3D", "activation = relu",
                                       "k = many", "hops = 11", "layer_decay = 2",
                                       "semi_supervised = ture", "latent = 0", "hidden = 0",
@@ -369,6 +397,31 @@ class TestInspect:
         np.savetxt(want, M.batch_forward([graphs[3]], state.frozen()).w.value,
                    delimiter=",", fmt="%.10g")
         assert (out / "graph3_W.csv").read_text() == want.getvalue()
+
+    def test_truncated_model_is_configuration_error(self, tu_root, tmp_path, capsys):
+        model_dir = tmp_path / "m"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", model_dir] + FAST) == 0
+        data = (model_dir / "model.npz").read_bytes()
+        cut = tmp_path / "cut.npz"
+        cut.write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", cut, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error") and "cut.npz" in err[0]
+
+    def test_empty_model_is_configuration_error(self, tu_root, tmp_path, capsys):
+        empty = tmp_path / "empty.npz"
+        empty.write_bytes(b"")
+        code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", empty, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error") and "empty.npz" in err[0]
 
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,

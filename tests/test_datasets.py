@@ -469,6 +469,17 @@ class TestColumnReaderMatchesLineLoop:
         path.write_text("4\n" + text, encoding="utf-8")
         assert isinstance(assert_same_column(path), tuple)
 
+    @pytest.mark.parametrize("value", [2**63 - 1, -2**63, 2**63, -2**63 - 1])
+    def test_int64_bounds(self, tmp_path, value):
+        # a spelling only int() reads sends the file to the line loop
+        path = tmp_path / "col.txt"
+        path.write_text(f"1_0\n{value}\n", encoding="utf-8")
+        if -2**63 <= value < 2**63:
+            np.testing.assert_array_equal(_int_column(str(path)), [10, value])
+        else:
+            with pytest.raises(ParseError, match=r"col\.txt line 2: .* does not fit in 64 bits"):
+                _int_column(str(path))
+
     @pytest.mark.parametrize("text", ["1_000\n2\n", "\uff13\n4\n"])
     def test_spellings_only_int_reads_fall_back(self, tmp_path, text):
         path = tmp_path / "col.txt"

@@ -14,6 +14,7 @@ from slim.substructure import (
     Variant,
     build_substructures,
     hop_shells,
+    walked_shells,
 )
 from slim.synthetic import make_bundle
 
@@ -23,24 +24,40 @@ P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 K3 = np.ones((3, 3)) - np.eye(3)
 
 
+def keys_to_bool(keys, n):
+    """The n x n booleans of the pair keys p * n + q, which must be sorted
+    and distinct."""
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    out = np.zeros(n * n, dtype=bool)
+    out[keys] = True
+    return out.reshape(n, n)
+
+
 def shells_of(a, hops):
-    """``hop_shells`` of the graph with the dense 0/1 adjacency ``a``:
-    (shells, ball)."""
-    return hop_shells(directed_edges(a), a.shape[0], hops)
+    """(shells, ball) as booleans for the graph with the dense 0/1 adjacency
+    ``a``, from the path ``build_substructures`` takes: the keys of
+    ``walked_shells`` scattered, with their union and I as the ball, or
+    ``hop_shells``."""
+    n = a.shape[0]
+    keyed = walked_shells(directed_edges(a), n, hops)
+    if keyed is None:
+        return hop_shells(directed_edges(a), n, hops)
+    shells = [keys_to_bool(keys, n) for keys in keyed]
+    return shells, np.logical_or.reduce([np.eye(n, dtype=bool)] + shells)
 
 
 def khop_ball(a, k):
-    """The ball of ``hop_shells`` as 0/1 floats: 1 iff the hop distance is <= k."""
+    """The ball of ``shells_of`` as 0/1 floats: 1 iff the hop distance is <= k."""
     return shells_of(a, k)[1].astype(float)
 
 
 def exact_shell(a, j):
-    """S_j from ``hop_shells``: 1 iff the hop distance is exactly j >= 1."""
+    """S_j from ``shells_of``: 1 iff the hop distance is exactly j >= 1."""
     return shells_of(a, j)[0][-1].astype(float)
 
 
 def assert_ball_is_the_union_of_shells(a, hops, dist):
-    """The boolean ball of ``hop_shells`` is I + S_1 + ... + S_hops, the
+    """The boolean ball of ``shells_of`` is I + S_1 + ... + S_hops, the
     shells disjoint, and holds exactly the BFS distances ``dist`` <= hops."""
     shells, ball = shells_of(a, hops)
     assert ball.dtype == bool
@@ -395,71 +412,95 @@ def test_walked_shells_equal_the_oracles_above_the_crossover(graph, hops, decay)
 
 
 def walk_record(monkeypatch):
-    """Record, per hop that may walk, whether ``hop_shells`` walked it."""
-    taken = []
-    walk = substructure._walked_frontier
+    """Record, per hop past S_1 that ``walked_shells`` tries, whether it was
+    walked, and the node count of each ``hop_shells`` (product) call."""
+    taken, products = [], []
+    walk, product = substructure._walked_hop, substructure.hop_shells
 
-    def spy(shell, *csr):
-        frontier = walk(shell, *csr)
-        taken.append(frontier is not None)
-        return frontier
+    def walk_spy(*args):
+        keys = walk(*args)
+        taken.append(keys is not None)
+        return keys
 
-    monkeypatch.setattr(substructure, "_walked_frontier", spy)
-    return taken
+    def product_spy(*args):
+        products.append(args[1])
+        return product(*args)
+
+    monkeypatch.setattr(substructure, "_walked_hop", walk_spy)
+    monkeypatch.setattr(substructure, "hop_shells", product_spy)
+    return taken, products
 
 
 N = DENSE_SHELL_NODES + 40
-# name -> (adjacency, hops, whether hops 2, 3, ... were walked); a graph at
-# or below the crossover, or with more than n^2/8 directed edges, never
-# tries the walk
+# name -> (adjacency, hops, whether hops 2, 3, ... were walked, whether the
+# product built Z); a graph at or below the crossover, or with more than
+# n^2/8 directed edges, never tries the walk, and the first refused hop
+# sends the whole graph to the product
 WALK_CASES = {
-    "edgeless": (np.zeros((N, N)), 3, [True, True]),
+    "edgeless": (np.zeros((N, N)), 3, [True, True], False),
     # a path over the even nodes and one over every sixth odd node: the
     # other odd nodes are isolated
     "isolated_nodes_between_connected_ones": (
         adjacency_from_edges(N, [(i, i + 2) for i in range(0, N - 2, 2)]
-                             + [(i, i + 6) for i in range(1, N - 6, 6)]), 4, [True] * 3),
+                             + [(i, i + 6) for i in range(1, N - 6, 6)]), 4, [True] * 3, False),
     "disconnected_components": (tree_with_chords(np.random.default_rng(3), N, N // 4, 0.05),
-                                3, [True, True]),
-    "complete": (np.ones((N, N)) - np.eye(N), 3, []),
-    "star": (spider(N - 1, 1), 3, [False, False]),
+                                3, [True, True], False),
+    "complete": (np.ones((N, N)) - np.eye(N), 3, [], True),
+    "star": (spider(N - 1, 1), 3, [False], True),
     # 241 nodes, bound 241^2 // 8 = 7260: hop 2 walks sum(deg^2) = 7120 steps;
     # hop 3 would walk 19440 steps from 6640 pairs, fewer than the bound, so
-    # the step count, not the pair count, sends it to the product
-    "walks_then_falls_back": (spider(80, 3), 4, [True, False, False]),
+    # the step count, not the pair count, refuses it; hop 4 is never tried,
+    # and the product builds every hop
+    "walks_then_falls_back": (spider(80, 3), 4, [True, False], True),
     "at_the_crossover": (tree_with_chords(np.random.default_rng(4), DENSE_SHELL_NODES,
-                                          DENSE_SHELL_NODES // 4), 3, []),
+                                          DENSE_SHELL_NODES // 4), 3, [], True),
 }
 
 
 @pytest.mark.parametrize("name", WALK_CASES)
 def test_walked_shells_on_edge_cases(name, monkeypatch):
-    a, hops, walked = WALK_CASES[name]
-    types = np.arange(a.shape[0]) % TYPES
-    taken = walk_record(monkeypatch)
-    np.testing.assert_array_equal(shells_of(a, hops)[0], dense_hop_shells(a, hops))
+    a, hops, walked, product = WALK_CASES[name]
+    n = a.shape[0]
+    types = np.arange(n) % TYPES
+    taken, products = walk_record(monkeypatch)
+    keyed = walked_shells(directed_edges(a), n, hops)
     assert taken == walked
+    assert (keyed is None) == product
+    if keyed is not None:
+        np.testing.assert_array_equal([keys_to_bool(keys, n) for keys in keyed],
+                                      dense_hop_shells(a, hops))
+    taken.clear()
+    g = Graph.from_adjacency(a, types, 0)
+    build_substructures(g, one_hot_features(g, TYPES), SubstructureConfig(hops=hops))
+    assert taken == walked
+    assert products == ([n] if product else [])
+    monkeypatch.undo()
     assert_shells_match_the_oracles(a, types, hops)
 
 
 @pytest.mark.parametrize("name", ["complete", "star", "walks_then_falls_back"])
-def test_a_refused_hop_never_lists_the_shells_pairs(name, monkeypatch):
-    # the walk is counted from the degrees before any pair of the shell is
-    # listed (np.flatnonzero), so a hop sent to the product lists nothing
-    a, hops, walked = WALK_CASES[name]
-    edges = directed_edges(a)
-    listed = []
-    flatnonzero = np.flatnonzero
+def test_a_refused_hop_walks_no_step(name, monkeypatch):
+    # a hop's walk is counted from the degrees before any step is listed,
+    # so a hop sent to the product walks no chunk
+    a, hops, walked, _ = WALK_CASES[name]
+    chunks = []   # chunks walked by each hop tried, and whether it was walked
+    walk, walk_hop = substructure._walk, substructure._walked_hop
 
-    def spy(array):
-        listed.append(array.shape)
-        return flatnonzero(array)
+    def walk_spy(*args):
+        chunks[-1][0] += 1
+        return walk(*args)
 
-    monkeypatch.setattr(substructure.np, "flatnonzero", spy)
-    shells, _ = hop_shells(edges, a.shape[0], hops)
-    monkeypatch.undo()
-    assert len(listed) == walked.count(True)
-    np.testing.assert_array_equal(shells, dense_hop_shells(a, hops))
+    def walk_hop_spy(*args):
+        chunks.append([0, None])
+        keys = walk_hop(*args)
+        chunks[-1][1] = keys is not None
+        return keys
+
+    monkeypatch.setattr(substructure, "_walk", walk_spy)
+    monkeypatch.setattr(substructure, "_walked_hop", walk_hop_spy)
+    assert walked_shells(directed_edges(a), a.shape[0], hops) is None
+    assert [accepted for _, accepted in chunks] == walked
+    assert [count > 0 for count, _ in chunks] == walked
 
 
 def traced_peak(fn, *args):
@@ -471,6 +512,13 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def shell_stage(edges, n, hops):
+    """The shells as ``build_substructures`` forms them: the walked keys, or
+    the product's booleans when the walk is refused."""
+    keyed = walked_shells(edges, n, hops)
+    return keyed if keyed is not None else hop_shells(edges, n, hops)
+
+
 @pytest.mark.parametrize("make", [lambda: np.ones((600, 600)) - np.eye(600),
                                   lambda: spider(1999, 1)], ids=["complete_600", "star_2000"])
 def test_walk_guard_keeps_peak_memory_at_the_dense_products(make):
@@ -478,8 +526,61 @@ def test_walk_guard_keeps_peak_memory_at_the_dense_products(make):
     edges = directed_edges(adjacency)
     # unguarded, the walk of hop 2 has n^3 steps on the complete graph and
     # n^2 on the star: gigabytes and about twice the product's peak
-    assert (traced_peak(hop_shells, edges, len(adjacency), 3)
+    assert (traced_peak(shell_stage, edges, len(adjacency), 3)
             <= traced_peak(dense_hop_shells, adjacency, 3))
+
+
+def product_substructures(graph, x, cfg):
+    """Z from the booleans of ``hop_shells`` and their products with X,
+    every layout: the dense path, kept as the oracle of the walked one."""
+    shells, ball = hop_shells(graph.edges, graph.node_count, cfg.hops)
+    if cfg.variant is Variant.LAYER_WISE:
+        return np.hstack([s @ x for s in shells])
+    if cfg.variant is Variant.WEIGHTED_LAYER_SUM:
+        z = x.copy()
+        for j, s in enumerate(shells, 1):
+            z += cfg.layer_decay**j * (s @ x)
+        return z
+    if cfg.variant is Variant.CENTER_EMPHASIS:
+        return np.hstack([x, ball @ x])
+    return ball @ x
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3, 5])
+def test_keyed_z_equals_the_product_z_bit_for_bit(hops):
+    rng = np.random.default_rng(1000 + hops)
+    a = tree_with_chords(rng, 1000, 250, detach=0.02)
+    g = Graph.from_adjacency(a, rng.integers(0, TYPES, 1000), 0)
+    x = one_hot_features(g, TYPES)
+    assert walked_shells(g.edges, g.node_count, hops) is not None
+    for variant in Variant:
+        cfg = SubstructureConfig(hops=hops, variant=variant, layer_decay=0.3)
+        z = build_substructures(g, x, cfg)
+        assert z.dtype == x.dtype
+        np.testing.assert_array_equal(z, product_substructures(g, x, cfg))
+
+
+def csr_tree_with_chords(rng, n, chords):
+    """The CSR edge list of a random tree on n nodes plus ``chords`` random
+    edges, built without any n x n array."""
+    child = np.arange(1, n)
+    pairs = np.vstack([np.column_stack([child, rng.integers(0, child)]),
+                       rng.integers(0, n, (chords, 2))])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                     pairs[:, 1] * n + pairs[:, 0]]))
+    return np.stack(np.divmod(keys, n))
+
+
+def csr_ball(edges, n, source, hops):
+    """The nodes within ``hops`` of ``source``, by BFS over the CSR."""
+    starts = np.searchsorted(edges[0], np.arange(n + 1))
+    seen, frontier = {source}, [source]
+    for _ in range(hops):
+        frontier = [int(q) for p in frontier for q in edges[1][starts[p]:starts[p + 1]]
+                    if q not in seen]
+        seen.update(frontier)
+    return np.array(sorted(seen))
 
 
 def test_5000_node_sparse_graph_builds_three_hops_in_seconds():
@@ -488,10 +589,35 @@ def test_5000_node_sparse_graph_builds_three_hops_in_seconds():
     a = tree_with_chords(rng, n, n // 4)
     g = Graph.from_adjacency(a, rng.integers(0, TYPES, n), 0)
     x = one_hot_features(g, TYPES)
+    cfg = SubstructureConfig(hops=3)
     start = time.perf_counter()
-    z = build_substructures(g, x, SubstructureConfig(hops=3))
+    z = build_substructures(g, x, cfg)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0
+    # every hop walks, so no n x n array is allocated: one would be n^2 bytes
+    assert traced_peak(build_substructures, g, x, cfg) < n * n
     for source in rng.choice(n, 40, replace=False):
         dist = old_bfs_distances(a, source, 3)
         np.testing.assert_array_equal(z[source], x[dist >= 0].sum(axis=0))
+
+
+def test_100000_node_sparse_graph_builds_three_hops_in_bounded_memory():
+    rng = np.random.default_rng(100_000)
+    n = 100_000
+    edges = csr_tree_with_chords(rng, n, n // 4)
+    g = Graph(edges, rng.integers(0, TYPES, n), 0)
+    g.validate()
+    x = one_hot_features(g, TYPES)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        z = build_substructures(g, x, SubstructureConfig(hops=3))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 100 * 2**20
+    for source in rng.choice(n, 20, replace=False):
+        ball = csr_ball(edges, n, source, 3)
+        np.testing.assert_array_equal(z[source], x[ball].sum(axis=0))
