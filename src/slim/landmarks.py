@@ -12,6 +12,7 @@ import mmap
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from typing import Iterable
 
 import numpy as np
 
@@ -168,17 +169,33 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _thread_map(fn, tasks: Iterable, count: int) -> list:
+    """``[fn(task) for task in tasks]`` over ``count`` tasks, run on a pool
+    of ``min(count, usable CPUs)`` threads that lives only inside this call.
+
+    ``tasks`` is drawn on the calling thread, each task handed to the pool
+    as it is drawn, so a generator's work overlaps the tasks already
+    running. The results come back in task order, and the first failure is
+    raised after every thread has ended. The tracer keeps one span stack
+    for the process, so ``fn`` and what it calls must be private functions:
+    numpy releases the GIL in their array work, and nothing there is wrapped.
+    No pool is made for no tasks.
+    """
+    if not count:
+        return []
+    with ThreadPoolExecutor(max_workers=min(count, _usable_cpus())) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
                    restarts: int = 4) -> np.ndarray:
     """k-means++ seeding followed by Lloyd iterations; best of ``restarts`` runs.
 
     The calling thread draws every restart's seeds from one generator, in
-    restart order, and hands each seeded Lloyd run to a pool of
-    ``min(restarts, usable CPUs)`` threads that lives only inside this call
-    (numpy releases the GIL in Lloyd's array work). It then scores the runs
+    restart order, and ``_thread_map`` runs each seeded Lloyd run on its
+    pool as soon as it is seeded. The calling thread then scores the runs
     in restart order and keeps the first of the lowest costs, so the
-    landmarks are the same for any CPU count. Only the private ``_lloyd``
-    runs on the pool, never a public function that a tracer could wrap.
+    landmarks are the same for any CPU count.
 
     Duplicate rows below k distinct values trigger a warning and a small
     jitter so the returned landmarks are usable as distinct parameters.
@@ -195,15 +212,13 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
             stacklevel=2,
         )
     runs = max(1, restarts)
+    seeds = (_kmeans_pp_seed(points, k, rng) for _ in range(runs))
     best, best_cost = None, np.inf
-    with ThreadPoolExecutor(max_workers=min(runs, _usable_cpus())) as pool:
-        lloyds = [pool.submit(_lloyd, points, _kmeans_pp_seed(points, k, rng),
-                              KMEANS_TOL, KMEANS_MAX_ITER) for _ in range(runs)]
-        for lloyd in lloyds:
-            centers = lloyd.result()
-            cost = hard_distortion(points, centers)
-            if cost < best_cost:
-                best, best_cost = centers, cost
+    for centers in _thread_map(lambda c: _lloyd(points, c, KMEANS_TOL, KMEANS_MAX_ITER),
+                               seeds, runs):
+        cost = hard_distortion(points, centers)
+        if cost < best_cost:
+            best, best_cost = centers, cost
     if len(np.unique(best, axis=0)) < k:
         best = best + rng.normal(scale=1e-4, size=best.shape)
     return best

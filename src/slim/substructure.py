@@ -140,10 +140,14 @@ def walked_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray] | No
     list ``edges`` (``Graph.edges``, in CSR order) as sorted int64 keys
     p * n + q: the walked path of the module docstring. None, and the
     caller takes ``hop_shells``, when the graph or one of its hops is not
-    walked."""
+    walked. Raises ValueError when the edges are not in CSR order, since the
+    walk would read the wrong rows."""
     if n <= DENSE_SHELL_NODES or edges.shape[1] > n * n // 8:
         return None
     src, dst = edges
+    keys = src * n + dst
+    if (keys[1:] <= keys[:-1]).any():
+        raise ValueError("edges must be in CSR order (src * n + dst strictly increasing)")
     # in CSR order, dst is the column array of the CSR with row lengths deg
     deg = np.bincount(src, minlength=n)
     first = np.cumsum(deg) - deg
@@ -151,7 +155,7 @@ def walked_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray] | No
     shells = []
     for j in range(hops):
         if j == 0:
-            shell = src * n + dst
+            shell = keys
         else:
             # the union of two sorted runs with no key in common
             reach = np.sort(np.concatenate([reach, shells[-1]]), kind="stable")

@@ -83,6 +83,18 @@ def directed_edges(a):
     return np.array(np.nonzero(a))
 
 
+def csr_tree_with_chords(rng, n, chords):
+    """The CSR edge list of a random tree on n nodes plus ``chords`` random
+    edges, built without any n x n array."""
+    child = np.arange(1, n)
+    pairs = np.vstack([np.column_stack([child, rng.integers(0, child)]),
+                       rng.integers(0, n, (chords, 2))])
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
+                                     pairs[:, 1] * n + pairs[:, 0]]))
+    return np.stack(np.divmod(keys, n))
+
+
 def adjacency_of(g):
     """The dense 0/1 float adjacency of a ``Graph`` or a ``GraphData``,
     scattered from its edge list."""

@@ -15,6 +15,9 @@ import types
 import numpy as np
 
 from slim import embedding, landmarks
+from slim.model import prepare_bundle
+from slim.synthetic import make_bundle
+from slim.training import TrainConfig, train
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -116,3 +119,25 @@ def test_restart_pool_leaves_the_spans_of_the_calling_thread_intact():
                   if name == "landmarks.hard_distortion"}
     assert distortion == {"landmarks.init_landmarks": 4}
     assert {root for _, _, root in tracer.stats} == {"landmarks.init_landmarks"}
+
+
+def test_blocked_cooccurrence_pool_leaves_the_spans_of_the_calling_thread_intact(monkeypatch):
+    # graphs above ROW_BLOCK rows run on a thread pool inside the fused op;
+    # nothing there may open a span on the tracer's one stack
+    monkeypatch.setattr(embedding, "ROW_BLOCK", 8)
+    bundle = make_bundle(n_graphs=8, seed=4)
+    cfg = TrainConfig(k=4, latent=3, hidden=4, classifier_hidden=5, epochs=1,
+                      batch_size=4, seed=0)
+    graphs = prepare_bundle(bundle, cfg.substructure())
+    assert all(len(g.x) > embedding.ROW_BLOCK for g in graphs)
+    tracer = tracing_module().Tracer()
+    tracer.install()
+    try:
+        train(graphs, cfg, 2, bundle.node_label_count)
+    finally:
+        tracer.uninstall()
+    assert tracer.stack == []
+    assert len(tracer.step_ms) == 2 and tracer.cooc_scores == 0
+    parents = {parent for (name, parent, _), _ in tracer.stats.items()
+               if name == "embedding.cooccurrence_op"}
+    assert parents == {"model.joint_loss"}

@@ -18,7 +18,7 @@ from slim.substructure import (
 )
 from slim.synthetic import make_bundle
 
-from conftest import adjacency_of, directed_edges, random_graph
+from conftest import adjacency_of, csr_tree_with_chords, directed_edges, random_graph
 
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 K3 = np.ones((3, 3)) - np.eye(3)
@@ -560,16 +560,18 @@ def test_keyed_z_equals_the_product_z_bit_for_bit(hops):
         np.testing.assert_array_equal(z, product_substructures(g, x, cfg))
 
 
-def csr_tree_with_chords(rng, n, chords):
-    """The CSR edge list of a random tree on n nodes plus ``chords`` random
-    edges, built without any n x n array."""
-    child = np.arange(1, n)
-    pairs = np.vstack([np.column_stack([child, rng.integers(0, child)]),
-                       rng.integers(0, n, (chords, 2))])
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1],
-                                     pairs[:, 1] * n + pairs[:, 0]]))
-    return np.stack(np.divmod(keys, n))
+def test_a_walked_graph_with_shuffled_edges_is_refused():
+    # the walk reads Graph.edges as a CSR: out of order, it would read the
+    # wrong rows and give a wrong Z without a word
+    rng = np.random.default_rng(300)
+    a = tree_with_chords(rng, 300, 75)
+    g = Graph.from_adjacency(a, rng.integers(0, TYPES, 300), 0)
+    shuffled = Graph(g.edges[:, rng.permutation(g.edges.shape[1])], g.node_labels, 0)
+    assert walked_shells(g.edges, 300, 3) is not None
+    with pytest.raises(ValueError, match="CSR order"):
+        walked_shells(shuffled.edges, 300, 3)
+    with pytest.raises(ValueError, match="CSR order"):
+        build_substructures(shuffled, one_hot_features(shuffled, TYPES), SubstructureConfig())
 
 
 def csr_ball(edges, n, source, hops):
