@@ -66,9 +66,6 @@ BOUND_OPTIONS = {
     "K": (8, "landmark count"),
     "cdcp_over_umax2": (1.0, "combined constant C_d*C_p/u_max^2"),
 }
-# config-file spellings of a boolean; any other value is a configuration error
-BOOL_SPELLINGS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
-                  **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class ConfigError(ValueError):
@@ -164,9 +161,9 @@ def resolve_options(args, defaults: dict, check=None) -> dict:
 def _coerce(value: str, like):
     if isinstance(like, bool):
         spelling = value.strip().lower()
-        if spelling not in BOOL_SPELLINGS:
+        if spelling not in configparser.ConfigParser.BOOLEAN_STATES:
             raise ConfigError(f"expected a bool, got {value!r}")
-        return BOOL_SPELLINGS[spelling]
+        return configparser.ConfigParser.BOOLEAN_STATES[spelling]
     try:
         if isinstance(like, int):
             return int(value)

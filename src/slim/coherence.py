@@ -95,16 +95,13 @@ def bound_from_ratio(d: int, k: int, ratio: float) -> float:
     """Lower bound on squared coherence given the combined constant factor.
 
     1 - (4 * ratio / K^(1/d)) * (1/floor((K/2)^(1/d)) + 1). May be negative
-    (vacuous) for small K; returned as-is. NaN if the floor term vanishes,
-    which cannot happen for K >= 2.
+    (vacuous) for small K; returned as-is.
     """
     if d < 2:
         raise ValueError("bound requires dimension >= 2")
     if k < 2:
         raise ValueError("bound requires K >= 2")
     shells = math.floor((k / 2.0) ** (1.0 / d))
-    if shells < 1:
-        return math.nan
     return 1.0 - (4.0 * ratio / k ** (1.0 / d)) * (1.0 / shells + 1.0)
 
 

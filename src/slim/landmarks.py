@@ -197,20 +197,14 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     in restart order and keeps the first of the lowest costs, so the
     landmarks are the same for any CPU count.
 
-    Duplicate rows below k distinct values trigger a warning and a small
-    jitter so the returned landmarks are usable as distinct parameters.
+    Fewer than k distinct landmarks, which rows with fewer than k distinct
+    values usually leave, trigger a warning and a small jitter so the
+    returned landmarks are usable as distinct parameters.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2 or len(points) < k:
         raise ValueError(f"need at least {k} embedding rows to seed {k} landmarks")
     rng = np.random.default_rng(seed)
-    distinct = np.unique(points, axis=0)
-    if len(distinct) < k:
-        warnings.warn(
-            f"only {len(distinct)} distinct rows for {k} landmarks; duplicate "
-            "centroids jittered",
-            stacklevel=2,
-        )
     runs = max(1, restarts)
     seeds = (_kmeans_pp_seed(points, k, rng) for _ in range(runs))
     best, best_cost = None, np.inf
@@ -219,7 +213,10 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
         cost = hard_distortion(points, centers)
         if cost < best_cost:
             best, best_cost = centers, cost
-    if len(np.unique(best, axis=0)) < k:
+    distinct = len(np.unique(best, axis=0))
+    if distinct < k:
+        warnings.warn(f"only {distinct} distinct landmarks of {k}; duplicates jittered",
+                      stacklevel=2)
         best = best + rng.normal(scale=1e-4, size=best.shape)
     return best
 

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import embedding, landmarks, pooling
 from .autodiff import Tensor
 from .datasets import DatasetBundle, Graph, one_hot_features
-from .substructure import SubstructureConfig, Variant, build_substructures
+from .substructure import SubstructureConfig, build_substructures
 
 MODEL_FORMAT_VERSION = 3
 # the ModelState parameter fields, in optimizer order; each name is also its
@@ -32,10 +32,7 @@ OPTIMIZERS = ("sgd", "adagrad")
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    hops: int = 3
-    variant: Variant = Variant.NODE_DISTRIBUTION
-    layer_decay: float = 0.5
+class TrainConfig(SubstructureConfig):
     k: int = 100
     latent: int = 32
     hidden: int | str = "2D"          # "D", "D/2", "2D" resolve against input width
@@ -53,7 +50,6 @@ class TrainConfig:
     kmeans_restarts: int = 4
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
         if isinstance(self.hidden, str) and self.hidden.isdigit():
             object.__setattr__(self, "hidden", int(self.hidden))
         for name in ("learning_rate", "lambda_embed", "lambda_cluster"):
@@ -69,7 +65,7 @@ class TrainConfig:
         if self.activation not in embedding.ACTIVATIONS:
             raise ValueError(f"activation must be one of {sorted(embedding.ACTIVATIONS)}")
         self.resolve_hidden(1)  # rejects an unknown width name
-        self.substructure()     # rejects hops and layer_decay out of range
+        super().__post_init__()  # checks hops and layer_decay, coerces variant
 
     def substructure(self) -> SubstructureConfig:
         return SubstructureConfig(hops=self.hops, variant=self.variant,

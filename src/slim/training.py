@@ -82,27 +82,19 @@ class EpochMetrics:
     val_accuracy: float | None
 
 
-def _classifier(width_in: int, cfg: TrainConfig, classes: int,
-                rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """New classifier weights for ``width_in`` features; draws ``w_hidden``,
-    then ``w_out``."""
-    return dict(w_hidden=scaled_uniform(rng, (width_in, cfg.classifier_hidden)),
-                b_hidden=np.zeros(cfg.classifier_hidden),
-                w_out=scaled_uniform(rng, (cfg.classifier_hidden, classes)),
-                b_out=np.zeros(classes))
-
-
 def init_state(cfg: TrainConfig, width_in: int, c: int, classes: int,
                rng: np.random.Generator) -> M.ModelState:
     """A new model of ``cfg`` for ``width_in``-wide substructure rows, ``c``
     node types and ``classes`` classes. Draws ``t1``, ``t2``, ``w_hidden``
     and ``w_out`` from ``rng`` in that order; the biases and the landmarks
     start at zero."""
-    hidden = cfg.resolve_hidden(width_in)
+    hidden, fc = cfg.resolve_hidden(width_in), cfg.classifier_hidden
     values = dict(t1=scaled_uniform(rng, (width_in, hidden)), b1=np.zeros(hidden),
                   t2=scaled_uniform(rng, (hidden, cfg.latent)), b2=np.zeros(cfg.latent),
                   u=np.zeros((cfg.k, cfg.latent)),
-                  **_classifier(feature_width(cfg.k, c, cfg.include_means), cfg, classes, rng))
+                  w_hidden=scaled_uniform(rng, (feature_width(cfg.k, c, cfg.include_means), fc)),
+                  b_hidden=np.zeros(fc),
+                  w_out=scaled_uniform(rng, (fc, classes)), b_out=np.zeros(classes))
     return M.ModelState(config=cfg, **{name: Tensor(value, requires_grad=True)
                                        for name, value in values.items()})
 
@@ -124,32 +116,27 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     ``unlabeled_graphs`` join the co-occurrence and clustering terms but never
     the classification loss; their labels are not read anywhere. When the
     pool has fewer substructure rows than ``cfg.k``, K is lowered to the row
-    count and the returned state's config records the K used.
+    count before any parameter is drawn, and the returned state's config
+    records the K used.
     """
     if not train_graphs:
         raise ValueError("training split must be non-empty")
-    seed_seq = np.random.SeedSequence(cfg.seed) if seed_seq is None else seed_seq
-    init_seed, kmeans_seed, shuffle_seed = seed_seq.spawn(3)
-    rng = np.random.default_rng(init_seed)
-    width_in = train_graphs[0].z.shape[1]
-    state = init_state(cfg, width_in, c, classes, rng)
-
     pool = list(train_graphs) + list(unlabeled_graphs or [])
     labeled_mask = [True] * len(train_graphs) + [False] * len(unlabeled_graphs or [])
+    rows = sum(g.z.shape[0] for g in pool)
+    if rows < cfg.k:
+        warnings.warn(f"only {rows} substructure rows; lowering K to {rows}", stacklevel=2)
+        cfg = replace(cfg, k=rows)
+    seed_seq = np.random.SeedSequence(cfg.seed) if seed_seq is None else seed_seq
+    init_seed, kmeans_seed, shuffle_seed = seed_seq.spawn(3)
+    state = init_state(cfg, train_graphs[0].z.shape[1], c, classes,
+                       np.random.default_rng(init_seed))
 
     # landmark initialization on epoch-0 embeddings
     stacked = np.vstack([fwd.h.value
                          for fwd in M.forward_chunks(pool, state, pooled=False)])
-    k = min(cfg.k, len(stacked))
-    if k < cfg.k:
-        warnings.warn(f"only {len(stacked)} substructure rows; lowering K to {k}",
-                      stacklevel=2)
-        for name, value in _classifier(feature_width(k, c, cfg.include_means),
-                                       cfg, classes, rng).items():
-            getattr(state, name).value = value
-        state = replace(state, config=replace(cfg, k=k))
     state.u.value = init_landmarks(
-        stacked, k, int(kmeans_seed.generate_state(1)[0]), restarts=cfg.kmeans_restarts
+        stacked, cfg.k, int(kmeans_seed.generate_state(1)[0]), restarts=cfg.kmeans_restarts
     )
     center = 0.0
     for fwd in M.forward_chunks(pool, state):  # a stacked copy would not fit at large K

@@ -111,6 +111,11 @@ class TestTheoremBound:
     def test_limit_is_one(self):
         assert bound_from_ratio(2, 10**12, 1.0) == pytest.approx(1.0, abs=1e-4)
 
+    def test_finite_at_the_smallest_k_in_every_dimension(self):
+        # at K = 2 the floor term is (K/2)^(1/d) = 1 exactly, never 0
+        for d in range(2, 65):
+            assert bound_from_ratio(d, 2, 1.0) == pytest.approx(1.0 - 8.0 / 2.0 ** (1.0 / d))
+
     def test_requires_k_at_least_two(self):
         with pytest.raises(ValueError):
             bound_from_ratio(2, 1, 1.0)

@@ -421,6 +421,52 @@ class TestSeedingMatchesFreshArrays:
         assert shipped_rng.random() == oracle_rng.random()
 
 
+class TestDuplicateLandmarks:
+    def test_no_unique_over_the_embedding_rows(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        sizes = []
+        unique = np.unique
+
+        def spy(ar, *args, **kwargs):
+            sizes.append(len(ar))
+            return unique(ar, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        init_landmarks(rng.standard_normal((50, 3)), 5, 0)
+        # three integer rows ten times over: their cluster means are exact,
+        # so the landmarks hold duplicates and take the jitter
+        with pytest.warns(UserWarning, match="only 3 distinct landmarks of 5"):
+            init_landmarks(np.eye(3)[[0, 1, 2] * 10], 5, 0)
+        assert sizes and 50 not in sizes and 30 not in sizes
+
+    def test_identical_landmarks_from_distinct_rows_warn(self, monkeypatch, rng):
+        # every row is distinct, but a Lloyd run that collapses the landmarks
+        # still takes the jitter, and the run says so
+        monkeypatch.setattr(landmarks, "_lloyd",
+                            lambda points, centers, tol, max_iter: np.zeros_like(centers))
+        with pytest.warns(UserWarning, match="only 1 distinct landmarks of 4"):
+            u = init_landmarks(rng.standard_normal((20, 2)), 4, 0)
+        assert len(np.unique(u, axis=0)) == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(kmeans_inputs())
+    def test_warns_exactly_when_it_jitters(self, case):
+        points, k, seed = case
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            shipped = init_landmarks(points, k, seed)
+        caught = [w for w in caught if issubclass(w.category, UserWarning)]
+        candidates = []
+        init_landmarks_oracle(points, k, seed, candidates=candidates)
+        lowest = min(cost for _, cost in candidates)
+        winner = next(centers for centers, cost in candidates if cost == lowest)
+        jittered = not np.array_equal(shipped, winner)
+        assert len(caught) == jittered
+        if jittered:
+            distinct = len(np.unique(winner, axis=0))
+            assert f"only {distinct} distinct landmarks of {k}" in str(caught[0].message)
+
+
 def four_symmetric_clouds():
     """Four clouds of the same shape at the corners of a square, in exact
     binary fractions: at K = 4 every restart finds the same clouds, in the

@@ -284,3 +284,14 @@ def test_the_model_file_holds_every_parameter_and_option(tmp_path, rng):
     loaded = M.load_model(path)
     for f in fields(TrainConfig):
         assert getattr(loaded.config, f.name) == getattr(cfg, f.name), f.name
+
+
+def test_train_config_field_order():
+    # the substructure options come first, inherited from SubstructureConfig;
+    # asdict keys, manifests and model files follow this order
+    assert [f.name for f in fields(TrainConfig)] == [
+        "hops", "variant", "layer_decay", "k", "latent", "hidden", "classifier_hidden",
+        "optimizer", "learning_rate", "epochs", "batch_size", "lambda_embed",
+        "lambda_cluster", "seed", "semi_supervised", "include_means", "activation",
+        "kmeans_restarts"]
+    assert isinstance(TrainConfig(), SubstructureConfig)

@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -331,3 +332,40 @@ class TestConfig:
         assert ([p.value.shape for p in rebuilt.parameters()]
                 == [p.value.shape for p in state.parameters()])
 
+    def test_a_lowered_k_draws_the_model_once(self):
+        # the parameters are drawn once, at the lowered K, from the first
+        # spawn of the seed: no classifier is drawn for the requested K
+        bundle = make_bundle(n_graphs=4, seed=3)
+        cfg = tiny_cfg(k=200, epochs=0)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        rows = sum(g.z.shape[0] for g in graphs)
+        with (pytest.warns(UserWarning, match=f"lowering K to {rows}"),
+              pytest.warns(UserWarning, match="distinct landmarks")):
+            state, _ = train(graphs, cfg, 2, bundle.node_label_count)
+        init_seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+        drawn = init_state(replace(cfg, k=rows), graphs[0].z.shape[1],
+                           bundle.node_label_count, 2, np.random.default_rng(init_seed))
+        assert state.config == drawn.config
+        assert state.u.value.shape == drawn.u.value.shape
+        for name in M.PARAMETERS:
+            if name != "u":   # the landmarks come from k-means
+                np.testing.assert_array_equal(getattr(state, name).value,
+                                              getattr(drawn, name).value, err_msg=name)
+
+    def test_a_lowered_k_allocates_only_the_lowered_model(self):
+        # 60 rows against K=3000: a classifier drawn at the requested K alone
+        # would take feature_width(3000, ...) floats, about 36 MB
+        bundle = make_bundle(n_graphs=4, seed=3)
+        cfg = tiny_cfg(k=3000, classifier_hidden=1, epochs=0)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        assert sum(g.z.shape[0] for g in graphs) == 60
+        tracemalloc.start()
+        try:
+            with (pytest.warns(UserWarning, match="lowering K to 60"),
+                  pytest.warns(UserWarning, match="distinct landmarks")):
+                state, _ = train(graphs, cfg, 2, bundle.node_label_count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.config.k == 60
+        assert peak < 8 * 2**20
