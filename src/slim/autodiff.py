@@ -9,8 +9,16 @@ finite differences (``grad_check``).
 
 Conventions:
   * values and gradients are float64 ndarrays,
-  * backward closures return freshly owned arrays or read-only views; grad
-    accumulation is purely functional (``grad = grad + g``), never in place,
+  * backward closures return freshly owned arrays or read-only views;
+    accumulation into an interior node is purely functional
+    (``grad = grad + g``), never in place,
+  * a leaf that requires grad gets a gradient buffer from ``zero_grad``,
+    which still leaves ``grad`` None ("no gradient this step"). A sweep's
+    first accumulation copies into the buffer (``dense`` writes its weight
+    gradient straight into it) and later ones add to it, so a training step
+    allocates no parameter-sized gradient; the optimizers' in-place steps
+    overwrite it. A leaf without ``zero_grad`` (``grad_check``'s inputs)
+    accumulates functionally,
   * intermediate gradients are released as the backward sweep consumes them.
 """
 from __future__ import annotations
@@ -28,7 +36,7 @@ class NumericError(ArithmeticError):
 class Tensor:
     """A node of the differentiation tape."""
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_buffer")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = np.asarray(value, dtype=np.float64)
@@ -36,6 +44,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._buffer = None   # a leaf's persistent gradient, made by zero_grad
 
     @property
     def shape(self):
@@ -43,11 +52,21 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = g
+            if self._buffer is None:
+                self.grad = g
+            else:
+                np.copyto(self._buffer, g)
+                self.grad = self._buffer
+        elif self.grad is self._buffer:
+            self.grad += g
         else:
             self.grad = self.grad + g
 
     def zero_grad(self):
+        """Drop the gradient; a leaf that requires grad keeps (or gets) its
+        gradient buffer for the next sweep."""
+        if self.requires_grad and self._backward is None and self._buffer is None:
+            self._buffer = np.empty_like(self.value)
         self.grad = None
 
     def backward(self, seed=None):
@@ -124,7 +143,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor, shift: np.ndarray | None = None) -> T
         if x.requires_grad:
             x._accumulate(g @ vw.T)
         if w.requires_grad:
-            w._accumulate(vx.T @ g)
+            if w.grad is None and w._buffer is not None:
+                w.grad = np.matmul(vx.T, g, out=w._buffer)
+            else:
+                w._accumulate(vx.T @ g)
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 

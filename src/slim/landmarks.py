@@ -90,25 +90,31 @@ def hard_distortion(h: np.ndarray, u: np.ndarray) -> float:
     return float(pairwise_sq_distances(h, u).min(axis=1).sum())
 
 
-def _kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeds (Arthur & Vassilvitskii 2007). The squared distances
-    to each new center are formed in one n x d and one n buffer kept for the
-    whole call, with the same operations as ``((points - c) ** 2).sum(axis=1)``."""
+def _kmeans_pp_seed(points: np.ndarray, k: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """k-means++ seeds (Arthur & Vassilvitskii 2007), and the number drawn
+    before every row lay on one: a draw never repeats a row, so that is the
+    rows' count of distinct values when it is below k, and k otherwise. The
+    squared distances to each new center are formed in one n x d and one n
+    buffer kept for the whole call, with the same operations as
+    ``((points - c) ** 2).sum(axis=1)``."""
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(len(points))]
     diff = np.subtract(points, centers[0])
     d2 = np.square(diff, out=diff).sum(axis=1)
     step = np.empty_like(d2)
+    drawn = k
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
+            drawn = min(drawn, i)
             centers[i] = points[rng.integers(len(points))]
             continue
         centers[i] = points[rng.choice(len(points), p=d2 / total)]
         np.subtract(points, centers[i], out=diff)
         np.square(diff, out=diff).sum(axis=1, out=step)
         np.minimum(d2, step, out=d2)
-    return centers
+    return centers, drawn
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -197,9 +203,11 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     in restart order and keeps the first of the lowest costs, so the
     landmarks are the same for any CPU count.
 
-    Fewer than k distinct landmarks, which rows with fewer than k distinct
-    values usually leave, trigger a warning and a small jitter so the
-    returned landmarks are usable as distinct parameters.
+    Fewer than k distinct landmarks, or rows with fewer than k distinct
+    values (as a seeding counts them), trigger a warning and a small jitter
+    so the returned landmarks are usable as distinct parameters. Lloyd's
+    mean of identical rows can land a unit in the last place off them, so
+    such rows can leave landmarks that differ only by rounding.
     """
     points = np.asarray(embeddings, dtype=np.float64)
     if points.ndim != 2 or len(points) < k:
@@ -207,13 +215,15 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     rng = np.random.default_rng(seed)
     runs = max(1, restarts)
     seeds = (_kmeans_pp_seed(points, k, rng) for _ in range(runs))
-    best, best_cost = None, np.inf
-    for centers in _thread_map(lambda c: _lloyd(points, c, KMEANS_TOL, KMEANS_MAX_ITER),
-                               seeds, runs):
+    best, best_cost, distinct = None, np.inf, k
+    for centers, drawn in _thread_map(
+            lambda seed: (_lloyd(points, seed[0], KMEANS_TOL, KMEANS_MAX_ITER), seed[1]),
+            seeds, runs):
+        distinct = min(distinct, drawn)
         cost = hard_distortion(points, centers)
         if cost < best_cost:
             best, best_cost = centers, cost
-    distinct = len(np.unique(best, axis=0))
+    distinct = min(distinct, len(np.unique(best, axis=0)))
     if distinct < k:
         warnings.warn(f"only {distinct} distinct landmarks of {k}; duplicates jittered",
                       stacklevel=2)

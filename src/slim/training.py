@@ -34,7 +34,14 @@ class DivergenceError(RuntimeError):
 # optimizers
 
 
+# entries of the scratch block that Adagrad's step works through at a time
+STEP_BLOCK = 1 << 14
+
+
 class SGD:
+    """Plain gradient descent. Steps in place: the spent gradient is scaled
+    in its own array and subtracted from the parameter's."""
+
     def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
@@ -49,19 +56,37 @@ class SGD:
 
 
 class Adagrad:
-    """Adagrad with the accumulator initialized at 1e-8."""
+    """Adagrad with the accumulator initialized at 1e-8.
+
+    Steps in place, bit-identical to ``acc += g * g`` and
+    ``value -= lr * g / sqrt(acc)``: the same ufuncs in the same order on
+    every entry, a block of leading-axis rows at a time. ``lr * g / sqrt(acc)``
+    is formed in the spent gradient's array and the rest in one scratch block
+    of ``STEP_BLOCK`` entries, never in a parameter-sized temporary.
+    """
 
     def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
         self.accumulators = [np.full_like(p.value, 1e-8) for p in params]
+        self._scratch = np.empty(STEP_BLOCK)
 
     def step(self):
         for p, acc in zip(self.params, self.accumulators):
             if p.grad is None:
                 continue
-            acc += p.grad * p.grad
-            p.value -= self.lr * p.grad / np.sqrt(acc)
+            value, g, acc = (np.atleast_1d(a) for a in (p.value, p.grad, acc))
+            width = int(np.prod(value.shape[1:]))
+            rows = max(1, STEP_BLOCK // max(width, 1))
+            if rows * width > self._scratch.size:   # one row is wider than the block
+                self._scratch = np.empty(rows * width)
+            for r in range(0, len(value), rows):
+                gb, ab = g[r:r + rows], acc[r:r + rows]
+                tmp = self._scratch[:gb.size].reshape(gb.shape)
+                ab += np.multiply(gb, gb, out=tmp)
+                np.multiply(self.lr, gb, out=gb)
+                gb /= np.sqrt(ab, out=tmp)
+                np.subtract(value[r:r + rows], gb, out=value[r:r + rows])
 
 
 def make_optimizer(name: str, params: list[Tensor], lr: float):

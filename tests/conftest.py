@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import os
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from slim import autodiff as ad
+from slim import training
 from slim.datasets import DatasetBundle, Graph, load_tu_dataset
 from slim.landmarks import KMEANS_MAX_ITER, KMEANS_TOL, hard_distortion
 from slim.pooling import DENSITY_EPS
@@ -209,7 +211,7 @@ def init_landmarks_oracle(embeddings, k, seed, restarts=4, candidates=None):
             candidates.append((centers, cost))
         if cost < best_cost:
             best, best_cost = centers, cost
-    if len(np.unique(best, axis=0)) < k:
+    if min(len(np.unique(best, axis=0)), len(np.unique(points, axis=0))) < k:
         best = best + rng.normal(scale=1e-4, size=best.shape)
     return best
 
@@ -403,6 +405,42 @@ def old_weighted_sum(terms, weights):
     parts = [t if weight == 1.0 else old_mul(t, ad.constant(weight))
              for t, weight in zip(terms, weights)]
     return functools.reduce(old_add, parts)
+
+
+def functional_accumulate(tensor, g):
+    """``Tensor._accumulate`` before leaves kept gradient buffers: every
+    node, leaf or interior, takes ``g`` itself or a new ``grad + g``."""
+    if tensor.grad is None:
+        tensor.grad = g
+    else:
+        tensor.grad = tensor.grad + g
+
+
+def functional_zero_grad(tensor):
+    """``Tensor.zero_grad`` before leaves kept gradient buffers."""
+    tensor.grad = None
+
+
+def adagrad_step_oracle(opt):
+    """``training.Adagrad.step`` in its direct form: four parameter-sized
+    temporaries per parameter, the gradient left as it was."""
+    for p, acc in zip(opt.params, opt.accumulators):
+        if p.grad is None:
+            continue
+        acc += p.grad * p.grad
+        p.value -= opt.lr * p.grad / np.sqrt(acc)
+
+
+@contextlib.contextmanager
+def functional_gradients():
+    """Train as before gradient buffers: functional leaf accumulation, a
+    ``zero_grad`` that only drops the gradient (so ``dense`` finds no buffer
+    to write into) and the direct Adagrad step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad.Tensor, "_accumulate", functional_accumulate)
+        mp.setattr(ad.Tensor, "zero_grad", functional_zero_grad)
+        mp.setattr(training.Adagrad, "step", adagrad_step_oracle)
+        yield
 
 
 def pool_graph_oracle(w, src, dst):

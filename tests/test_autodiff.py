@@ -13,7 +13,14 @@ from slim.landmarks import assign, cluster_loss, pairwise_sq_distances, target_d
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, init_state
 
-from conftest import old_add, old_dense, old_matmul, old_mul, old_weighted_sum
+from conftest import (
+    functional_gradients,
+    old_add,
+    old_dense,
+    old_matmul,
+    old_mul,
+    old_weighted_sum,
+)
 
 
 def tape_ops(root):
@@ -282,6 +289,97 @@ class TestTapeMechanics:
         old_mul(c, x).backward(np.ones_like(x.value))
         assert c.grad is None
         assert x.grad is not None
+
+
+def dense_case(rng):
+    """Inputs, a weight, a bias and a seed for ``dense``: the weight and bias
+    are leaves that require grad, the input a constant."""
+    return (ad.constant(rng.standard_normal((5, 4))),
+            Tensor(rng.standard_normal((4, 3)), requires_grad=True),
+            Tensor(rng.standard_normal(3), requires_grad=True),
+            rng.standard_normal((5, 3)))
+
+
+class TestLeafGradientBuffers:
+    def test_zero_grad_gives_a_leaf_a_buffer_and_no_gradient(self, rng):
+        x, w, b, seed = dense_case(rng)
+        ad.dense(x, w, b).backward(seed)
+        assert w._buffer is None and b._buffer is None   # no buffer before zero_grad
+        first = w.grad.copy()
+        w.zero_grad()
+        assert w.grad is None and w._buffer is not None and w._buffer.shape == w.shape
+        ad.dense(x, w, b).backward(seed)
+        assert w.grad is w._buffer
+        assert w.grad.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_second_backward_without_zero_grad_still_sums(self, rng, buffered):
+        x, w, b, seed = dense_case(rng)
+        if buffered:
+            w.zero_grad()
+            b.zero_grad()
+        ad.dense(x, w, b).backward(seed)
+        once = (w.grad.copy(), b.grad.copy())
+        ad.dense(x, w, b).backward(seed)
+        for got, single in zip((w.grad, b.grad), once):
+            assert got.tobytes() == (single + single).tobytes()
+        assert (w.grad is w._buffer) == buffered
+
+    def test_a_weight_used_twice_in_one_sweep(self, rng):
+        # the first use writes the buffer, the second adds to it: the sum of
+        # the functional accumulation, bit for bit
+        x, w, b, seed = dense_case(rng)
+        x2 = ad.constant(rng.standard_normal((5, 4)))
+
+        def sweep():
+            total = ad.weighted_sum([old_mul(ad.dense(x, w, b), ad.constant(seed)),
+                                     old_mul(ad.dense(x2, w, b), ad.constant(seed))],
+                                    [1.0, 0.5])
+            old_add(total, ad.constant(0.0)).backward(np.ones_like(total.value))
+
+        with functional_gradients():
+            sweep()
+        want = (w.grad.copy(), b.grad.copy())
+        w.zero_grad()
+        b.zero_grad()
+        sweep()
+        assert w.grad is w._buffer and b.grad is b._buffer
+        assert (w.grad.tobytes(), b.grad.tobytes()) == tuple(a.tobytes() for a in want)
+
+    def test_interior_nodes_get_no_buffer(self, rng):
+        x, w, b, seed = dense_case(rng)
+        w.zero_grad()
+        hidden = ad.dense(x, w, b)
+        out = ad.tanh(hidden)
+        hidden.zero_grad()
+        assert hidden._buffer is None
+        out.backward(seed)
+        assert hidden._buffer is None and w.grad is w._buffer
+
+    def test_frozen_states_get_no_buffer(self):
+        bundle = make_bundle(n_graphs=4, seed=3)
+        cfg = TrainConfig(k=4, latent=3, hidden=4, classifier_hidden=5)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
+                           bundle.class_count, np.random.default_rng(1))
+        state.feature_center = np.zeros(state.w_hidden.shape[0])
+        frozen = state.frozen()
+        frozen.zero_grad()
+        M.accuracy(graphs, state)
+        M.batch_forward(graphs, frozen)
+        assert all(p._buffer is None and p.grad is None for p in frozen.parameters())
+
+    def test_grad_check_tensors_get_no_buffer(self, rng):
+        seen = []
+
+        def op(*tensors):
+            seen.extend(tensors)
+            return ad.dense(*tensors)
+
+        report = grad_check(op, [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                                 rng.standard_normal(2)])
+        assert report.passed and seen
+        assert all(t._buffer is None for t in seen)
 
 
 class TestKlDiv:

@@ -22,6 +22,9 @@ from slim.landmarks import (
     pairwise_sq_distances,
     target_distribution,
 )
+from slim.model import TrainConfig, prepare_bundle
+from slim.synthetic import make_bundle
+from slim.training import train
 
 from conftest import (
     assign_values,
@@ -416,9 +419,12 @@ class TestSeedingMatchesFreshArrays:
         if kind == "duplicates":   # the total reaches 0 and seeds redraw uniformly
             points = points[rng.integers(0, 3, len(points))]
         shipped_rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
-        np.testing.assert_array_equal(landmarks._kmeans_pp_seed(points, 8, shipped_rng),
-                                      kmeans_pp_seed_oracle(points, 8, oracle_rng))
+        centers, drawn = landmarks._kmeans_pp_seed(points, 8, shipped_rng)
+        np.testing.assert_array_equal(centers, kmeans_pp_seed_oracle(points, 8, oracle_rng))
         assert shipped_rng.random() == oracle_rng.random()
+        # the count of seeds drawn before every row lay on one: the rows'
+        # distinct values when they are fewer than k, else k
+        assert drawn == min(8, len(np.unique(points, axis=0)))
 
 
 class TestDuplicateLandmarks:
@@ -463,8 +469,39 @@ class TestDuplicateLandmarks:
         jittered = not np.array_equal(shipped, winner)
         assert len(caught) == jittered
         if jittered:
-            distinct = len(np.unique(winner, axis=0))
+            distinct = min(len(np.unique(winner, axis=0)), len(np.unique(points, axis=0)))
             assert f"only {distinct} distinct landmarks of {k}" in str(caught[0].message)
+
+    def test_near_duplicate_landmarks_from_three_rows(self):
+        # three rows ten times over: Lloyd's means of the repeated rows come
+        # out distinct only by rounding (2.2e-16 apart); the seeding runs out
+        # of distinct rows after three draws, so the landmarks take the jitter
+        points = np.random.default_rng(4).standard_normal((3, 3))[[0, 1, 2] * 10]
+        with pytest.warns(UserWarning, match="only 3 distinct landmarks of 5"):
+            u = init_landmarks(points, 5, 0)
+        assert min_landmark_gap(u) > 1e-6
+
+    @pytest.mark.parametrize("bundle_seed, k, distinct", [(6, 99, 98), (3, 82, 81)])
+    def test_near_duplicate_landmarks_in_training(self, bundle_seed, k, distinct):
+        # make_bundle(n_graphs=8, seed=3) holds 81 distinct substructure rows
+        # among 116: at K=82 Lloyd's means leave two landmarks 2.8e-17 apart,
+        # bitwise distinct, so only the seeding's count of distinct rows
+        # catches them. Seed 6 at K=99 is the same setting (98 of 134 rows)
+        bundle = make_bundle(n_graphs=8, seed=bundle_seed)
+        cfg = TrainConfig(k=k, latent=3, hidden=4, classifier_hidden=5, epochs=0,
+                          batch_size=8, seed=0)
+        graphs = prepare_bundle(bundle, cfg.substructure())
+        z = np.vstack([g.z for g in graphs])
+        assert len(np.unique(z, axis=0)) == distinct < k < len(z)
+        with pytest.warns(UserWarning, match=f"only {distinct} distinct landmarks of {k}"):
+            state, _ = train(graphs, cfg, 2, bundle.node_label_count)
+        assert min_landmark_gap(state.u.value) > 1e-6
+
+
+def min_landmark_gap(u):
+    """The smallest distance between two of the landmarks ``u``."""
+    gaps = np.linalg.norm(u[:, None, :] - u[None, :, :], axis=2)
+    return gaps[np.triu_indices(len(u), 1)].min()
 
 
 def four_symmetric_clouds():

@@ -1,10 +1,13 @@
 import json
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slim import embedding, landmarks, pooling
 from slim import model as M
@@ -26,7 +29,14 @@ from slim.training import (
     write_sweep_csv,
 )
 
-from conftest import cooccurrence_loss_oracle, lloyd_oracle, old_assign, pool_graph_oracle
+from conftest import (
+    adagrad_step_oracle,
+    cooccurrence_loss_oracle,
+    functional_gradients,
+    lloyd_oracle,
+    old_assign,
+    pool_graph_oracle,
+)
 
 
 class TestOptimizers:
@@ -54,11 +64,146 @@ class TestOptimizers:
         np.testing.assert_array_equal(theta.value, before)
 
 
+@st.composite
+def adagrad_cases(draw):
+    """(values, grads per step, lr, block): parameters of mixed shapes with
+    +0.0 and -0.0 entries, one of which never gets a gradient, a few steps
+    of random gradients that hold signed zeros too, and a scratch block from
+    one entry up to wider than any row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.lists(st.sampled_from([(), (1,), (5,), (3, 4), (7, 2), (2, 9), (1, 13)]),
+                           min_size=1, max_size=4))
+    missing = draw(st.integers(0, len(shapes) - 1))
+
+    def signed_zeros(a):
+        a[rng.random(a.shape) < 0.2] = 0.0
+        a[rng.random(a.shape) < 0.2] = -0.0
+        return a
+
+    values = [signed_zeros(np.array(rng.standard_normal(shape) * 3.0)) for shape in shapes]
+    grads = [[None if i == missing else signed_zeros(np.array(rng.standard_normal(shape)))
+              for i, shape in enumerate(shapes)]
+             for _ in range(draw(st.integers(1, 3)))]
+    lr = draw(st.sampled_from([0.0, 1e-2, 0.5, 3.0]))
+    block = draw(st.sampled_from([1, 3, 8, training.STEP_BLOCK]))
+    return values, grads, lr, block
+
+
+def step_all(opt_class, values, grads, lr, step=None):
+    """Parameters and accumulators after ``opt_class`` takes one step per
+    entry of ``grads``, or ``step`` takes it in its place."""
+    params = [Tensor(v.copy(), requires_grad=True) for v in values]
+    opt = opt_class(params, lr)
+    for step_grads in grads:
+        for p, g in zip(params, step_grads):
+            p.grad = None if g is None else g.copy()
+        (step or opt_class.step)(opt)
+    return [p.value for p in params], opt.accumulators
+
+
 def tiny_cfg(**kw):
     base = dict(k=4, latent=3, hidden=4, classifier_hidden=5, epochs=3,
                 batch_size=8, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+class TestInPlaceSteps:
+    @settings(max_examples=150, deadline=None)
+    @given(adagrad_cases())
+    def test_adagrad_bit_identical_to_the_direct_step(self, case):
+        values, grads, lr, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "STEP_BLOCK", block)
+            got_values, got_acc = step_all(Adagrad, values, grads, lr)
+        want_values, want_acc = step_all(Adagrad, values, grads, lr, adagrad_step_oracle)
+        for got, want in zip(got_values + got_acc, want_values + want_acc, strict=True):
+            assert got.tobytes() == want.tobytes()
+        # the parameter that never got a gradient is untouched
+        for value, start, step_grads in zip(got_values, values, zip(*grads)):
+            if step_grads[0] is None:
+                assert value.tobytes() == start.tobytes()
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    @pytest.mark.parametrize("include_means", [False, True])
+    def test_training_bit_identical_to_functional_gradients(self, optimizer, include_means):
+        bundle = make_bundle(n_graphs=16, seed=4)
+        cfg = tiny_cfg(optimizer=optimizer, include_means=include_means, epochs=3,
+                       learning_rate=0.05, batch_size=6)
+        assert_same_training(bundle, cfg)
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_training_bit_identical_at_a_lowered_k(self, optimizer):
+        bundle = make_bundle(n_graphs=4, seed=3)
+        cfg = tiny_cfg(k=200, optimizer=optimizer, epochs=3, batch_size=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # K lowered, landmarks jittered
+            state = assert_same_training(bundle, cfg)
+        assert state.config.k < 200
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adagrad"])
+    def test_a_leaf_keeps_its_gradient_array_from_step_2_on(self, optimizer, monkeypatch):
+        bundle = make_bundle(n_graphs=12, seed=4)
+        cfg = tiny_cfg(optimizer=optimizer, epochs=2, batch_size=4)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        seen = []
+        opt_class = SGD if optimizer == "sgd" else Adagrad
+        step = opt_class.step
+
+        def recording(opt):
+            seen.append([p.grad for p in opt.params])
+            step(opt)
+
+        monkeypatch.setattr(opt_class, "step", recording)
+        train(graphs, cfg, 2, bundle.node_label_count)
+        assert len(seen) == 6
+        for grads in seen[2:]:
+            assert all(g is first for g, first in zip(grads, seen[1], strict=True))
+
+    def test_step_2_allocates_less_than_the_first_layer_weight(self, monkeypatch):
+        # at K=300 the classifier's first layer holds 45150 x 32 floats
+        # (11.6 MB), far more than a batch of 4 graphs' features (1.4 MB):
+        # a step that makes its gradient anew, or an optimizer temporary of
+        # its size, allocates at least that much
+        bundle = make_bundle(n_graphs=28, seed=4)
+        cfg = tiny_cfg(k=300, classifier_hidden=32, epochs=1, batch_size=4)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        assert sum(g.z.shape[0] for g in graphs) >= cfg.k
+        joint_loss = M.joint_loss
+        peaks, base = [], []
+
+        def measured(*args, **kwargs):
+            if base:                            # the step before this one ends
+                peaks.append(tracemalloc.get_traced_memory()[1] - base.pop())
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return joint_loss(*args, **kwargs)
+
+        monkeypatch.setattr(M, "joint_loss", measured)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # duplicate landmarks
+                state, _ = train(graphs, cfg, 2, bundle.node_label_count)
+        finally:
+            tracemalloc.stop()
+        assert state.config.k == 300 and len(peaks) >= 2
+        assert peaks[1] < state.w_hidden.value.nbytes
+
+
+def assert_same_training(bundle, cfg):
+    """Train ``cfg`` on ``bundle`` with the shipped gradients and optimizer
+    steps and with ``functional_gradients``; every parameter byte, the
+    feature centre and every epoch loss must agree. Returns the state."""
+    graphs = M.prepare_bundle(bundle, cfg.substructure())
+    shipped, shipped_history = train(graphs, cfg, 2, bundle.node_label_count)
+    with functional_gradients():
+        oracle, oracle_history = train(graphs, cfg, 2, bundle.node_label_count)
+    for name, a, b in zip(M.PARAMETERS, shipped.parameters(), oracle.parameters(), strict=True):
+        assert a.value.tobytes() == b.value.tobytes(), name
+    assert shipped.feature_center.tobytes() == oracle.feature_center.tobytes()
+    assert shipped_history == oracle_history
+    return shipped
 
 
 class TestTrain:
