@@ -17,7 +17,6 @@ for i in range(6):
 ring[0, 6] = ring[6, 0] = 1
 ring[3, 7] = ring[7, 3] = 1
 mol = Graph.from_adjacency(ring, np.array([0, 1, 0, 1, 0, 1, 2, 2]), 0)
-mol.validate()
 x = one_hot_features(mol, 3)
 
 shells, ball = hop_shells(mol.edges, mol.node_count, 2)

@@ -23,6 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import coherence as coh
+from . import landmarks as L
 from . import model as M
 from . import training
 from .autodiff import NumericError, check_registered_ops, grad_check
@@ -49,7 +50,7 @@ TRAIN_FLAGS = {
     "batch_size": "graphs per mini-batch",
     "lambda_embed": "co-occurrence loss weight",
     "lambda_cluster": "clustering loss weight",
-    "semi_supervised": "include unlabeled validation graphs in the unsupervised terms",
+    "semi_supervised": "add unlabeled held-out graphs to the unsupervised terms (cv, sweep-k)",
     "include_means": "append densities and landmark means to the classifier feature",
 }
 # coherence sweep and bound options: name -> (default, help); each is a flag and a key
@@ -254,6 +255,9 @@ def cmd_cv(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_train_config(args)
+    if cfg.semi_supervised:
+        raise ConfigError("semi_supervised (--semi-supervised) applies to cv and sweep-k "
+                          "only: train holds out no graphs to add unlabeled")
     bundle = _load_bundle(args)
     manifest = _start_manifest("train", args, asdict(cfg),
                                ["model.npz", "epochs.jsonl"], seed=cfg.seed)
@@ -345,7 +349,6 @@ def cmd_gradcheck(args) -> int:
 
 def _end_to_end_report(step: float, tolerance: float):
     """Gradient-check the per-graph joint loss with respect to every parameter."""
-    from . import landmarks as L
     from .synthetic import make_bundle
 
     bundle = make_bundle(n_graphs=2, seed=5)
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output directory")
     jobs = argparse.ArgumentParser(add_help=False)
-    jobs.add_argument("--jobs", type=positive_int, default=os.cpu_count() or 1,
+    jobs.add_argument("--jobs", type=positive_int, default=L._usable_cpus(),
                       help="parallel workers for folds/sweep cells")
     train_options = argparse.ArgumentParser(add_help=False)
     _add_train_flags(train_options)

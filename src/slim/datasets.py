@@ -38,23 +38,26 @@ class Graph:
     ``edges`` is a 2 x 2E int64 array of every edge in both directions and
     no self-loops, in CSR order (strictly increasing src * n + dst). It is
     the graph's only stored form; ``from_adjacency`` builds it from a dense
-    0/1 matrix.
+    0/1 matrix. Every Graph is checked by ``validate`` when it is made, so
+    none that breaks this format exists, whoever builds it.
     """
 
     edges: np.ndarray
     node_labels: np.ndarray
     class_label: int
 
+    def __post_init__(self):
+        self.validate()
+
     @classmethod
     def from_adjacency(cls, adjacency, node_labels, class_label) -> Graph:
         """The graph of a square 0/1 matrix: its non-zeros in row-major order."""
-        a = np.asarray(adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be a square matrix")
+        a, labels = np.asarray(adjacency), np.asarray(node_labels)
+        if a.ndim != 2 or a.shape != (labels.size, labels.size):
+            raise ValueError("adjacency must be a square matrix, one row per node label")
         if not ((a == 0) | (a == 1)).all():
             raise ValueError("adjacency must be binary")
-        return cls(np.array(np.nonzero(a), dtype=np.int64), np.asarray(node_labels),
-                   int(class_label))
+        return cls(np.array(np.nonzero(a), dtype=np.int64), labels, int(class_label))
 
     @property
     def node_count(self) -> int:
@@ -66,9 +69,11 @@ class Graph:
 
     def validate(self):
         labels, n = self.node_labels, self.node_count
-        if labels.ndim != 1 or n < 1 or labels.min() < 0:
+        if labels.ndim != 1 or labels.dtype.kind not in "iu" or n < 1 or labels.min() < 0:
             raise ValueError("node_labels must be one non-negative int per node, >= 1 node")
         e = self.edges
+        if e.ndim != 2 or len(e) != 2 or e.dtype != np.int64:
+            raise ValueError("edges must be a 2 x 2E int64 array")
         if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError(f"edge endpoints must lie in [0, {n})")
         src, dst = e
@@ -133,7 +138,15 @@ def _require(path: str):
 
 def _load_ints(path: str, delimiter: str | None = None) -> np.ndarray | None:
     """The integers of a text file as a 2-D array (one row per non-empty
-    line), or None when some line does not parse as ``np.loadtxt`` reads it."""
+    line), or None when some line does not parse as ``np.loadtxt`` reads it
+    or the file is not ASCII: numpy's parser reads some non-ASCII characters
+    as digits (U+976DD as 620205), and can crash the process on them."""
+    with open(path, "rb") as fh:
+        # blocks under glibc's 128 KiB mmap threshold: freeing a larger buffer
+        # raises it, and later loads and trainings then fragment the heap
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            if not block.isascii():
+                return None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt on a file with no data
         try:
@@ -280,15 +293,10 @@ def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
     node_labels = _densify(raw_node)
     class_labels = _densify(raw_class)
 
-    graphs = []
-    for g in range(n_graphs):
-        members = order[offsets[g] : offsets[g + 1]]
-        graph = Graph(edges[g], node_labels[members].copy(), int(class_labels[g]))
-        graph.validate()
-        graphs.append(graph)
     return DatasetBundle(
         name=name,
-        graphs=graphs,
+        graphs=[Graph(edges[g], node_labels[order[offsets[g] : offsets[g + 1]]],
+                      int(class_labels[g])) for g in range(n_graphs)],
         node_label_count=int(node_labels.max()) + 1,
         class_count=int(class_labels.max()) + 1,
     )
@@ -313,7 +321,7 @@ def save_tu_dataset(bundle: DatasetBundle, root_path: str, name: str | None = No
 
 def one_hot_features(g: Graph, c: int) -> np.ndarray:
     """n x c one-hot node-type matrix."""
-    if np.any(g.node_labels >= c) or np.any(g.node_labels < 0):
+    if np.any(g.node_labels >= c):   # a Graph's labels are never negative
         raise ValueError(f"node label out of range [0, {c})")
     x = np.zeros((g.node_count, c), dtype=np.float64)
     x[np.arange(g.node_count), g.node_labels] = 1.0

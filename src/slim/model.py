@@ -326,9 +326,11 @@ def load_model(path: str) -> ModelState:
             config = TrainConfig(**meta.pop("config"))
             params = {name: Tensor(data[name], requires_grad=True) for name in PARAMETERS}
             center = data["feature_center"]
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except (KeyError, TypeError, ValueError, EOFError, NotImplementedError,
+            zipfile.BadZipFile) as exc:
         # an empty file ends before numpy's format check (EOFError); a cut one
-        # has lost the zip archive's directory (BadZipFile)
+        # has lost the zip archive's directory (BadZipFile); a damaged entry
+        # header can name a compression zipfile lacks (NotImplementedError)
         raise ValueError(f"{path}: {exc}") from exc
     return ModelState(config=config, **params,
                       feature_center=None if center.size == 0 else center, meta=meta)

@@ -137,17 +137,14 @@ def _walked_hop(shell: np.ndarray, n: int, deg: np.ndarray, first: np.ndarray,
 
 def walked_shells(edges: np.ndarray, n: int, hops: int) -> list[np.ndarray] | None:
     """The shells S_1..S_hops of the n-node graph with the directed edge
-    list ``edges`` (``Graph.edges``, in CSR order) as sorted int64 keys
-    p * n + q: the walked path of the module docstring. None, and the
-    caller takes ``hop_shells``, when the graph or one of its hops is not
-    walked. Raises ValueError when the edges are not in CSR order, since the
-    walk would read the wrong rows."""
+    list ``edges`` (``Graph.edges``, in the CSR order every Graph is checked
+    for) as sorted int64 keys p * n + q: the walked path of the module
+    docstring. None, and the caller takes ``hop_shells``, when the graph or
+    one of its hops is not walked."""
     if n <= DENSE_SHELL_NODES or edges.shape[1] > n * n // 8:
         return None
     src, dst = edges
     keys = src * n + dst
-    if (keys[1:] <= keys[:-1]).any():
-        raise ValueError("edges must be in CSR order (src * n + dst strictly increasing)")
     # in CSR order, dst is the column array of the CSR with row lengths deg
     deg = np.bincount(src, minlength=n)
     first = np.cumsum(deg) - deg

@@ -6,6 +6,8 @@ substituent motifs; the class signal mixes composition (how many of which
 motif) and wiring (what the motifs attach to), with enough randomness that
 the classes overlap. Sizes and label balance mimic a small chemistry
 benchmark: ~17 nodes per graph, 7 node types, a roughly 2:1 class split.
+Each molecule grows as a list of bonds (undirected atom pairs) and atom
+labels; its CSR edge list comes from one sort of both directions' keys.
 """
 from __future__ import annotations
 
@@ -20,35 +22,16 @@ NOISE_TYPES = (4, 5, 6)   # chain/decoration atoms shared by both classes
 CLASS0_SHARE = 0.66       # fraction of class-0 graphs in a bundle
 
 
-def _ring(n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    for i in range(n):
-        a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1.0
-    return a
-
-
-def _attach(a: np.ndarray, host: int, new_label: int, labels: list[int]) -> np.ndarray:
-    n = a.shape[0]
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = a
-    out[host, n] = out[n, host] = 1.0
-    labels.append(new_label)
-    return out
-
-
-def _fused_backbone(rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+def _fused_backbone(rng: np.random.Generator) -> tuple[list[tuple[int, int]], list[int]]:
+    """The bonds and labels of an r1-ring fused with an r2-ring along the
+    bond between atoms 0 and 1: the r2 - 2 new atoms chain from 0 to 1."""
     r1, r2 = int(rng.integers(5, 7)), int(rng.integers(5, 7))
-    a = _ring(r1)
-    labels = [RING_TYPES[i % 2] for i in range(r1)]
     extra = r2 - 2
-    n0 = a.shape[0]
-    fused = np.zeros((n0 + extra, n0 + extra))
-    fused[:n0, :n0] = a
-    chain = [0] + list(range(n0, n0 + extra)) + [1]
-    for u, v in zip(chain[:-1], chain[1:]):
-        fused[u, v] = fused[v, u] = 1.0
+    chain = [0, *range(r1, r1 + extra), 1]
+    bonds = [(i, (i + 1) % r1) for i in range(r1)] + list(zip(chain[:-1], chain[1:]))
+    labels = [RING_TYPES[i % 2] for i in range(r1)]
     labels += [RING_TYPES[(i + 1) % 2] for i in range(extra)]
-    return fused, labels
+    return bonds, labels
 
 
 def make_graph(rng: np.random.Generator, label: int) -> Graph:
@@ -58,20 +41,22 @@ def make_graph(rng: np.random.Generator, label: int) -> Graph:
     leaves); class 1 carries 0-1 of them plus lone type-3/type-4 pendants, so
     motif counts overlap and part of the signal sits in the wiring.
     """
-    a, labels = _fused_backbone(rng)
-    ring_atoms = a.shape[0]
+    bonds, labels = _fused_backbone(rng)
+    ring_atoms = len(labels)
+
+    def attach(host: int, kind: int) -> int:
+        """Bond a new atom of type ``kind`` to ``host``; returns its index."""
+        bonds.append((host, len(labels)))
+        labels.append(kind)
+        return len(labels) - 1
 
     def add_branched_motif():
-        nonlocal a
-        host = int(rng.integers(ring_atoms))
-        a = _attach(a, host, MOTIF_CENTER, labels)
-        center = a.shape[0] - 1
-        a = _attach(a, center, MOTIF_LEAF, labels)
-        a = _attach(a, center, MOTIF_LEAF, labels)
+        center = attach(int(rng.integers(ring_atoms)), MOTIF_CENTER)
+        attach(center, MOTIF_LEAF)
+        attach(center, MOTIF_LEAF)
 
     def add_pendant(kind: int):
-        nonlocal a
-        a = _attach(a, int(rng.integers(ring_atoms)), kind, labels)
+        attach(int(rng.integers(ring_atoms)), kind)
 
     if label == 0:
         for _ in range(int(rng.integers(1, 4))):
@@ -88,11 +73,13 @@ def make_graph(rng: np.random.Generator, label: int) -> Graph:
     # shared decoration: short chain of misc atoms, occasional relabel
     host = int(rng.integers(ring_atoms))
     for _ in range(int(rng.integers(1, 4))):
-        a = _attach(a, host, int(rng.choice(NOISE_TYPES)), labels)
-        host = a.shape[0] - 1
+        host = attach(host, int(rng.choice(NOISE_TYPES)))
     if rng.random() < 0.25:
         labels[int(rng.integers(len(labels)))] = int(rng.choice(NOISE_TYPES))
-    return Graph.from_adjacency(a, np.array(labels), label)
+    n = len(labels)
+    u, v = np.array(bonds, dtype=np.int64).T
+    edges = np.stack(np.divmod(np.sort(np.concatenate([u * n + v, v * n + u])), n))
+    return Graph(edges, np.array(labels), label)
 
 
 def make_bundle(n_graphs: int = 188, seed: int = 0, name: str = "synthetic") -> DatasetBundle:

@@ -246,6 +246,33 @@ class TestErrorMapping:
         assert len(lines) == 1 and "unrecognized arguments" in lines[0]
 
 
+class TestTrain:
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_semi_supervised_is_refused(self, source, tu_root, tmp_path, capsys):
+        # train holds out no graphs, so the option would change nothing
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[train]\nsemi_supervised = yes\n", encoding="utf-8")
+        given = ["--semi-supervised"] if source == "flag" else ["--config", cfg_file]
+        out = tmp_path / "o"
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", out] + FAST + given)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error") and "semi_supervised" in err[0]
+        assert not out.exists()
+
+
+class TestJobs:
+    @pytest.mark.parametrize("argv", [["cv"], ["sweep-k", "--ks", "2,4"]])
+    def test_default_is_the_usable_cpu_count(self, argv, monkeypatch):
+        # the CPUs this process may run on, as the k-means and co-occurrence
+        # pools count them, not every CPU of the machine
+        monkeypatch.setattr(cli.L, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert build_parser().parse_args(argv + ["--dataset", "SYN"]).jobs == 3
+
+
 class TestSweepK:
     def test_csv_rows_sorted(self, tu_root, tmp_path):
         out = tmp_path / "out"
@@ -423,6 +450,28 @@ class TestInspect:
         assert len(err) == 1
         assert err[0].startswith("configuration error") and "empty.npz" in err[0]
 
+    def test_unsupported_zip_compression_is_configuration_error(self, tu_root, tmp_path,
+                                                                 capsys):
+        # zipfile raises NotImplementedError for a compression method it
+        # lacks; the first central-directory entry is made to name one (99)
+        model_dir = tmp_path / "m"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", model_dir] + FAST) == 0
+        data = bytearray((model_dir / "model.npz").read_bytes())
+        end = data.rfind(b"PK\x05\x06")
+        directory = int.from_bytes(data[end + 16:end + 20], "little")
+        assert data[directory:directory + 4] == b"PK\x01\x02"
+        data[directory + 10:directory + 12] = (99).to_bytes(2, "little")
+        bad = tmp_path / "method99.npz"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", bad, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error") and "method99.npz" in err[0]
+
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
                     "--model", tmp_path / "absent.npz", "--out", tmp_path / "o"])
@@ -486,10 +535,19 @@ class TestOptionNames:
         cfg_file.write_text("[train]\n" + "".join(f"{name} = {text}\n" for name, (text, _)
                                                   in EVERY_FIELD.items()), encoding="utf-8")
         out = tmp_path / "o"
+        assert run(["cv", "--dataset", "SYN", "--data-root", tu_root, "--folds", "2",
+                    "--jobs", "1", "--config", cfg_file, "--out", out]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {name: value for name, (_, value) in EVERY_FIELD.items()}
+        # train refuses semi_supervised; every other field reaches its model
+        cfg_file.write_text(cfg_file.read_text().replace("semi_supervised = yes\n", ""),
+                            encoding="utf-8")
+        out = tmp_path / "t"
         assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
                     "--config", cfg_file, "--out", out]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config == {name: value for name, (_, value) in EVERY_FIELD.items()}
+        assert config == {**{name: value for name, (_, value) in EVERY_FIELD.items()},
+                          "semi_supervised": False}
         assert dataclasses.asdict(M.load_model(str(out / "model.npz")).config) == config
 
     @pytest.mark.parametrize("command", ["cv", "train", "sweep-k"])
@@ -613,9 +671,11 @@ class TestEveryFlagIsRead:
         monkeypatch.setattr(cli, "check_registered_ops", lambda step, tolerance: [])
         monkeypatch.setattr(cli, "_end_to_end_report", lambda step, tolerance:
                             SimpleNamespace(passed=True, as_dict=dict))
+        # train refuses semi_supervised: its flag is read, but not given here
+        given = dests - {"semi_supervised"} if command == "train" else dests
         argv = [command]
         for action in subparser(command)._actions:
-            if action.dest in dests:
+            if action.dest in given:
                 argv.append(action.option_strings[0])
                 argv += [] if values[action.dest] is None else [str(values[action.dest])]
         read = set()

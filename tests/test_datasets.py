@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slim.datasets import (
@@ -18,6 +18,8 @@ from slim.datasets import (
     one_hot_features,
     save_tu_dataset,
 )
+from slim.model import prepare_bundle
+from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 
 from conftest import (adjacency_of, densify_oracle, directed_edges, int_column_oracle,
@@ -84,6 +86,15 @@ class TestLoader:
         bundle = load_tu_dataset(root, "SPARSE")
         np.testing.assert_array_equal(bundle.graphs[0].node_labels, [0, 1])
         assert bundle.node_label_count == 2
+
+    def test_a_character_numpy_reads_as_a_digit_is_a_parse_error(self, tmp_path):
+        # numpy's loadtxt reads U+976DD as the integer 620205, and can crash
+        # on such characters; a file that is not ASCII is read line by line
+        root = write_tu_files(tmp_path, "ODD", [(1, 2)], [1, 1], [1], [0, 0])
+        (tmp_path / "ODD" / "ODD_node_labels.txt").write_text("0\n\U000976dd\n",
+                                                              encoding="utf-8")
+        with pytest.raises(ParseError, match="ODD_node_labels.txt line 2: expected an integer"):
+            load_tu_dataset(root, "ODD")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DatasetError, match="NOPE"):
@@ -393,7 +404,8 @@ class TestEdgeReaderMatchesLineLoop:
         assert new_warn == old_warn
 
     @pytest.mark.parametrize("bad", ["1 2", "1, 2, 3", "1,", "x, 1", "1.0, 2", "0, 1",
-                                     "1, 99", "-1, 2", "# 1, 2", "1, 2 # c", "cross"])
+                                     "1, 99", "-1, 2", "# 1, 2", "1, 2 # c", "cross",
+                                     "1, \U000976dd"])
     def test_same_parse_error_on_a_bad_line(self, tmp_path, bad):
         lines, indicator, graph_labels, node_labels = random_tu_lines(
             np.random.default_rng(3))
@@ -463,6 +475,7 @@ class TestColumnReaderMatchesLineLoop:
     @pytest.mark.parametrize("text", [
         "# 1\n", "1\n# comment\n", "1 # c\n", "1 2\n", "1 2\n3 4\n", "1\n2 3\n",
         "1, 2\n", "1.0\n", "1e3\n", "0x10\n", "x\n", "99999999999999999999\n",
+        "\U000976dd\n",
     ])
     def test_same_error(self, tmp_path, text):
         path = tmp_path / "col.txt"
@@ -572,7 +585,10 @@ class TestGraphFormat:
         assert (g.node_count, g.edge_count) == (len(a), len(listed) // 2)
         g.validate()
 
-    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))])
+    # the last two are square, but have a row count other than the 2 labels
+    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2)),
+                                   np.zeros((3, 3)),
+                                   np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])])
     def test_from_adjacency_rejects_a_non_square_input(self, a):
         with pytest.raises(ValueError, match="square"):
             Graph.from_adjacency(a, np.zeros(2, dtype=np.int64), 0)
@@ -585,14 +601,32 @@ class TestGraphFormat:
         ([[1, 0, 1, 2], [0, 1, 2, 1]], "CSR order"),
         ([[0, 1, 1, 3], [1, 0, 3, 1]], r"endpoints must lie in \[0, 3\)"),
         ([[0, 1, -1], [1, 0, 1]], r"endpoints must lie in \[0, 3\)"),
+        (np.array([[0, 1, 1, 2], [1, 0, 2, 1]], dtype=np.int32), "2 x 2E int64"),
+        ([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 2.0, 1.0]], "2 x 2E int64"),
+        ([0, 1, 1, 0], "2 x 2E int64"),
+        ([[0, 1], [1, 0], [0, 0]], "2 x 2E int64"),
     ])
     def test_validate_names_what_is_wrong(self, edges, message):
-        graph = Graph(np.array(edges), np.zeros(3, dtype=np.int64), 0)
+        # a Graph checks itself when it is made
         with pytest.raises(ValueError, match=message):
-            graph.validate()
+            Graph(np.array(edges), np.zeros(3, dtype=np.int64), 0)
 
     def test_validate_accepts_the_path(self):
         Graph(np.array([[0, 1, 1, 2], [1, 0, 2, 1]]), np.zeros(3, dtype=np.int64), 0).validate()
+
+    @pytest.mark.parametrize("a, message", [
+        ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], "both directions"),
+        ([[1, 1], [1, 0]], "self-loops"),
+    ])
+    def test_from_adjacency_refuses_what_no_graph_may_hold(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_adjacency(a, np.zeros(len(a), dtype=np.int64), 0)
+
+    @pytest.mark.parametrize("labels", [np.zeros(3), np.zeros((3, 1), dtype=np.int64),
+                                        np.zeros(0, dtype=np.int64), np.array([0, -1, 0])])
+    def test_node_labels_must_be_non_negative_ints(self, labels):
+        with pytest.raises(ValueError, match="node_labels must be"):
+            Graph(np.zeros((2, 0), dtype=np.int64), labels, 0)
 
     def test_interleaved_indicators_give_local_csr_order(self, tmp_path):
         # node ids 1..7 alternate between graphs 1 and 2; edges are listed in
@@ -630,3 +664,70 @@ class TestGraphFormat:
         for a, b in zip(graphs, again.graphs):
             np.testing.assert_array_equal(a.edges, b.edges)
             assert b.edges.dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a mutated TU file set loads to a DatasetError or to a bundle that
+# prepares; since every Graph checks itself when made, a loader path that
+# built a bad graph would show here as a ValueError
+
+FUZZ_FILES = ("A", "graph_indicator", "graph_labels", "node_labels")
+FUZZ_EDITS = ("delete", "insert", "replace", "extend", "byte")
+
+
+@pytest.fixture(scope="module")
+def fuzz_set(tmp_path_factory):
+    """The root of a 6-graph stand-in TU set and the bytes of its files."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_tu_dataset(make_bundle(6, seed=11, name="FUZZ"), str(root))
+    return root, {name: (root / "FUZZ" / f"FUZZ_{name}.txt").read_bytes()
+                  for name in FUZZ_FILES}
+
+
+def fuzz_line():
+    """A line as a TU file might hold it, or nearly: an integer, a pair, text."""
+    number = st.integers(-3, 120)
+    return st.one_of(number.map(str), st.tuples(number, number).map("{0[0]}, {0[1]}".format),
+                     st.text(max_size=6)).map(lambda text: text.encode("utf-8"))
+
+
+def mutate(data: bytes, edit: str, at: int, line: bytes, byte: bytes) -> bytes:
+    """``data`` with its line ``at`` (modulo the line count) deleted,
+    preceded by ``line``, replaced by it or extended by it, or with ``byte``
+    inserted at offset ``at`` (modulo the length)."""
+    if edit == "byte":
+        at %= len(data) + 1
+        return data[:at] + byte + data[at:]
+    lines = data.split(b"\n")
+    at %= len(lines)
+    if edit == "delete":
+        del lines[at]
+    elif edit == "insert":
+        lines.insert(at, line)
+    elif edit == "replace":
+        lines[at] = line
+    else:
+        lines[at] += line
+    return b"\n".join(lines)
+
+
+class TestFuzzTuFiles:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(FUZZ_FILES), st.sampled_from(FUZZ_EDITS),
+                              st.integers(0, 2**16), fuzz_line(),
+                              st.binary(min_size=1, max_size=1)), min_size=1, max_size=2))
+    def test_a_mutated_set_gives_a_dataset_error_or_a_bundle(self, fuzz_set, edits):
+        root, clean = fuzz_set
+        files = dict(clean)
+        for name, *edit in edits:
+            files[name] = mutate(files[name], *edit)
+        for name, data in files.items():
+            (root / "FUZZ" / f"FUZZ_{name}.txt").write_bytes(data)
+        try:
+            bundle = load_tu_dataset(str(root), "FUZZ")
+        except DatasetError as exc:
+            event(type(exc).__name__)
+            return
+        event("bundle")
+        graphs = prepare_bundle(bundle, SubstructureConfig())
+        assert len(graphs) == len(bundle.graphs) >= 1
