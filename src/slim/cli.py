@@ -134,10 +134,10 @@ def resolve_options(args, defaults: dict, check=None) -> dict:
     if path:
         if not os.path.isfile(path):
             raise ConfigError(f"config file not found: {path}")
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)   # values are literal
         try:
             parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         for section in parser.sections():
             file_values.update(parser[section])
@@ -525,6 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what a command may raise, first match wins: (exception, stderr prefix, exit code)
+FAILURES = (
+    (ConfigError, "configuration error", EXIT_CONFIG),
+    (DatasetError, "dataset error", EXIT_IO),
+    (OSError, "i/o error", EXIT_IO),
+    (training.DivergenceError, "training diverged", EXIT_CHECK_FAILED),
+    (NumericError, "numeric error", EXIT_CHECK_FAILED),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -533,21 +543,11 @@ def main(argv=None) -> int:
         args.out = os.path.join("slim_runs", f"{args.command}_{dataset}")
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DatasetError as exc:
-        print(f"dataset error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except training.DivergenceError as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    except tuple(kind for kind, _, _ in FAILURES) as exc:
+        prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(exc, kind))
+        # one line, whatever the text holds (configparser's errors span three)
+        print(f"{prefix}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

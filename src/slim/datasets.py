@@ -68,11 +68,12 @@ class Graph:
         return self.edges.shape[1] // 2
 
     def validate(self):
-        labels, n = self.node_labels, self.node_count
-        if labels.ndim != 1 or labels.dtype.kind not in "iu" or n < 1 or labels.min() < 0:
+        labels, e = self.node_labels, self.edges
+        if (not isinstance(labels, np.ndarray) or labels.ndim != 1
+                or labels.dtype.kind not in "iu" or labels.size < 1 or labels.min() < 0):
             raise ValueError("node_labels must be one non-negative int per node, >= 1 node")
-        e = self.edges
-        if e.ndim != 2 or len(e) != 2 or e.dtype != np.int64:
+        n = self.node_count
+        if not isinstance(e, np.ndarray) or e.ndim != 2 or len(e) != 2 or e.dtype != np.int64:
             raise ValueError("edges must be a 2 x 2E int64 array")
         if e.size and (e.min() < 0 or e.max() >= n):
             raise ValueError(f"edge endpoints must lie in [0, {n})")

@@ -90,71 +90,95 @@ def hard_distortion(h: np.ndarray, u: np.ndarray) -> float:
     return float(pairwise_sq_distances(h, u).min(axis=1).sum())
 
 
-def _kmeans_pp_seed(points: np.ndarray, k: int,
+def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bitwise-distinct rows of a C-contiguous n x d float64 array, and
+    for each row the index of its distinct row, so that ``rows[inverse]``
+    equals ``points`` byte for byte (-0.0 and 0.0 stay apart). One sort of
+    the rows viewed as 8d-byte strings. The gathers through ``inverse`` pass
+    ``mode="clip"`` to ``np.take``: every index is in range, and unlike the
+    default mode it writes into ``out`` without a buffer."""
+    keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1]))).ravel()
+    rows, inverse = np.unique(keys, return_inverse=True)
+    return rows.view(np.float64).reshape(-1, points.shape[1]), inverse
+
+
+def _kmeans_pp_seed(rows: np.ndarray, inverse: np.ndarray, k: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """k-means++ seeds (Arthur & Vassilvitskii 2007), and the number drawn
-    before every row lay on one: a draw never repeats a row, so that is the
-    rows' count of distinct values when it is below k, and k otherwise. The
-    squared distances to each new center are formed in one n x d and one n
-    buffer kept for the whole call, with the same operations as
-    ``((points - c) ** 2).sum(axis=1)``."""
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(len(points))]
-    diff = np.subtract(points, centers[0])
-    d2 = np.square(diff, out=diff).sum(axis=1)
-    step = np.empty_like(d2)
+    """k-means++ seeds (Arthur & Vassilvitskii 2007) of the n points
+    ``rows[inverse]``, and the number drawn before every point lay on one: a
+    draw never repeats a point, so that is the points' count of distinct
+    values when it is below k, and k otherwise.
+
+    The squared distances to each new center are formed on the m distinct
+    ``rows`` only, in one m x d and one m buffer kept for the whole call,
+    with the same operations as ``((points - c) ** 2).sum(axis=1)``; the
+    running minimum is then gathered to the n points, so every draw, total
+    and count is that of the same steps over all n points."""
+    n = len(inverse)
+    centers = np.empty((k, rows.shape[1]))
+    centers[0] = rows[inverse[rng.integers(n)]]
+    diff = np.subtract(rows, centers[0])
+    d2_rows = np.square(diff, out=diff).sum(axis=1)
+    step = np.empty_like(d2_rows)
+    d2 = np.take(d2_rows, inverse)
     drawn = k
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             drawn = min(drawn, i)
-            centers[i] = points[rng.integers(len(points))]
+            centers[i] = rows[inverse[rng.integers(n)]]
             continue
-        centers[i] = points[rng.choice(len(points), p=d2 / total)]
-        np.subtract(points, centers[i], out=diff)
+        centers[i] = rows[inverse[rng.choice(n, p=d2 / total)]]
+        np.subtract(rows, centers[i], out=diff)
         np.square(diff, out=diff).sum(axis=1, out=step)
-        np.minimum(d2, step, out=d2)
+        np.minimum(d2_rows, step, out=d2_rows)
+        np.take(d2_rows, inverse, out=d2, mode="clip")
     return centers, drawn
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Lloyd iterations from ``centers`` until no center moves ``tol`` or more.
+def _lloyd(rows: np.ndarray, inverse: np.ndarray, centers: np.ndarray, tol: float,
+           max_iter: int) -> np.ndarray:
+    """Lloyd iterations over the n points ``rows[inverse]`` from ``centers``
+    until no center moves ``tol`` or more.
 
     The distances are (|p|^2 + |c|^2) - P (2C)'. Scaling by 2 is exact at
     every rounding step of the product, so P (2C)' and (2P) C' are both
     exactly 2 (P C'), and d2 is bit-for-bit that of the direct formula
-    |p|^2 + |c|^2 - 2 P C'. The product is one BLAS call into the n x K
-    part of the call's work buffer; the norms are added to it and it is
-    subtracted from them a block of rows at a time. The centroid sums are
-    one bincount per column over a transposed copy of the points, made once
-    per call in the buffer's n x d part (after the squared points for the
-    norms): each (center, column) bin adds its rows in row order, as
+    |p|^2 + |c|^2 - 2 P C'. They are formed on the m distinct ``rows`` only:
+    the product is one BLAS call into the m x K part of the call's work
+    buffer; the norms are added to it and it is subtracted from them a block
+    of rows at a time, and each point takes its row's nearest center. The
+    centroid sums are one bincount per column over all n points, gathered
+    once per call into the buffer's n x d part (after the squared rows for
+    the norms): each (center, column) bin adds its points in point order, as
     ``np.add.at`` does.
 
     The work buffer is an anonymous memory map, returned to the system when
     the call's arrays are gone. From malloc it would come from the arena of
     the pool thread that runs the call, and glibc keeps an arena's freed
     pages below its trim threshold for the rest of the process: each pool
-    thread would hold an n x K array's worth of memory that nothing else
+    thread would hold an m x K array's worth of memory that nothing else
     can use.
     """
-    (n, d), k = points.shape, len(centers)
-    work = np.frombuffer(mmap.mmap(-1, 8 * n * (k + d)), dtype=np.float64)
-    d2 = work[:n * k].reshape(n, k)
-    pp = np.square(points, out=work[n * k:].reshape(n, d)).sum(axis=1)
-    columns = work[n * k:].reshape(d, n)
-    columns[...] = points.T
-    rows = max(1, LLOYD_BLOCK // k)
-    norms = np.empty((min(n, rows), k))
+    (m, d), n, k = rows.shape, len(inverse), len(centers)
+    work = np.frombuffer(mmap.mmap(-1, 8 * (m * k + n * d)), dtype=np.float64)
+    d2 = work[:m * k].reshape(m, k)
+    pp = np.square(rows, out=work[m * k:m * k + m * d].reshape(m, d)).sum(axis=1)
+    columns = work[m * k:].reshape(d, n)
+    for column, values in zip(columns, rows.T):
+        np.take(values, inverse, out=column, mode="clip")
+    block_rows = max(1, LLOYD_BLOCK // k)
+    norms = np.empty((min(m, block_rows), k))
     sums = np.empty((k, d))
+    nearest = np.empty(n, dtype=np.intp)
     for _ in range(max_iter):
         cc = (centers * centers).sum(axis=1)
-        np.matmul(points, (2.0 * centers).T, out=d2)
-        for r in range(0, n, rows):
-            block = d2[r:r + rows]
-            np.subtract(np.add.outer(pp[r:r + rows], cc, out=norms[:len(block)]), block,
-                        out=block)
-        nearest = d2.argmin(axis=1)
+        np.matmul(rows, (2.0 * centers).T, out=d2)
+        for r in range(0, m, block_rows):
+            block = d2[r:r + block_rows]
+            np.subtract(np.add.outer(pp[r:r + block_rows], cc, out=norms[:len(block)]),
+                        block, out=block)
+        np.take(d2.argmin(axis=1), inverse, out=nearest, mode="clip")
         for j, column in enumerate(columns):
             sums[:, j] = np.bincount(nearest, weights=column, minlength=k)
         new = centers.copy()
@@ -203,21 +227,29 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     in restart order and keeps the first of the lowest costs, so the
     landmarks are the same for any CPU count.
 
+    The bitwise-distinct embedding rows are found once per call. Seeding and
+    Lloyd form every distance on them and gather it back to the rows, so
+    each step's arithmetic per row, and hence the landmarks, are those of
+    the same steps over all rows; the costs are taken over all rows.
+
     Fewer than k distinct landmarks, or rows with fewer than k distinct
     values (as a seeding counts them), trigger a warning and a small jitter
     so the returned landmarks are usable as distinct parameters. Lloyd's
     mean of identical rows can land a unit in the last place off them, so
     such rows can leave landmarks that differ only by rounding.
     """
-    points = np.asarray(embeddings, dtype=np.float64)
-    if points.ndim != 2 or len(points) < k:
-        raise ValueError(f"need at least {k} embedding rows to seed {k} landmarks")
+    points = np.ascontiguousarray(embeddings, dtype=np.float64)
+    if points.ndim != 2 or len(points) < k or points.shape[1] < 1:
+        raise ValueError(f"need at least {k} embedding rows, of at least one column, "
+                         f"to seed {k} landmarks")
+    rows, inverse = _distinct_rows(points)
     rng = np.random.default_rng(seed)
     runs = max(1, restarts)
-    seeds = (_kmeans_pp_seed(points, k, rng) for _ in range(runs))
+    seeds = (_kmeans_pp_seed(rows, inverse, k, rng) for _ in range(runs))
     best, best_cost, distinct = None, np.inf, k
     for centers, drawn in _thread_map(
-            lambda seed: (_lloyd(points, seed[0], KMEANS_TOL, KMEANS_MAX_ITER), seed[1]),
+            lambda seed: (_lloyd(rows, inverse, seed[0], KMEANS_TOL, KMEANS_MAX_ITER),
+                          seed[1]),
             seeds, runs):
         distinct = min(distinct, drawn)
         cost = hard_distortion(points, centers)

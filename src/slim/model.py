@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
@@ -311,6 +312,7 @@ def load_model(path: str) -> ModelState:
     """Read a model file of format 3, or of format 2 with a config (every
     ``slim train`` output). Raises ValueError, naming ``path``, for a file
     that does not describe a model."""
+    open(path, "rb").close()   # a file that cannot be opened stays an OSError
     try:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -326,11 +328,13 @@ def load_model(path: str) -> ModelState:
             config = TrainConfig(**meta.pop("config"))
             params = {name: Tensor(data[name], requires_grad=True) for name in PARAMETERS}
             center = data["feature_center"]
-    except (KeyError, TypeError, ValueError, EOFError, NotImplementedError,
-            zipfile.BadZipFile) as exc:
+    except (KeyError, TypeError, ValueError, EOFError, NotImplementedError, OSError,
+            tokenize.TokenError, zipfile.BadZipFile) as exc:
         # an empty file ends before numpy's format check (EOFError); a cut one
         # has lost the zip archive's directory (BadZipFile); a damaged entry
         # header can name a compression zipfile lacks (NotImplementedError)
+        # or an offset before the file's start (OSError), and a damaged
+        # array header can fail numpy's tokenizing of it (TokenError)
         raise ValueError(f"{path}: {exc}") from exc
     return ModelState(config=config, **params,
                       feature_center=None if center.size == 0 else center, meta=meta)

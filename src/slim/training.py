@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import model as M
-from .autodiff import Tensor
+from .autodiff import NumericError, Tensor
 from .datasets import DatasetBundle, FoldPlan
 from .embedding import scaled_uniform
 from .landmarks import init_landmarks, target_distribution
@@ -141,8 +141,13 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     ``unlabeled_graphs`` join the co-occurrence and clustering terms but never
     the classification loss; their labels are not read anywhere. When the
     pool has fewer substructure rows than ``cfg.k``, K is lowered to the row
-    count before any parameter is drawn, and the returned state's config
-    records the K used.
+    count before any parameter is drawn. The returned state's config records
+    the K used, and ``semi_supervised`` says whether unlabeled graphs joined.
+
+    A non-finite epoch-0 embedding raises NumericError naming the pool
+    indices of its graphs (the training graphs, then the unlabeled ones). A
+    step's NumericError or DivergenceError names the epoch, the batch index
+    in the epoch and the pool indices of the batch's graphs.
     """
     if not train_graphs:
         raise ValueError("training split must be non-empty")
@@ -151,7 +156,7 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     rows = sum(g.z.shape[0] for g in pool)
     if rows < cfg.k:
         warnings.warn(f"only {rows} substructure rows; lowering K to {rows}", stacklevel=2)
-        cfg = replace(cfg, k=rows)
+    cfg = replace(cfg, k=min(cfg.k, rows), semi_supervised=bool(unlabeled_graphs))
     seed_seq = np.random.SeedSequence(cfg.seed) if seed_seq is None else seed_seq
     init_seed, kmeans_seed, shuffle_seed = seed_seq.spawn(3)
     state = init_state(cfg, train_graphs[0].z.shape[1], c, classes,
@@ -160,6 +165,11 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     # landmark initialization on epoch-0 embeddings
     stacked = np.vstack([fwd.h.value
                          for fwd in M.forward_chunks(pool, state, pooled=False)])
+    finite = np.isfinite(stacked).all(axis=1)
+    if not finite.all():
+        ends = np.cumsum([g.z.shape[0] for g in pool])
+        bad = np.unique(np.searchsorted(ends, np.flatnonzero(~finite), side="right"))
+        raise NumericError(f"non-finite epoch-0 embeddings in pool graphs {bad.tolist()}")
     state.u.value = init_landmarks(
         stacked, cfg.k, int(kmeans_seed.generate_state(1)[0]), restarts=cfg.kmeans_restarts
     )
@@ -176,7 +186,7 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
         order = shuffle_rng.permutation(len(pool))
         sums = np.zeros(4)
         batches = 0
-        for start in range(0, len(order), cfg.batch_size):
+        for b, start in enumerate(range(0, len(order), cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             batch = [pool[i] for i in idx]
             batch_targets = None if targets is None else [targets[i] for i in idx]
@@ -184,14 +194,15 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
             if not any(batch_labeled) and cfg.lambda_embed == 0 and cfg.lambda_cluster == 0:
                 continue
             state.zero_grad()
-            loss, parts = M.joint_loss(batch, state, cfg.lambda_embed,
-                                       cfg.lambda_cluster, batch_targets,
-                                       batch_labeled)
+            try:
+                loss, parts = M.joint_loss(batch, state, cfg.lambda_embed,
+                                           cfg.lambda_cluster, batch_targets,
+                                           batch_labeled)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at {_where(epoch, b, idx)}") from exc
             if parts.total > DIVERGENCE_LIMIT:
-                raise DivergenceError(
-                    f"loss {parts.total:.3e} exceeded {DIVERGENCE_LIMIT:.0e} "
-                    f"at epoch {epoch}"
-                )
+                raise DivergenceError(f"loss {parts.total:.3e} exceeded "
+                                      f"{DIVERGENCE_LIMIT:.0e} at {_where(epoch, b, idx)}")
             loss.backward()
             opt.step()
             sums += (parts.total, parts.cross_entropy, parts.embed, parts.cluster)
@@ -206,6 +217,10 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
             val_accuracy=M.accuracy(val_graphs, state) if val_graphs else None,
         ))
     return state, history
+
+
+def _where(epoch: int, batch: int, idx: np.ndarray) -> str:
+    return f"epoch {epoch}, batch {batch}, pool graphs {idx.tolist()}"
 
 
 # ---------------------------------------------------------------------------

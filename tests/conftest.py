@@ -195,6 +195,13 @@ def kmeans_pp_seed_oracle(points, k, rng):
     return centers
 
 
+def on_points(oracle):
+    """``oracle(points, *rest)`` in the shipped signature of ``_lloyd`` and
+    ``_kmeans_pp_seed``, ``(rows, inverse, *rest)``: it runs on the points
+    ``rows[inverse]``."""
+    return lambda rows, inverse, *rest: oracle(rows[inverse], *rest)
+
+
 def init_landmarks_oracle(embeddings, k, seed, restarts=4, candidates=None):
     """``landmarks.init_landmarks`` as one sequential loop over the restarts
     on the calling thread, with the direct forms of the seeding and of
@@ -521,3 +528,29 @@ def graph_feature(pf, include_means=False):
     if include_means:
         return np.concatenate([tri, pf.p, pf.m.reshape(-1)])
     return tri
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: the edits the file fuzzers make
+
+FUZZ_EDITS = ("delete", "insert", "replace", "extend", "byte")
+
+
+def mutate(data: bytes, edit: str, at: int, line: bytes, byte: bytes) -> bytes:
+    """``data`` with its line ``at`` (modulo the line count) deleted,
+    preceded by ``line``, replaced by it or extended by it, or with ``byte``
+    inserted at offset ``at`` (modulo the length)."""
+    if edit == "byte":
+        at %= len(data) + 1
+        return data[:at] + byte + data[at:]
+    lines = data.split(b"\n")
+    at %= len(lines)
+    if edit == "delete":
+        del lines[at]
+    elif edit == "insert":
+        lines.insert(at, line)
+    elif edit == "replace":
+        lines[at] = line
+    else:
+        lines[at] += line
+    return b"\n".join(lines)

@@ -4,10 +4,13 @@ import io
 import json
 import os
 import re
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from slim import cli
 from slim import model as M
@@ -19,7 +22,7 @@ from slim.embedding import encode_values
 from slim.pooling import upper_triangle
 from slim.synthetic import make_bundle
 
-from conftest import adjacency_of, assign_values, pooled_features
+from conftest import FUZZ_EDITS, adjacency_of, assign_values, mutate, pooled_features
 
 
 @pytest.fixture
@@ -128,8 +131,11 @@ class TestErrorMapping:
                     "--out", tmp_path / "o"] + FAST)
         assert code == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == ["numeric error: non-finite joint loss: ce=nan "
-                                    "embed=0.1 cluster=0.0"]
+        # the term, then where: the 24 graphs fill the first batch of epoch 0
+        (line,) = err.splitlines()
+        where = re.fullmatch(r"numeric error: non-finite joint loss: ce=nan embed=0\.1 "
+                             r"cluster=0\.0 at epoch 0, batch 0, pool graphs \[(.*)\]", line)
+        assert sorted(int(i) for i in where.group(1).split(", ")) == list(range(24))
         assert "Traceback" not in err
 
     def test_non_utf8_byte_in_a_dataset_file_is_an_io_error(self, tu_root, tmp_path, capsys):
@@ -262,6 +268,22 @@ class TestTrain:
         assert err[0].startswith("configuration error") and "semi_supervised" in err[0]
         assert not out.exists()
 
+
+    def test_a_non_finite_graph_is_one_line_naming_it(self, tu_root, tmp_path, capsys,
+                                                      monkeypatch):
+        prepare = M.prepare_bundle
+
+        def poisoned(bundle, cfg):
+            graphs = prepare(bundle, cfg)
+            graphs[3].z[0, 0] = np.nan
+            return graphs
+
+        monkeypatch.setattr(M, "prepare_bundle", poisoned)
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "o"] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numeric error: non-finite epoch-0 embeddings in pool graphs [3]"]
 
 class TestJobs:
     @pytest.mark.parametrize("argv", [["cv"], ["sweep-k", "--ks", "2,4"]])
@@ -471,6 +493,37 @@ class TestInspect:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("configuration error") and "method99.npz" in err[0]
+
+    @pytest.mark.parametrize("damage", ["directory offset", "array header"])
+    def test_damage_that_escaped_load_model_is_configuration_error(self, damage, tu_root,
+                                                                    tmp_path, capsys):
+        # found by TestFuzzModelFiles: bytes inserted into the end record's
+        # directory offset made zipfile seek before the file's start
+        # (OSError), and bytes written over a large entry's array header
+        # failed numpy's tokenizing of it (tokenize.TokenError)
+        model_dir = tmp_path / "m"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", model_dir] + FAST) == 0
+        data = (model_dir / "model.npz").read_bytes()
+        if damage == "directory offset":
+            at = data.rfind(b"PK\x05\x06") + 17
+            data = data[:at] + b"xv\xb0" + data[at:]
+        else:
+            at = data.find(b"{'descr'", data.find(b"w_hidden.npy"))
+            data = data[:at] + b"\xe2\xbb]" + data[at + 3:]
+        bad = tmp_path / "damaged.npz"
+        bad.write_bytes(data)
+        capsys.readouterr()
+        code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", bad, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error") and "damaged.npz" in err[0]
+
+    def test_a_model_path_that_cannot_be_opened_stays_an_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            M.load_model(str(tmp_path))
 
     def test_missing_model_is_io_error(self, tu_root, tmp_path, capsys):
         code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
@@ -684,3 +737,174 @@ class TestEveryFlagIsRead:
         assert args.fn(args) == 0
         unread = dests - read
         assert not unread, f"slim {command} accepts but never reads {sorted(unread)}"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: a mutated model file loads to a ValueError or to the same model,
+# and a mutated config file parses to a ConfigError or to a config that the
+# run then records; through cli.main, a failure is one stderr line and exit 2
+
+
+class Stop(Exception):
+    """Ends a fuzzed run once its manifest is written."""
+
+
+def stop(*args):
+    raise Stop
+
+
+FUZZ_CONFIG = b"""[train]
+hops = 2
+variant = weighted_layer_sum
+layer_decay = 0.25
+k = 7
+latent = 5
+hidden = D/2
+classifier_hidden = 6
+optimizer = sgd
+learning_rate = 0.05
+epochs = 2
+batch_size = 4
+lambda_embed = 0.5
+lambda_cluster = 0.2
+seed = 9
+semi_supervised = no
+include_means = yes
+activation = sigmoid
+kmeans_restarts = 2
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """(root, data root, model file bytes, the model) of a 6-graph stand-in
+    set and a model trained on it by ``slim train``."""
+    root = tmp_path_factory.mktemp("fuzz")
+    save_tu_dataset(make_bundle(n_graphs=6, seed=3, name="SYN"), str(root / "data"))
+    assert run(["train", "--dataset", "SYN", "--data-root", root / "data",
+                "--out", root / "m"] + FAST) == 0
+    path = root / "m" / "model.npz"
+    return root, root / "data", path.read_bytes(), M.load_model(str(path))
+
+
+def config_line():
+    """A config line, or nearly: a known or unknown key with a value, a
+    section header, or text."""
+    key = st.sampled_from([f.name for f in dataclasses.fields(training.TrainConfig)]
+                          + ["K", "bogus"])
+    value = st.one_of(st.integers(-2, 400).map(str), st.floats().map(repr),
+                      st.sampled_from(["yes", "no", "D", "2D", "sgd", "sigmoid",
+                                       "layer_wise", "%", "%(k)s", ""]),
+                      st.text(max_size=6))
+    line = st.one_of(st.tuples(key, st.sampled_from([" = ", ": ", "="]), value).map("".join),
+                     st.sampled_from(["[train]", "[other]", "", "# note", "  indented"]),
+                     st.text(max_size=8))
+    return line.map(lambda text: text.encode("utf-8"))
+
+
+def deleted_option(edits) -> dict | None:
+    """The option that a single deletion of an option line removes, as
+    {name: default}; None for any other edit."""
+    if len(edits) != 1 or edits[0][0] != "delete":
+        return None
+    lines = FUZZ_CONFIG.split(b"\n")
+    name = lines[edits[0][1] % len(lines)].split(b"=")[0].strip().decode()
+    defaults = {f.name: f.default for f in dataclasses.fields(training.TrainConfig)}
+    return {name: defaults[name]} if name in defaults else None
+
+
+def fuzz_base_config(root) -> training.TrainConfig:
+    """The config that ``FUZZ_CONFIG`` itself gives."""
+    path = root / "clean.cfg"
+    path.write_bytes(FUZZ_CONFIG)
+    return cli.build_train_config(build_parser().parse_args(
+        ["train", "--dataset", "SYN", "--config", str(path)]))
+
+
+def one_config_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("configuration error: ")
+
+
+class TestFuzzConfigFiles:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(FUZZ_EDITS), st.integers(0, 2**16), config_line(),
+                              st.binary(min_size=1, max_size=1)), min_size=1, max_size=2))
+    def test_a_mutated_file_gives_a_config_error_or_its_config(self, fuzz_run, edits):
+        root, data_root, _, _ = fuzz_run
+        path, out = root / "run.cfg", root / "run"
+        text = FUZZ_CONFIG
+        for edit in edits:
+            text = mutate(text, *edit)
+        path.write_bytes(text)
+        shutil.rmtree(out, ignore_errors=True)
+        argv = ["train", "--dataset", "SYN", "--data-root", str(data_root),
+                "--config", str(path), "--out", str(out)]
+        try:
+            cfg = cli.build_train_config(build_parser().parse_args(argv))
+        except cli.ConfigError:
+            cfg = None
+        removed = deleted_option(edits)
+        if removed is not None:
+            assert cfg == dataclasses.replace(fuzz_base_config(root), **removed)
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stderr", err)
+            mp.setattr(M, "prepare_bundle", stop)
+            if cfg is None or cfg.semi_supervised:
+                event("config error")
+                assert main(argv) == 2 and one_config_error_line(err.getvalue())
+                assert not out.exists()
+                return
+            event("config")
+            with pytest.raises(Stop):
+                main(argv)
+        assert err.getvalue() == ""
+        recorded = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+        assert recorded == json.loads(json.dumps(dataclasses.asdict(cfg), default=str))
+
+
+def damage(data: bytes, edit: str, at: int, blob: bytes) -> bytes:
+    """``data`` cut at ``at``, or with ``blob`` written over it or inserted
+    there (``at`` modulo the length)."""
+    at %= len(data) + 1
+    if edit == "truncate":
+        return data[:at]
+    if edit == "overwrite":
+        return data[:at] + blob + data[at + len(blob):]
+    return data[:at] + blob + data[at:]
+
+
+class TestFuzzModelFiles:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(["truncate", "overwrite", "insert"]),
+                              st.integers(0, 2**16), st.binary(min_size=1, max_size=4)),
+                    min_size=1, max_size=2))
+    def test_a_damaged_file_gives_a_value_error_or_the_same_model(self, fuzz_run, edits):
+        root, data_root, data, model = fuzz_run
+        path, out = root / "damaged.npz", root / "inspect"
+        for edit in edits:
+            data = damage(data, *edit)
+        path.write_bytes(data)
+        try:
+            loaded = M.load_model(str(path))
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            loaded = None
+        if loaded is not None:
+            assert loaded.config == model.config and loaded.meta == model.meta
+            for name in M.PARAMETERS + ("feature_center",):
+                got, want = getattr(loaded, name), getattr(model, name)
+                got, want = getattr(got, "value", got), getattr(want, "value", want)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("sys.stderr", err)
+            code = main(["inspect", "--dataset", "SYN", "--data-root", str(data_root),
+                         "--model", str(path), "--out", str(out)])
+        event("model" if loaded is not None else "value error")
+        if loaded is None:
+            assert code == 2 and one_config_error_line(err.getvalue())
+            assert str(path) in err.getvalue()
+        else:
+            assert code == 0 and err.getvalue() == ""

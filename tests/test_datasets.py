@@ -22,8 +22,8 @@ from slim.model import prepare_bundle
 from slim.substructure import SubstructureConfig
 from slim.synthetic import make_bundle
 
-from conftest import (adjacency_of, densify_oracle, directed_edges, int_column_oracle,
-                      is_binary_oracle, write_tu_files)
+from conftest import (FUZZ_EDITS, adjacency_of, densify_oracle, directed_edges,
+                      int_column_oracle, is_binary_oracle, mutate, write_tu_files)
 
 
 class TestLoader:
@@ -628,6 +628,16 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match="node_labels must be"):
             Graph(np.zeros((2, 0), dtype=np.int64), labels, 0)
 
+    @pytest.mark.parametrize("edges, labels, message", [
+        (np.zeros((2, 0), dtype=np.int64), [0, 1], "node_labels must be"),
+        (np.zeros((2, 0), dtype=np.int64), 2, "node_labels must be"),
+        ([[0, 1], [1, 0]], np.array([0, 1]), "edges must be a 2 x 2E int64 array"),
+    ])
+    def test_fields_that_are_not_arrays_are_named(self, edges, labels, message):
+        # the constructor takes arrays only; from_adjacency converts its inputs
+        with pytest.raises(ValueError, match=message):
+            Graph(edges, labels, 0)
+
     def test_interleaved_indicators_give_local_csr_order(self, tmp_path):
         # node ids 1..7 alternate between graphs 1 and 2; edges are listed in
         # one direction each, in no particular order
@@ -672,7 +682,6 @@ class TestGraphFormat:
 # built a bad graph would show here as a ValueError
 
 FUZZ_FILES = ("A", "graph_indicator", "graph_labels", "node_labels")
-FUZZ_EDITS = ("delete", "insert", "replace", "extend", "byte")
 
 
 @pytest.fixture(scope="module")
@@ -689,26 +698,6 @@ def fuzz_line():
     number = st.integers(-3, 120)
     return st.one_of(number.map(str), st.tuples(number, number).map("{0[0]}, {0[1]}".format),
                      st.text(max_size=6)).map(lambda text: text.encode("utf-8"))
-
-
-def mutate(data: bytes, edit: str, at: int, line: bytes, byte: bytes) -> bytes:
-    """``data`` with its line ``at`` (modulo the line count) deleted,
-    preceded by ``line``, replaced by it or extended by it, or with ``byte``
-    inserted at offset ``at`` (modulo the length)."""
-    if edit == "byte":
-        at %= len(data) + 1
-        return data[:at] + byte + data[at:]
-    lines = data.split(b"\n")
-    at %= len(lines)
-    if edit == "delete":
-        del lines[at]
-    elif edit == "insert":
-        lines.insert(at, line)
-    elif edit == "replace":
-        lines[at] = line
-    else:
-        lines[at] += line
-    return b"\n".join(lines)
 
 
 class TestFuzzTuFiles:

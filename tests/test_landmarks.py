@@ -14,6 +14,7 @@ from slim import autodiff as ad
 from slim import landmarks
 from slim.autodiff import Tensor, grad_check
 from slim.landmarks import (
+    _distinct_rows,
     _lloyd,
     assign,
     cluster_loss,
@@ -32,6 +33,7 @@ from conftest import (
     kmeans_pp_seed_oracle,
     lloyd_oracle,
     old_assign,
+    on_points,
     old_kl_div,
 )
 
@@ -257,7 +259,7 @@ class TestInitLandmarks:
         points = rng.standard_normal((2000, 8)) * rng.uniform(0.1, 100.0, 8)
         start = points[rng.choice(len(points), 40, replace=False)]
         for max_iter in (1, 5):
-            np.testing.assert_array_equal(_lloyd(points, start, 1e-6, max_iter),
+            np.testing.assert_array_equal(_lloyd(*_distinct_rows(points), start, 1e-6, max_iter),
                                           lloyd_add_at(points, start, 1e-6, max_iter))
 
 
@@ -364,7 +366,7 @@ def init_shipped_and_oracle(points, k, seed):
         warnings.simplefilter("ignore", UserWarning)  # fewer distinct rows than k
         shipped = init_landmarks(points, k, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(landmarks, "_lloyd", lloyd_oracle)
+            mp.setattr(landmarks, "_lloyd", on_points(lloyd_oracle))
             oracle = init_landmarks(points, k, seed)
     return shipped, oracle
 
@@ -397,7 +399,7 @@ class TestLloydMatchesDirectForm:
         if rounded:
             points = np.round(points, 1)
         start = points[rng.choice(len(points), 100, replace=False)]
-        np.testing.assert_array_equal(landmarks._lloyd(points, start, 1e-6, 8),
+        np.testing.assert_array_equal(_lloyd(*_distinct_rows(points), start, 1e-6, 8),
                                       lloyd_oracle(points, start, 1e-6, 8))
 
     @pytest.mark.parametrize("block", [1, 7, 300])
@@ -407,7 +409,7 @@ class TestLloydMatchesDirectForm:
         points = np.round(rng.standard_normal((50, 3)) * 3.0, 1)
         start = points[rng.choice(len(points), 6, replace=False)]
         monkeypatch.setattr(landmarks, "LLOYD_BLOCK", block)
-        np.testing.assert_array_equal(landmarks._lloyd(points, start, 1e-6, 20),
+        np.testing.assert_array_equal(_lloyd(*_distinct_rows(points), start, 1e-6, 20),
                                       lloyd_oracle(points, start, 1e-6, 20))
 
 
@@ -419,7 +421,7 @@ class TestSeedingMatchesFreshArrays:
         if kind == "duplicates":   # the total reaches 0 and seeds redraw uniformly
             points = points[rng.integers(0, 3, len(points))]
         shipped_rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
-        centers, drawn = landmarks._kmeans_pp_seed(points, 8, shipped_rng)
+        centers, drawn = landmarks._kmeans_pp_seed(*_distinct_rows(points), 8, shipped_rng)
         np.testing.assert_array_equal(centers, kmeans_pp_seed_oracle(points, 8, oracle_rng))
         assert shipped_rng.random() == oracle_rng.random()
         # the count of seeds drawn before every row lay on one: the rows'
@@ -427,29 +429,112 @@ class TestSeedingMatchesFreshArrays:
         assert drawn == min(8, len(np.unique(points, axis=0)))
 
 
+def repeated(rng, n, m, d):
+    """n tanh rows drawn from m distinct ones, every distinct row present."""
+    distinct = np.tanh(rng.standard_normal((m, d)) * 2.0)
+    return distinct[rng.permutation(np.arange(n) % m)]
+
+
+class TestDistinctRows:
+    def test_rows_gather_back_to_the_points_byte_for_byte(self):
+        rng = np.random.default_rng(3)
+        points = repeated(rng, 200, 37, 4)
+        points[:20, 0] = 0.0
+        points[20:40, 0] = -0.0
+        points[40, 1] = np.nan
+        rows, inverse = _distinct_rows(points)
+        assert points.tobytes() == rows[inverse].tobytes()
+        assert len({row.tobytes() for row in rows}) == len(rows)
+        assert len(rows) == len({row.tobytes() for row in points})
+
+
+class TestInitLandmarksMatchesTheFullRowOracle:
+    """``init_landmarks`` against ``init_landmarks_oracle``, which seeds and
+    runs Lloyd's steps over every row, byte for byte."""
+
+    def check(self, points, k, seed, restarts=4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer distinct rows than k
+            shipped = init_landmarks(points, k, seed, restarts=restarts)
+            oracle = init_landmarks_oracle(points, k, seed, restarts=restarts)
+        assert shipped.tobytes() == oracle.tobytes()
+
+    def test_rows_shaped_like_the_large_workload(self):
+        # about half the rows repeat, and the product runs BLAS's blocked
+        # kernels on the distinct rows
+        points = repeated(np.random.default_rng(7), 20000, 10000, 32)
+        self.check(points, 100, 1, restarts=1)
+
+    def test_rows_holding_both_zeros(self):
+        rng = np.random.default_rng(8)
+        points = np.round(rng.standard_normal((120, 3)), 1)
+        points[rng.random(points.shape) < 0.3] = 0.0
+        points[rng.random(points.shape) < 0.3] = -0.0
+        assert len(_distinct_rows(points)[0]) > len(np.unique(points, axis=0))
+        for k in (3, 12):
+            self.check(points, k, 2)
+
+    def test_every_row_distinct(self):
+        self.check(np.random.default_rng(9).standard_normal((80, 5)), 6, 3)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_distinct_row(self, k):
+        self.check(np.tile(np.random.default_rng(10).standard_normal(4), (30, 1)), k, 4)
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_k_at_and_above_the_distinct_row_count(self, extra):
+        points = repeated(np.random.default_rng(11), 60, 9, 3)
+        self.check(points, 9 + extra, 5)
+
+
+class TestPassesRunOnTheDistinctRows:
+    def test_seeding_and_lloyd_passes_take_the_distinct_rows(self, monkeypatch, cpus):
+        # the seeding's n x d subtraction and Lloyd's product and norm blocks
+        # see m rows; only the gathers and the centroid sums see all n
+        n, m, d = 90, 15, 3
+        points = repeated(np.random.default_rng(12), n, m, d)
+        heights = []
+        subtract, matmul = np.subtract, np.matmul
+
+        def spy(fn):
+            def wrapper(a, *args, **kwargs):
+                heights.append((fn.__name__, np.shape(a)[0]))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "subtract", spy(subtract))
+        monkeypatch.setattr(np, "matmul", spy(matmul))
+        init_landmarks(points, 4, 0, restarts=3)
+        assert {name for name, _ in heights} == {"subtract", "matmul"}
+        assert max(rows for _, rows in heights) == m
+
+
 class TestDuplicateLandmarks:
-    def test_no_unique_over_the_embedding_rows(self, monkeypatch):
+    def test_one_distinct_row_scan_per_call(self, monkeypatch):
+        # the rows are scanned once for their distinct values, whatever the
+        # restart count; the only other np.unique is over the K landmarks
         rng = np.random.default_rng(4)
-        sizes = []
+        scans = []
         unique = np.unique
 
         def spy(ar, *args, **kwargs):
-            sizes.append(len(ar))
+            scans.append((len(ar), ar.dtype.kind))
             return unique(ar, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", spy)
-        init_landmarks(rng.standard_normal((50, 3)), 5, 0)
-        # three integer rows ten times over: their cluster means are exact,
-        # so the landmarks hold duplicates and take the jitter
-        with pytest.warns(UserWarning, match="only 3 distinct landmarks of 5"):
-            init_landmarks(np.eye(3)[[0, 1, 2] * 10], 5, 0)
-        assert sizes and 50 not in sizes and 30 not in sizes
+        for restarts in (1, 4):
+            init_landmarks(rng.standard_normal((50, 3)), 5, 0, restarts=restarts)
+            # three integer rows ten times over: their cluster means are
+            # exact, so the landmarks hold duplicates and take the jitter
+            with pytest.warns(UserWarning, match="only 3 distinct landmarks of 5"):
+                init_landmarks(np.eye(3)[[0, 1, 2] * 10], 5, 0, restarts=restarts)
+        assert scans == [(50, "V"), (5, "f"), (30, "V"), (5, "f")] * 2
 
     def test_identical_landmarks_from_distinct_rows_warn(self, monkeypatch, rng):
         # every row is distinct, but a Lloyd run that collapses the landmarks
         # still takes the jitter, and the run says so
         monkeypatch.setattr(landmarks, "_lloyd",
-                            lambda points, centers, tol, max_iter: np.zeros_like(centers))
+                            lambda rows, inverse, centers, tol, max_iter: np.zeros_like(centers))
         with pytest.warns(UserWarning, match="only 1 distinct landmarks of 4"):
             u = init_landmarks(rng.standard_normal((20, 2)), 4, 0)
         assert len(np.unique(u, axis=0)) == 4
@@ -592,9 +677,10 @@ class TestRestartPool:
         # at return; a pool thread's allocator would keep them otherwise
         rng = np.random.default_rng(6)
         points = np.tanh(rng.standard_normal((20000, 32)))
+        rows, inverse = _distinct_rows(points)
         tracemalloc.start()
         try:
-            landmarks._lloyd(points, points[:100].copy(), 1e-6, 2)
+            _lloyd(rows, inverse, points[:100].copy(), 1e-6, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -606,7 +692,7 @@ class TestRestartPool:
         assert threading.active_count() == before
 
     def test_a_failed_restart_raises_after_every_thread_ended(self, monkeypatch):
-        def failing(points, centers, tol, max_iter):
+        def failing(rows, inverse, centers, tol, max_iter):
             raise FloatingPointError("lloyd failed")
 
         before = threading.active_count()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from slim import embedding, landmarks, pooling
 from slim import model as M
 from slim import training
-from slim.autodiff import Tensor
+from slim.autodiff import NumericError, Tensor
 from slim.datasets import DatasetBundle, Graph, make_folds
 from slim.substructure import Variant
 from slim.synthetic import make_bundle
@@ -35,6 +35,7 @@ from conftest import (
     functional_gradients,
     lloyd_oracle,
     old_assign,
+    on_points,
     pool_graph_oracle,
 )
 
@@ -275,6 +276,63 @@ class TestTrain:
         ]
         assert max(diffs) > 0.0
 
+    def test_the_config_records_whether_unlabeled_graphs_joined(self):
+        bundle = make_bundle(n_graphs=14, seed=4)
+        cfg = tiny_cfg(epochs=2)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        # the option alone adds no graph: the same run, recorded as not semi-supervised
+        state_on, history_on = train(graphs[:10], replace(cfg, semi_supervised=True), 2,
+                                     bundle.node_label_count)
+        state_off, history_off = train(graphs[:10], cfg, 2, bundle.node_label_count)
+        assert history_on == history_off
+        assert state_on.config == state_off.config == cfg
+        # unlabeled graphs given without the option still join, and say so
+        state, _ = train(graphs[:10], cfg, 2, bundle.node_label_count,
+                         unlabeled_graphs=graphs[10:])
+        assert state.config == replace(cfg, semi_supervised=True)
+
+    @pytest.mark.parametrize("poisoned, unlabeled", [(5, 0), (11, 4)])
+    def test_a_non_finite_embedding_names_its_pool_graph(self, poisoned, unlabeled):
+        bundle = make_bundle(n_graphs=12, seed=4)
+        cfg = tiny_cfg()
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        graphs[poisoned].z[0, 0] = np.nan
+        labeled = graphs[:len(graphs) - unlabeled]
+        with pytest.raises(NumericError, match=rf"embeddings in pool graphs \[{poisoned}\]$"):
+            train(labeled, cfg, 2, bundle.node_label_count,
+                  unlabeled_graphs=graphs[len(labeled):] or None)
+
+    def test_a_step_failure_names_the_epoch_the_batch_and_its_graphs(self, monkeypatch):
+        # graph 7 turns non-finite after epoch 1's targets are refreshed, so
+        # the first step whose batch holds it fails
+        bundle = make_bundle(n_graphs=12, seed=4)
+        cfg = tiny_cfg(batch_size=4)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        refresh, joint_loss = training.refresh_targets, M.joint_loss
+        epoch_batches = []
+
+        def poisoning_refresh(pool, state):
+            targets = refresh(pool, state)
+            epoch_batches.append([])
+            if len(epoch_batches) == 2:
+                graphs[7].z[0, 0] = np.nan
+            return targets
+
+        def recording_joint_loss(batch, *args):
+            epoch_batches[-1].append([next(i for i, g in enumerate(graphs) if g is d)
+                                      for d in batch])
+            return joint_loss(batch, *args)
+
+        monkeypatch.setattr(training, "refresh_targets", poisoning_refresh)
+        monkeypatch.setattr(M, "joint_loss", recording_joint_loss)
+        with pytest.raises(NumericError) as caught:
+            train(graphs, cfg, 2, bundle.node_label_count)
+        batches = epoch_batches[1]
+        assert 7 in batches[-1] and not any(7 in seen for seen in batches[:-1])
+        assert str(caught.value).endswith(
+            f": non-finite input at epoch 1, batch {len(batches) - 1}, "
+            f"pool graphs {batches[-1]}")
+
     def test_grads_are_clear_after_training(self):
         bundle = make_bundle(n_graphs=8, seed=4)
         cfg = tiny_cfg(epochs=1)
@@ -300,7 +358,7 @@ class TestTrain:
             return wrapper
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(landmarks, "_lloyd", counted("lloyd", lloyd_oracle))
+            mp.setattr(landmarks, "_lloyd", counted("lloyd", on_points(lloyd_oracle)))
             mp.setattr(embedding, "cooccurrence_loss",
                        counted("cooc", cooccurrence_loss_oracle))
             mp.setattr(landmarks, "assign", counted("assign", old_assign))
