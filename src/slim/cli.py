@@ -14,10 +14,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from enum import Enum
 
 import numpy as np
@@ -73,49 +75,59 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: int
-    dataset: str | None
-    out_dir: str
-    started_at: str = ""
-    finished_at: str = ""
-    artifacts: list[str] = field(default_factory=list)
+# what a command may raise, first match wins: (exception, stderr prefix, exit code)
+FAILURES = (
+    (ConfigError, "configuration error", EXIT_CONFIG),
+    (DatasetError, "dataset error", EXIT_IO),
+    (OSError, "i/o error", EXIT_IO),
+    (training.DivergenceError, "training diverged", EXIT_CHECK_FAILED),
+    (NumericError, "numeric error", EXIT_CHECK_FAILED),
+)
 
-    def path(self) -> str:
-        return os.path.join(self.out_dir, "manifest.json")
 
-    def write(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        with open(self.path(), "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2, default=str)
-            fh.write("\n")
+def _failure(exc: BaseException) -> tuple[str, int | None]:
+    """The stderr line and exit code ``main`` gives for ``exc``; for an
+    exception outside FAILURES, the exception's type and text and no code."""
+    text = " ".join(str(exc).split())   # one line (configparser's errors span three)
+    for kind, prefix, code in FAILURES:
+        if isinstance(exc, kind):
+            return f"{prefix}: {text}", code
+    return f"{type(exc).__name__}: {text}" if text else type(exc).__name__, None
 
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _start_manifest(command: str, args, config: dict, artifacts: list[str],
-                    seed: int = 0) -> RunManifest:
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        dataset=getattr(args, "dataset", None),
-        out_dir=args.out,
-        started_at=_utc_now(),
-        artifacts=[os.path.join(args.out, a) for a in artifacts],
-    )
-    manifest.write()
-    return manifest
+@contextmanager
+def run_record(command: str, args, config: dict, artifacts: list[str], seed: int = 0):
+    """Writes ``manifest.json`` to ``args.out`` on entry, and again however
+    the block ends, with the finish time, elapsed seconds, ``status``
+    ("ok" or "failed"), ``exit_code`` and ``error`` (see ``_failure``). It
+    is the only code that creates the output directory."""
+    record = {"command": command, "config": config, "seed": seed,
+              "dataset": getattr(args, "dataset", None), "out_dir": args.out,
+              "started_at": _utc_now(), "finished_at": "",
+              "artifacts": [os.path.join(args.out, a) for a in artifacts]}
 
+    def write():
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+            json.dump(record, fh, indent=2, default=str)
+            fh.write("\n")
 
-def _finish_manifest(manifest: RunManifest):
-    manifest.finished_at = _utc_now()
-    manifest.write()
+    start = time.perf_counter()
+    write()
+    error, code = None, EXIT_OK
+    try:
+        yield
+    except BaseException as exc:
+        error, code = _failure(exc)
+        raise
+    finally:
+        record.update(finished_at=_utc_now(), elapsed_s=time.perf_counter() - start,
+                      status="ok" if error is None else "failed", exit_code=code, error=error)
+        write()
 
 
 def data_root(args) -> str:
@@ -194,8 +206,14 @@ def _check_coherence_option(name: str, value):
         k_values = _parse_int_list(value)
         if min(k_values) < 1 or len({k for k in k_values if k >= 2}) < 2:
             raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
-    elif name in ("seeds", "components", "scale") and not value > 0:
+    elif name in ("seeds", "components") and not value > 0:
         raise ConfigError(f"{name} must be positive")
+    elif name == "scale" and not (math.isfinite(value) and value > 0):
+        raise ConfigError("scale must be finite and positive")
+    elif name == "seed" and value < 0:
+        raise ConfigError("seed must be non-negative")
+    elif name == "cdcp_over_umax2" and not (math.isfinite(value) and value >= 0):
+        raise ConfigError("cdcp_over_umax2 must be finite and non-negative")
     elif name == "d" and value < 2:
         raise ConfigError("bound requires dimension >= 2")
     elif name == "K" and value < 2:
@@ -238,16 +256,14 @@ def cmd_cv(args) -> int:
     cfg = build_train_config(args)
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
-    manifest = _start_manifest("cv", args, asdict(cfg),
-                               ["cv_result.json", "epochs.jsonl"], seed=cfg.seed)
-    result = training.cross_validate(
-        bundle, cfg, plan, jobs=args.jobs,
-        metrics_path=os.path.join(args.out, "epochs.jsonl"),
-    )
-    with open(os.path.join(args.out, "cv_result.json"), "w", encoding="utf-8") as fh:
-        json.dump(asdict(result), fh, indent=2)
-        fh.write("\n")
-    _finish_manifest(manifest)
+    with run_record("cv", args, asdict(cfg), ["cv_result.json", "epochs.jsonl"], cfg.seed):
+        result = training.cross_validate(
+            bundle, cfg, plan, jobs=args.jobs,
+            metrics_path=os.path.join(args.out, "epochs.jsonl"),
+        )
+        with open(os.path.join(args.out, "cv_result.json"), "w", encoding="utf-8") as fh:
+            json.dump(asdict(result), fh, indent=2)
+            fh.write("\n")
     print(f"{bundle.name}: {result.mean:.4f} ± {result.std:.4f} "
           f"(epoch {result.selected_epoch}, {plan.fold_count} folds)")
     return EXIT_OK
@@ -259,18 +275,16 @@ def cmd_train(args) -> int:
         raise ConfigError("semi_supervised (--semi-supervised) applies to cv and sweep-k "
                           "only: train holds out no graphs to add unlabeled")
     bundle = _load_bundle(args)
-    manifest = _start_manifest("train", args, asdict(cfg),
-                               ["model.npz", "epochs.jsonl"], seed=cfg.seed)
-    graphs = M.prepare_bundle(bundle, cfg.substructure())
-    state, history = training.train(graphs, cfg, bundle.class_count,
-                                    bundle.node_label_count)
-    state.meta["dataset"] = bundle.name
-    with open(os.path.join(args.out, "epochs.jsonl"), "w", encoding="utf-8") as fh:
-        for m in history:
-            fh.write(json.dumps(asdict(m)) + "\n")
-    M.save_model(os.path.join(args.out, "model.npz"), state)
-    _finish_manifest(manifest)
-    acc = M.accuracy(graphs, state)
+    with run_record("train", args, asdict(cfg), ["model.npz", "epochs.jsonl"], cfg.seed):
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        state, history = training.train(graphs, cfg, bundle.class_count,
+                                        bundle.node_label_count)
+        state.meta["dataset"] = bundle.name
+        with open(os.path.join(args.out, "epochs.jsonl"), "w", encoding="utf-8") as fh:
+            for m in history:
+                fh.write(json.dumps(asdict(m)) + "\n")
+        M.save_model(os.path.join(args.out, "model.npz"), state)
+        acc = M.accuracy(graphs, state)
     print(f"trained on {len(graphs)} graphs; final training accuracy {acc:.4f}")
     return EXIT_OK
 
@@ -292,11 +306,9 @@ def cmd_sweep_k(args) -> int:
         raise ConfigError("K values must be positive")
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
-    manifest = _start_manifest("sweep-k", args, asdict(cfg), ["sweep.csv"],
-                               seed=cfg.seed)
-    rows = training.sweep_k(bundle, cfg, k_values, plan, jobs=args.jobs)
-    training.write_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
-    _finish_manifest(manifest)
+    with run_record("sweep-k", args, asdict(cfg), ["sweep.csv"], cfg.seed):
+        rows = training.sweep_k(bundle, cfg, k_values, plan, jobs=args.jobs)
+        training.write_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
     for row in rows:
         print(f"K={row.k}: {row.mean_acc:.4f} ± {row.std_acc:.4f}")
     return EXIT_OK
@@ -310,21 +322,18 @@ def cmd_coherence(args) -> int:
     generator = coh.GaussianMixture.default_2d(components=opts.components, scale=opts.scale,
                                                points=opts.points)
     seeds = list(range(opts.seed, opts.seed + opts.seeds))
-    manifest = _start_manifest("coherence", args,
-                               {"d": generator.d, "ks": k_values, "seeds": seeds,
-                                "components": opts.components, "scale": opts.scale,
-                                "points": opts.points},
-                               ["coherence.csv"], seed=opts.seed)
-    cells = coh.empirical_coherence_sweep(generator, k_values, seeds)
-    with open(os.path.join(args.out, "coherence.csv"), "w", encoding="utf-8") as fh:
-        fh.write("K,seed,coherence,distortion,bound\n")
-        for cell in cells:
-            fh.write(cell.csv_row() + "\n")
-    summary = coh.sweep_summary(cells)
-    defined = [row for row in summary if row["mean_coherence"] is not None]
-    rho = coh.spearman([row["k"] for row in defined],
-                       [row["mean_coherence"] for row in defined])
-    _finish_manifest(manifest)
+    config = {"d": generator.d, "ks": k_values, "seeds": seeds, "components": opts.components,
+              "scale": opts.scale, "points": opts.points}
+    with run_record("coherence", args, config, ["coherence.csv"], opts.seed):
+        cells = coh.empirical_coherence_sweep(generator, k_values, seeds)
+        with open(os.path.join(args.out, "coherence.csv"), "w", encoding="utf-8") as fh:
+            fh.write("K,seed,coherence,distortion,bound\n")
+            for cell in cells:
+                fh.write(cell.csv_row() + "\n")
+        summary = coh.sweep_summary(cells)
+        defined = [row for row in summary if row["mean_coherence"] is not None]
+        rho = coh.spearman([row["k"] for row in defined],
+                           [row["mean_coherence"] for row in defined])
     print(f"spearman(K, mean coherence) = {rho:.4f}")
     return EXIT_OK
 
@@ -390,23 +399,15 @@ def cmd_inspect(args) -> int:
                           f"but the encoder takes {width_in}")
     w = M.batch_forward([data], state.frozen(), [False]).w.value
     p, _, v, c_norm = pool_graph(w, *data.edges)
-    manifest = _start_manifest("inspect", args, {"graph": args.graph},
-                               [f"graph{args.graph}_{name}.csv"
-                                for name in ("W", "p", "M", "C", "C_norm")])
-
-    def dump(name, array):
-        path = os.path.join(args.out, f"graph{args.graph}_{name}.csv")
-        np.savetxt(path, np.atleast_2d(array), delimiter=",", fmt="%.10g")
-
-    dump("W", w)
-    dump("p", p)
-    dump("M", data.x.T @ v)
-    dump("C", c_norm * np.outer(p + DENSITY_EPS, p + DENSITY_EPS))
-    dump("C_norm", c_norm)
+    dumps = {"W": w, "p": p, "M": data.x.T @ v,
+             "C": c_norm * np.outer(p + DENSITY_EPS, p + DENSITY_EPS), "C_norm": c_norm}
     if args.with_z:
-        dump("Z", data.z)
-        manifest.artifacts.append(os.path.join(args.out, f"graph{args.graph}_Z.csv"))
-    _finish_manifest(manifest)
+        dumps["Z"] = data.z
+    files = {f"graph{args.graph}_{name}.csv": array for name, array in dumps.items()}
+    with run_record("inspect", args, {"graph": args.graph}, list(files)):
+        for name, array in files.items():
+            np.savetxt(os.path.join(args.out, name), np.atleast_2d(array),
+                       delimiter=",", fmt="%.10g")
     print(f"wrote per-graph matrices for graph {args.graph} to {args.out}")
     return EXIT_OK
 
@@ -436,6 +437,13 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -512,8 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, BOUND_OPTIONS)
 
     p = command("gradcheck", "finite-difference check of every op", cmd_gradcheck)
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--tolerance", type=float, default=1e-4,
+    p.add_argument("--step", type=positive_float, default=1e-5,
+                   help="finite-difference step")
+    p.add_argument("--tolerance", type=positive_float, default=1e-4,
                    help="max relative error allowed")
 
     p = command("inspect", "dump per-graph W, p, M, C, C_norm as CSV", cmd_inspect,
@@ -525,16 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# what a command may raise, first match wins: (exception, stderr prefix, exit code)
-FAILURES = (
-    (ConfigError, "configuration error", EXIT_CONFIG),
-    (DatasetError, "dataset error", EXIT_IO),
-    (OSError, "i/o error", EXIT_IO),
-    (training.DivergenceError, "training diverged", EXIT_CHECK_FAILED),
-    (NumericError, "numeric error", EXIT_CHECK_FAILED),
-)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -544,9 +543,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
-        prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(exc, kind))
-        # one line, whatever the text holds (configparser's errors span three)
-        print(f"{prefix}: {' '.join(str(exc).split())}", file=sys.stderr)
+        error, code = _failure(exc)
+        print(error, file=sys.stderr)
         return code
 
 

@@ -60,6 +60,8 @@ class TrainConfig(SubstructureConfig):
             raise ValueError(f"optimizer must be one of {list(OPTIMIZERS)}")
         if self.k < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("k, epochs and batch_size must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         for name in ("latent", "hidden", "classifier_hidden", "kmeans_restarts"):
             if isinstance(getattr(self, name), int) and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -269,16 +271,18 @@ def forward_chunks(graphs: list[GraphData], state: ModelState, pooled: bool = Tr
 
 
 def accuracy(graphs: list[GraphData], state: ModelState) -> float:
-    """Fraction of graphs predicted correctly."""
+    """Fraction of graphs predicted correctly. Raises NumericError naming
+    the indices of the graphs whose logits are non-finite."""
     if not graphs:
         return float("nan")
     frozen = state.frozen()
-    preds, rows = [], []
+    preds, rows, bad = [], [], []
 
     def classify():
         feats = rows[0] if len(rows) == 1 else np.vstack(rows)
-        logits = classifier_logits(ad.constant(feats), frozen)
-        preds.extend(logits.value.argmax(axis=1))
+        logits = classifier_logits(ad.constant(feats), frozen).value
+        bad.extend(np.flatnonzero(~np.isfinite(logits).all(axis=1)) + len(preds))
+        preds.extend(logits.argmax(axis=1))
         rows.clear()
 
     for fwd in forward_chunks(graphs, state):
@@ -287,6 +291,8 @@ def accuracy(graphs: list[GraphData], state: ModelState) -> float:
             classify()
     if rows:
         classify()
+    if bad:
+        raise ad.NumericError(f"non-finite classifier logits for graphs {[int(i) for i in bad]}")
     return float((np.array(preds) == np.array([g.label for g in graphs])).mean())
 
 

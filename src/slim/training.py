@@ -147,7 +147,8 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
     A non-finite epoch-0 embedding raises NumericError naming the pool
     indices of its graphs (the training graphs, then the unlabeled ones). A
     step's NumericError or DivergenceError names the epoch, the batch index
-    in the epoch and the pool indices of the batch's graphs.
+    in the epoch and the pool indices of the batch's graphs; a NumericError
+    from the validation accuracy names the epoch and the validation indices.
     """
     if not train_graphs:
         raise ValueError("training split must be non-empty")
@@ -207,6 +208,10 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
             opt.step()
             sums += (parts.total, parts.cross_entropy, parts.embed, parts.cluster)
             batches += 1
+        try:
+            val_accuracy = M.accuracy(val_graphs, state) if val_graphs else None
+        except NumericError as exc:
+            raise NumericError(f"{exc} of the validation split at epoch {epoch}") from exc
         div = max(batches, 1)
         history.append(EpochMetrics(
             epoch=epoch,
@@ -214,7 +219,7 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
             loss_ce=sums[1] / div,
             loss_embed=sums[2] / div,
             loss_cluster=sums[3] / div,
-            val_accuracy=M.accuracy(val_graphs, state) if val_graphs else None,
+            val_accuracy=val_accuracy,
         ))
     return state, history
 

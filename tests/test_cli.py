@@ -171,7 +171,7 @@ class TestErrorMapping:
                                       "semi_supervised = ture", "latent = 0", "hidden = 0",
                                       "classifier_hidden = 0", "kmeans_restarts = 0",
                                       "learning_rate = nan", "lambda_embed = inf",
-                                      "lambda_cluster = -inf"])
+                                      "lambda_cluster = -inf", "seed = -1"])
     def test_bad_config_value_is_configuration_error(self, tu_root, tmp_path, capsys, line):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"[train]\n{line}\n", encoding="utf-8")
@@ -182,6 +182,17 @@ class TestErrorMapping:
         assert len(err) == 1 and err[0].startswith("configuration error")
         key = line.split(" = ")[0]
         assert f"{cfg_file}: {key}: " in err[0], err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["train"], ["cv", "--folds", "2"],
+                                      ["sweep-k", "--ks", "2,4", "--folds", "2"]])
+    def test_a_negative_seed_is_a_configuration_error_naming_it(self, tu_root, tmp_path,
+                                                                capsys, argv):
+        code = run(argv + ["--dataset", "SYN", "--data-root", tu_root, "--seed", "-1",
+                           "--out", tmp_path / "o"] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["configuration error: seed must be non-negative"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("spelling, value", [("1", True), ("true", True), (" Yes ", True),
@@ -209,7 +220,15 @@ class TestErrorMapping:
                                       ["--ks", "2,8", "--config", "seeds = 0"],
                                       ["--ks", "2,8", "--config", "components = 0"],
                                       ["coherence-bound", "--config", "d = 1"],
-                                      ["coherence-bound", "--config", "K = 1"]])
+                                      ["coherence-bound", "--config", "K = 1"],
+                                      ["--ks", "2,8", "--seed", "-1"],
+                                      ["--ks", "2,8", "--scale", "inf"],
+                                      ["--ks", "2,8", "--config", "seed = -1"],
+                                      ["--ks", "2,8", "--config", "scale = inf"],
+                                      ["coherence-bound", "--cdcp-over-umax2", "nan"],
+                                      ["coherence-bound", "--cdcp-over-umax2", "-1"],
+                                      ["coherence-bound", "--config",
+                                       "cdcp_over_umax2 = inf"]])
     def test_bad_coherence_arguments_are_configuration_errors(self, tmp_path, capsys, argv):
         command, argv = (argv[0], argv[1:]) if argv[0] == "coherence-bound" else (
             "coherence", argv + ["--out", tmp_path / "o"])
@@ -285,6 +304,67 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert err == ["numeric error: non-finite epoch-0 embeddings in pool graphs [3]"]
 
+class TestRunRecord:
+    def read(self, out):
+        return json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+
+    def test_a_finished_run_is_recorded_ok(self, tu_root, tmp_path):
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", out] + FAST) == 0
+        manifest = self.read(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == ("ok", 0, None)
+        assert manifest["finished_at"] >= manifest["started_at"] != ""
+        assert manifest["elapsed_s"] >= 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_run_records_its_stderr_line(self, tu_root, tmp_path, capsys):
+        # one step at this rate leaves finite parameters near 1e300 whose
+        # assignment overflows, so the final accuracy meets NaN logits
+        out = tmp_path / "o"
+        code = run(["train", "--dataset", "SYN", "--data-root", tu_root, "--out", out,
+                    "--k", "4", "--latent", "3", "--hidden", "4", "--epochs", "1",
+                    "--batch-size", "64", "--learning-rate", "1e300"])
+        assert code == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric error: non-finite classifier logits for graphs [0, ")
+        manifest = self.read(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == (
+            "failed", 1, line)
+        assert manifest["finished_at"] and manifest["elapsed_s"] >= 0
+
+    @pytest.mark.parametrize("exc, error", [(RuntimeError("a bug\nof two lines"),
+                                             "RuntimeError: a bug of two lines"),
+                                            (KeyboardInterrupt(), "KeyboardInterrupt")])
+    def test_an_unmapped_exception_is_recorded_by_its_type(self, tu_root, tmp_path,
+                                                           monkeypatch, exc, error):
+        def broken(*args):
+            raise exc
+
+        monkeypatch.setattr(M, "prepare_bundle", broken)
+        out = tmp_path / "o"
+        with pytest.raises(type(exc)):
+            run(["train", "--dataset", "SYN", "--data-root", tu_root, "--out", out] + FAST)
+        manifest = self.read(out)
+        assert (manifest["status"], manifest["exit_code"], manifest["error"]) == (
+            "failed", None, error)
+        assert manifest["finished_at"]
+
+    @pytest.mark.parametrize("with_z", [[], ["--with-z"]])
+    def test_inspect_lists_every_file_it_writes(self, tu_root, tmp_path, with_z):
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "m"] + FAST) == 0
+        out = tmp_path / "inspect"
+        assert run(["inspect", "--dataset", "SYN", "--data-root", tu_root, "--graph", "1",
+                    "--model", tmp_path / "m" / "model.npz", "--out", out] + with_z) == 0
+        names = ["W", "p", "M", "C", "C_norm"] + (["Z"] if with_z else [])
+        manifest = self.read(out)
+        assert manifest["artifacts"] == [str(out / f"graph1_{n}.csv") for n in names]
+        assert sorted(os.listdir(out)) == sorted(
+            ["manifest.json"] + [f"graph1_{n}.csv" for n in names])
+        assert manifest["status"] == "ok"
+
+
 class TestJobs:
     @pytest.mark.parametrize("argv", [["cv"], ["sweep-k", "--ks", "2,4"]])
     def test_default_is_the_usable_cpu_count(self, argv, monkeypatch):
@@ -358,6 +438,17 @@ class TestGradcheck:
         assert run(["gradcheck", "--tolerance", "1e-12"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["all_passed"] is False
+
+    @pytest.mark.parametrize("flag, value", [("--step", "0"), ("--step", "-0.5"),
+                                             ("--step", "nan"), ("--step", "inf"),
+                                             ("--tolerance", "0"), ("--tolerance", "inf")])
+    def test_a_step_or_tolerance_out_of_range_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            run(["gradcheck", flag, value])
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert f"argument {flag}: must be finite and positive, got {value}" in lines[0]
 
 
 class TestInspect:

@@ -139,6 +139,21 @@ class TestPredictPaths:
             assert not (fwd.h.requires_grad or fwd.w.requires_grad
                         or fwd.features.requires_grad)
 
+    @pytest.mark.parametrize("rows", [M.CLASSIFY_ROWS, 1])
+    def test_non_finite_logits_name_their_graphs(self, small_setup, monkeypatch, rows):
+        # one classifier call for all 8 graphs, or one per graph
+        monkeypatch.setattr(M, "CLASSIFY_ROWS", rows)
+        _, _, graphs, state = small_setup
+        state.feature_center = np.zeros(state.w_hidden.shape[0])
+        poisoned = list(graphs)
+        for i in (2, 6):
+            z = graphs[i].z.copy()
+            z[0, 0] = np.nan
+            poisoned[i] = replace(graphs[i], z=z)
+        with pytest.raises(NumericError, match=r"^non-finite classifier logits for graphs "
+                                               r"\[2, 6\]$"):
+            M.accuracy(poisoned, state)
+
     def test_accuracy_bounds(self, small_setup):
         _, _, graphs, state = small_setup
         acc = M.accuracy(graphs, state)

@@ -333,6 +333,15 @@ class TestTrain:
             f": non-finite input at epoch 1, batch {len(batches) - 1}, "
             f"pool graphs {batches[-1]}")
 
+    def test_a_non_finite_validation_graph_names_it_and_the_epoch(self):
+        bundle = make_bundle(n_graphs=12, seed=4)
+        cfg = tiny_cfg()
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        graphs[10].z[0, 0] = np.nan
+        with pytest.raises(NumericError, match=r"non-finite classifier logits for graphs \[2\] "
+                                               r"of the validation split at epoch 0$"):
+            train(graphs[:8], cfg, 2, bundle.node_label_count, val_graphs=graphs[8:])
+
     def test_grads_are_clear_after_training(self):
         bundle = make_bundle(n_graphs=8, seed=4)
         cfg = tiny_cfg(epochs=1)
@@ -495,6 +504,10 @@ class TestConfig:
     def test_loss_weights_must_be_non_negative(self):
         with pytest.raises(ValueError):
             TrainConfig(lambda_embed=-1.0)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=-1)
 
     def test_optimizer_name_checked(self):
         with pytest.raises(ValueError):
