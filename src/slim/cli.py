@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from enum import Enum
@@ -100,11 +101,12 @@ def _utc_now() -> str:
 
 
 @contextmanager
-def run_record(command: str, args, config: dict, artifacts: list[str], seed: int = 0):
+def run_record(command: str, args, config: dict, artifacts: list[str], seed: int | None):
     """Writes ``manifest.json`` to ``args.out`` on entry, and again however
     the block ends, with the finish time, elapsed seconds, ``status``
-    ("ok" or "failed"), ``exit_code`` and ``error`` (see ``_failure``). It
-    is the only code that creates the output directory."""
+    ("ok" or "failed"), ``exit_code`` and ``error`` (see ``_failure``).
+    ``seed`` is None for a command that draws nothing. It is the only code
+    that creates the output directory."""
     record = {"command": command, "config": config, "seed": seed,
               "dataset": getattr(args, "dataset", None), "out_dir": args.out,
               "started_at": _utc_now(), "finished_at": "",
@@ -404,7 +406,7 @@ def cmd_inspect(args) -> int:
     if args.with_z:
         dumps["Z"] = data.z
     files = {f"graph{args.graph}_{name}.csv": array for name, array in dumps.items()}
-    with run_record("inspect", args, {"graph": args.graph}, list(files)):
+    with run_record("inspect", args, {"graph": args.graph}, list(files), None):
         for name, array in files.items():
             np.savetxt(os.path.join(args.out, name), np.atleast_2d(array),
                        delimiter=",", fmt="%.10g")
@@ -541,7 +543,11 @@ def main(argv=None) -> int:
         dataset = getattr(args, "dataset", None) or "run"
         args.out = os.path.join("slim_runs", f"{args.command}_{dataset}")
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            # NumericError and DivergenceError name every non-finite value,
+            # and the one stderr line should be all a failure prints
+            warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"slim\.")
+            return args.fn(args)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
         error, code = _failure(exc)
         print(error, file=sys.stderr)

@@ -8,13 +8,16 @@ over the rows of a whole batch of graphs at once.
 
 The loss of a graph is sum_i deg_i lse_i - sum_edges h_src . h_dst, with
 lse_i the log-sum-exp of row i of the scores H H'. Its gradient needs the
-softmax P, which is n x n. A graph of at most ROW_BLOCK nodes forms P whole
-and keeps it on the tape: it is small, and this path is bit-identical to
-the dense formulas. A larger graph is taken ROW_BLOCK score rows at a time
-(the online softmax of Milakov & Gimelshein 2018, arXiv:1805.02867): the
-tape keeps its n log-sum-exps, and the backward recomputes each block of P
-from them, as FlashAttention does (Dao et al. 2022, arXiv:2205.14135). No
-n x n array exists, and the large graphs of a batch run on a thread pool.
+softmax P, which is n x n. A graph of at most ROW_BLOCK nodes forms P
+whole: it is small, and this path is bit-identical to the dense formulas.
+A larger graph is taken ROW_BLOCK score rows at a time (the online softmax
+of Milakov & Gimelshein 2018, arXiv:1805.02867), so no n x n array exists,
+and the large graphs of a batch run on a thread pool. The loss is one
+scalar, whose upstream gradient is a single number, so dL/dH is formed
+in the forward's own pass over each block of P, and the tape keeps only
+each graph's rows of it. Nothing is recomputed in the backward, as
+FlashAttention (Dao et al. 2022, arXiv:2205.14135) must, whose backward
+needs a separate upstream gradient for every output.
 """
 from __future__ import annotations
 
@@ -32,12 +35,12 @@ if TYPE_CHECKING:
     from .model import ModelState
 
 ACTIVATIONS = {"sigmoid": ad.sigmoid, "tanh": ad.tanh}
-# graphs of more rows than this take the blocked co-occurrence kernels, a
+# graphs of more rows than this take the blocked co-occurrence kernel, a
 # block of this many score rows at a time. Training on the large-graph
 # benchmark data (800-1200 nodes, d = 32, 1 BLAS thread, a pool of 2 on 2
-# cores, 3 runs each) took 7.9-9.3 s at 128, 7.6-8.4 s at 256 and
-# 8.0-8.1 s at 512, within the host's drift, while the peak RSS rose
-# 142 -> 147 -> 156 MB: each doubling adds a block per pool thread
+# cores, 3 runs each) took 3.9-4.4 s at 128, 3.7-4.3 s at 256 and
+# 3.9-4.4 s at 512, within the host's drift, while the peak RSS rose
+# 143-145 -> 149 -> 157 MB: each doubling adds a block per pool thread
 ROW_BLOCK = 256
 
 
@@ -86,52 +89,40 @@ def cooccurrence_loss(h: np.ndarray, adjacency: np.ndarray) -> tuple[float, np.n
     return float(adjacency.sum(axis=1) @ np.log(sums[:, 0]) - link), z
 
 
-def _blocked_loss(h: np.ndarray, src: np.ndarray,
-                  dst: np.ndarray) -> tuple[float, np.ndarray]:
-    """``cooccurrence_loss`` of one graph from its directed edges, and the
-    log-sum-exp lse_i of every score row, formed ``ROW_BLOCK`` rows at a time.
+def _blocked_cooccurrence(h: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                          dh: np.ndarray | None) -> float:
+    """``cooccurrence_loss`` of one graph from its directed edges, formed
+    ``ROW_BLOCK`` score rows at a time; with ``dh``, dL/dH is written into
+    it in the same pass over each block.
 
     Each block of scores S_b = H_b H' is shifted by its row maxima m, then
-    exponentiated in place and summed; lse = m + log(sums). The loss keeps
-    the regrouping of ``cooccurrence_loss``: sum_i deg_i log(sums_i) minus
-    the sum over the edges of the shifted scores h_src . h_dst - m_src,
-    which are all <= 0, so nothing cancels.
+    exponentiated in place and summed. The loss keeps the regrouping of
+    ``cooccurrence_loss``: sum_i deg_i log(sums_i) minus the sum over the
+    edges of the shifted scores h_src . h_dst - m_src, which are all <= 0,
+    so nothing cancels. dL/dH is (deg P - A) H + (deg P - A)' H: ``dh``
+    starts at -2 A H (A is symmetric, so A' H = A H), and each block is
+    then scaled in place to deg_b P_b = e_b deg_b / sums_b, which adds its
+    rows of the first product and its share of the second.
     """
     n = len(h)
+    deg = np.bincount(src, minlength=n)
+    dots = np.einsum("ij,ij->i", h[src], h[dst])
     rowmax, logsums = np.empty(n), np.empty(n)
+    if dh is not None:
+        np.multiply(_neighbour_sums(h, src, dst), -2.0, out=dh)
     for r in range(0, n, ROW_BLOCK):
         s = h[r:r + ROW_BLOCK] @ h.T
         m = s.max(axis=1)
         s -= m[:, None]
         np.exp(s, out=s)
+        sums = s.sum(axis=1)
         rowmax[r:r + ROW_BLOCK] = m
-        logsums[r:r + ROW_BLOCK] = np.log(s.sum(axis=1))
-    link = (np.einsum("ij,ij->i", h[src], h[dst]) - rowmax[src]).sum()
-    loss = float(np.bincount(src, minlength=n) @ logsums - link)
-    return loss, rowmax + logsums
-
-
-def _blocked_grad(h: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                  lse: np.ndarray, dh: np.ndarray):
-    """Write dL/dH of ``_blocked_loss`` into ``dh``: (deg P - A) H +
-    (deg P - A)' H, with P recomputed ``ROW_BLOCK`` rows at a time.
-
-    A H is taken once over the edges (A is symmetric, so A' H = A H). Rows
-    without edges add nothing to deg P. For the others, the block deg_b P_b
-    = exp(H_b H' - lse_b + log deg_b) comes out of one product,
-    [H_b, log deg_b - lse_b] [H, 1]', so only exp passes over it before
-    the two products with H.
-    """
-    np.multiply(_neighbour_sums(h, src, dst), -2.0, out=dh)
-    deg = np.bincount(src, minlength=len(h))
-    rows = np.flatnonzero(deg)
-    lhs = np.column_stack([h[rows], np.log(deg[rows]) - lse[rows]])
-    rhs = np.column_stack([h, np.ones(len(h))])
-    for r in range(0, len(rows), ROW_BLOCK):
-        p = lhs[r:r + ROW_BLOCK] @ rhs.T
-        np.exp(p, out=p)
-        dh[rows[r:r + ROW_BLOCK]] += p @ h
-        dh += p.T @ h[rows[r:r + ROW_BLOCK]]
+        logsums[r:r + ROW_BLOCK] = np.log(sums)
+        if dh is not None:
+            s *= (deg[r:r + ROW_BLOCK] / sums)[:, None]
+            dh[r:r + ROW_BLOCK] += s @ h
+            dh += s.T @ h[r:r + ROW_BLOCK]
+    return float(deg @ logsums - (dots - rowmax[src]).sum())
 
 
 def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],
@@ -141,61 +132,63 @@ def cooccurrence_op(h: Tensor, bounds: Sequence[tuple[int, int]],
     Graph i owns the rows ``bounds[i]`` and has the directed edge list
     ``edges[i]`` (``Graph.edges``: every edge in both directions). One tape
     node, with dL/dS = deg P - A for the scores S = H H' and
-    dL/dH = (dS + dS') H. How a graph is computed depends on its size:
+    dL/dH = (dS + dS') H. The op has one scalar output, so when ``h``
+    requires grad dL/dH is formed here, in the same pass over the scores as
+    the loss, and the backward only scales it by the upstream gradient. The
+    tape keeps it as one array per graph: one batch-sized array made here
+    would stay on the heap under the rest of the forward's temporaries
+    until the backward, and on small graphs glibc then trimmed and regrew
+    the heap more often. How a graph is computed depends on its size:
 
     - at most ``ROW_BLOCK`` rows: ``cooccurrence_loss`` on a 0/1 matrix
-      scattered for this call, on the calling thread. The tape keeps the
-      graph's softmax P (at most ROW_BLOCK^2 floats), and the backward forms
-      deg P - A in edge form, by subtracting 1 at each edge, which is
-      bit-identical to the dense difference. Recomputing P would cost more
-      than keeping it, and these graphs stay bit-identical to the dense form.
-    - more rows: ``_blocked_loss`` and ``_blocked_grad``, a ROW_BLOCK x n
-      block of scores at a time. The tape keeps only the n log-sum-exps,
-      and the backward recomputes each block of P from them, so no n x n
-      array exists. The blocked graphs of a batch run on ``_thread_map``'s
-      pool, each writing its own rows of the gradient; their losses are
-      summed on the calling thread in graph order, so the result does not
-      depend on the CPU count.
+      scattered for this call, on the calling thread, then deg P - A in
+      edge form, by subtracting 1 at each edge, which is bit-identical to
+      the dense difference.
+    - more rows: ``_blocked_cooccurrence``, a ROW_BLOCK x n block of scores
+      at a time, so no n x n array exists. The blocked graphs of a batch
+      run on ``_thread_map``'s pool; their losses are summed on the
+      calling thread in graph order, so the result does not depend on the
+      CPU count.
     """
     hv = h.value
     ad._check_finite("cooccurrence_op", hv)
-    # per graph (loss, P) on the exact path, or (loss, lse) when blocked
-    saved: list = [None] * len(bounds)
+    losses = [0.0] * len(bounds)
+    grads = []   # (r0, r1, dL/dH of rows r0:r1) per graph, when h requires grad
     blocked = []
     for i, ((r0, r1), (src, dst)) in enumerate(zip(bounds, edges, strict=True)):
         if r1 - r0 > ROW_BLOCK:
-            blocked.append(i)
+            # its dL/dH is made here: made on a pool thread, it would come
+            # from that thread's malloc arena
+            blocked.append((i, np.empty((r1 - r0, hv.shape[1])) if h.requires_grad else None))
             continue
         # a 0/1 matrix scattered for this call only: the benchmark's counters
         # read it from cooccurrence_loss(h, adjacency)
         adjacency = np.zeros((r1 - r0, r1 - r0))
         adjacency[src, dst] = 1.0
-        saved[i] = cooccurrence_loss(hv[r0:r1], adjacency)
+        losses[i], ds = cooccurrence_loss(hv[r0:r1], adjacency)
+        if h.requires_grad:
+            ds *= np.bincount(src, minlength=r1 - r0)[:, None]
+            ds[src, dst] -= 1.0
+            grads.append((r0, r1, (ds + ds.T) @ hv[r0:r1]))
 
-    def blocked_loss(i):
+    def blocked_graph(task):
+        i, dh = task
         r0, r1 = bounds[i]
-        return _blocked_loss(hv[r0:r1], *edges[i])
+        return _blocked_cooccurrence(hv[r0:r1], *edges[i], dh)
 
-    for i, out in zip(blocked, landmarks._thread_map(blocked_loss, blocked, len(blocked))):
-        saved[i] = out
+    for (i, dh), loss in zip(blocked, landmarks._thread_map(blocked_graph, blocked,
+                                                             len(blocked))):
+        losses[i] = loss
+        if dh is not None:
+            grads.append((*bounds[i], dh))
     total = 0.0
-    for loss, _ in saved:
+    for loss in losses:
         total += loss
 
     def backward(g):
         dh = np.zeros_like(hv)
-
-        def blocked_grad(i):
-            r0, r1 = bounds[i]
-            _blocked_grad(hv[r0:r1], *edges[i], saved[i][1], dh[r0:r1])
-
-        landmarks._thread_map(blocked_grad, blocked, len(blocked))
-        for i, ((r0, r1), (src, dst), (_, p)) in enumerate(zip(bounds, edges, saved)):
-            if i in blocked:
-                continue
-            ds = np.bincount(src, minlength=r1 - r0)[:, None] * p
-            ds[src, dst] -= 1.0
-            dh[r0:r1] = (ds + ds.T) @ hv[r0:r1]
+        for r0, r1, rows in grads:
+            dh[r0:r1] = rows
         h._accumulate(g * dh)
 
     return ad._make(total, (h,), backward)

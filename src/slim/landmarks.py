@@ -85,9 +85,20 @@ def cluster_loss(w: Tensor, target: np.ndarray) -> Tensor:
     return ad._make(terms.sum(), (w,), backward)
 
 
-def hard_distortion(h: np.ndarray, u: np.ndarray) -> float:
-    """Sum of squared distances to the nearest landmark (the hard objective)."""
-    return float(pairwise_sq_distances(h, u).min(axis=1).sum())
+def hard_distortion(h: np.ndarray, u: np.ndarray, inverse: np.ndarray | None = None) -> float:
+    """Sum of squared distances to the nearest landmark (the hard objective).
+
+    With ``inverse``, ``h`` holds the distinct rows of the points
+    ``h[inverse]`` (see ``_distinct_rows``): each distance is formed once per
+    distinct row, and the minima are gathered to the points and summed over
+    them in point order. That is the sum over the points themselves
+    wherever BLAS rounds each row's product with ``u`` the same among the
+    distinct rows as among the points; where it does not (a single row
+    takes numpy's vector product), the two differ in the last bits."""
+    nearest = pairwise_sq_distances(h, u).min(axis=1)
+    if inverse is not None:
+        nearest = np.take(nearest, inverse)
+    return float(nearest.sum())
 
 
 def _distinct_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +241,9 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     The bitwise-distinct embedding rows are found once per call. Seeding and
     Lloyd form every distance on them and gather it back to the rows, so
     each step's arithmetic per row, and hence the landmarks, are those of
-    the same steps over all rows; the costs are taken over all rows.
+    the same steps over all rows. So are the costs: each row's distance to
+    its nearest landmark is gathered from its distinct row, then summed
+    over all rows.
 
     Fewer than k distinct landmarks, or rows with fewer than k distinct
     values (as a seeding counts them), trigger a warning and a small jitter
@@ -252,7 +265,7 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
                           seed[1]),
             seeds, runs):
         distinct = min(distinct, drawn)
-        cost = hard_distortion(points, centers)
+        cost = hard_distortion(rows, centers, inverse)
         if cost < best_cost:
             best, best_cost = centers, cost
     distinct = min(distinct, len(np.unique(best, axis=0)))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from slim import autodiff as ad
-from slim import training
+from slim import embedding, training
 from slim.datasets import DatasetBundle, Graph, load_tu_dataset
 from slim.landmarks import KMEANS_MAX_ITER, KMEANS_TOL, hard_distortion
-from slim.pooling import DENSITY_EPS
+from slim.pooling import DENSITY_EPS, _neighbour_sums
 from slim.training import TrainConfig, init_state
 
 
@@ -242,6 +242,40 @@ def cooccurrence_grad_oracle(h, adjacency):
     _, p = cooccurrence_loss_oracle(h, adjacency)
     ds = adjacency.sum(axis=1, keepdims=True) * p - adjacency
     return (ds + ds.T) @ h
+
+
+def blocked_loss_oracle(h, src, dst):
+    """The loss of ``embedding._blocked_cooccurrence`` as a pass of its own,
+    and the log-sum-exp lse_i of every score row, formed
+    ``embedding.ROW_BLOCK`` rows at a time."""
+    n, block = len(h), embedding.ROW_BLOCK
+    rowmax, logsums = np.empty(n), np.empty(n)
+    for r in range(0, n, block):
+        s = h[r:r + block] @ h.T
+        m = s.max(axis=1)
+        s -= m[:, None]
+        np.exp(s, out=s)
+        rowmax[r:r + block] = m
+        logsums[r:r + block] = np.log(s.sum(axis=1))
+    link = (np.einsum("ij,ij->i", h[src], h[dst]) - rowmax[src]).sum()
+    loss = float(np.bincount(src, minlength=n) @ logsums - link)
+    return loss, rowmax + logsums
+
+
+def blocked_grad_oracle(h, src, dst, lse):
+    """dL/dH of ``blocked_loss_oracle`` with each block of P recomputed from
+    the log-sum-exps: the block deg_b P_b = exp(H_b H' - lse_b + log deg_b)
+    of the rows with edges is one product, [H_b, log deg_b - lse_b] [H, 1]'."""
+    dh = -2.0 * _neighbour_sums(h, src, dst)
+    deg = np.bincount(src, minlength=len(h))
+    rows = np.flatnonzero(deg)
+    lhs = np.column_stack([h[rows], np.log(deg[rows]) - lse[rows]])
+    rhs = np.column_stack([h, np.ones(len(h))])
+    for r in range(0, len(rows), embedding.ROW_BLOCK):
+        p = np.exp(lhs[r:r + embedding.ROW_BLOCK] @ rhs.T)
+        dh[rows[r:r + embedding.ROW_BLOCK]] += p @ h
+        dh += p.T @ h[rows[r:r + embedding.ROW_BLOCK]]
+    return dh
 
 
 def int_column_oracle(path):

@@ -317,7 +317,7 @@ class TestRunRecord:
         assert manifest["finished_at"] >= manifest["started_at"] != ""
         assert manifest["elapsed_s"] >= 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_failed_run_records_its_stderr_line(self, tu_root, tmp_path, capsys):
         # one step at this rate leaves finite parameters near 1e300 whose
         # assignment overflows, so the final accuracy meets NaN logits
@@ -362,7 +362,7 @@ class TestRunRecord:
         assert manifest["artifacts"] == [str(out / f"graph1_{n}.csv") for n in names]
         assert sorted(os.listdir(out)) == sorted(
             ["manifest.json"] + [f"graph1_{n}.csv" for n in names])
-        assert manifest["status"] == "ok"
+        assert (manifest["status"], manifest["seed"]) == ("ok", None)
 
 
 class TestJobs:

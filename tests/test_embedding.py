@@ -14,10 +14,12 @@ from slim import embedding, landmarks
 from slim.autodiff import Tensor, grad_check
 from slim.embedding import cooccurrence_loss, cooccurrence_op, encode, encode_values
 from slim.model import prepare_bundle
+from slim.pooling import _neighbour_sums
 from slim.synthetic import make_bundle
 from slim.training import TrainConfig, train
 
-from conftest import (adjacency_of, cooccurrence_grad_oracle, cooccurrence_loss_oracle,
+from conftest import (adjacency_of, blocked_grad_oracle, blocked_loss_oracle,
+                      cooccurrence_grad_oracle, cooccurrence_loss_oracle,
                       cooccurrence_loss_reference, csr_tree_with_chords, directed_edges,
                       encoder_model, random_graph)
 
@@ -356,6 +358,31 @@ class TestBlockedCooccurrence:
         before = threading.active_count()
         train(graphs, cfg, 2, bundle.node_label_count)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [300, 513, 800, 1200])
+    def test_one_pass_matches_the_two_pass_oracle(self, n, monkeypatch):
+        # the loss is formed by the oracle's ops, so it is bit-equal; dH takes
+        # deg P as e deg / sums rather than exp(S - lse + log deg), a few ulps
+        # apart. A constant h gives the same loss and forms no gradient.
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.random((n, n)) < 1.5 / n, 1)
+        src, dst = edges = directed_edges(upper | upper.T)
+        assert not np.bincount(src, minlength=n).all()
+        hv = 1.0 / (1.0 + np.exp(-3.0 * rng.standard_normal((n, 32))))
+        want_loss, lse = blocked_loss_oracle(hv, src, dst)
+        want_grad = blocked_grad_oracle(hv, src, dst, lse)
+        calls = []
+        monkeypatch.setattr(embedding, "_neighbour_sums",
+                            lambda *args: calls.append(1) or _neighbour_sums(*args))
+        h = Tensor(hv, requires_grad=True)
+        out = cooccurrence_op(h, [(0, n)], [edges])
+        out.backward()
+        assert out.value.item() == want_loss
+        np.testing.assert_allclose(h.grad, want_grad, rtol=0.0,
+                                   atol=1e-12 * np.abs(want_grad).max())
+        const = cooccurrence_op(Tensor(hv), [(0, n)], [edges])
+        assert const.value.item() == want_loss
+        assert not const.requires_grad and calls == [1]
 
     def test_a_20000_node_graph_needs_no_n_by_n_array(self):
         # its softmax P alone would take 3 GiB; the blocked kernels hold a

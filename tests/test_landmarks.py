@@ -448,6 +448,41 @@ class TestDistinctRows:
         assert len(rows) == len({row.tobytes() for row in points})
 
 
+class TestCostsOnTheDistinctRows:
+    @pytest.mark.parametrize("n, m, d, k", [(20000, 10000, 32, 100), (600, 300, 32, 4),
+                                            (90, 15, 3, 4), (60, 60, 5, 6), (30, 1, 4, 3)])
+    def test_equal_the_all_rows_form(self, n, m, d, k):
+        # each point takes its distinct row's distances, summed over the
+        # points in point order: the all-rows form bit for bit wherever BLAS
+        # rounds a row's product with the landmarks alike among m rows and
+        # among n. OpenBLAS does at K = 100 on thousands of rows, but not for
+        # every shape (one row takes numpy's vector product, and a few
+        # landmarks another kernel); there the sums differ in the last bits
+        rng = np.random.default_rng(n + m)
+        points = repeated(rng, n, m, d)
+        rows, inverse = _distinct_rows(points)
+        on_points = points[:k].copy()   # distances that clip to 0
+        on_points[1::2] += rng.normal(scale=0.1, size=on_points[1::2].shape)
+        for centers in (on_points, rng.standard_normal((k, d))):
+            alike = np.array_equal(pairwise_sq_distances(rows, centers)[inverse],
+                                   pairwise_sq_distances(points, centers))
+            assert alike or k < 100
+            want = hard_distortion(points, centers)
+            assert hard_distortion(rows, centers, inverse) == (
+                want if alike else pytest.approx(want, rel=1e-14, abs=0.0))
+
+    def test_init_landmarks_scores_each_restart_on_the_distinct_rows(self, monkeypatch):
+        seen = []
+
+        def spy(h, u, inverse=None):
+            seen.append((len(h), None if inverse is None else len(inverse)))
+            return hard_distortion(h, u, inverse)
+
+        monkeypatch.setattr(landmarks, "hard_distortion", spy)
+        init_landmarks(repeated(np.random.default_rng(14), 90, 15, 3), 4, 0, restarts=3)
+        assert seen == [(15, 90)] * 3
+
+
 class TestInitLandmarksMatchesTheFullRowOracle:
     """``init_landmarks`` against ``init_landmarks_oracle``, which seeds and
     runs Lloyd's steps over every row, byte for byte."""
