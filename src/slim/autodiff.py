@@ -133,11 +133,9 @@ def _check_finite(name: str, *arrays):
 # layers and activations
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor, shift: np.ndarray | None = None) -> Tensor:
-    """The affine layer (x - shift) w + b as one node; ``shift`` is a constant
-    row subtracted from every row of x (x - c is bitwise x + (-c))."""
-    vx = x.value if shift is None else x.value - shift
-    vw = w.value
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The affine layer x w + b as one node."""
+    vx, vw = x.value, w.value
 
     def backward(g):
         if x.requires_grad:
@@ -281,16 +279,9 @@ def grad_check(fn: Callable[..., Tensor], inputs, step: float = 1e-5,
 def _builders():
     """Random-input builders for every registered differentiable op."""
 
-    def layer(rng):
-        return [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)]
-
-    def shifted(rng):
-        shift = rng.standard_normal(4)
-        return (lambda x, w, b: dense(x, w, b, shift), layer(rng))
-
     reg = {}
-    reg["dense"] = lambda rng: (dense, layer(rng))
-    reg["dense_shifted"] = shifted
+    reg["dense"] = lambda rng: (dense, [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                                        rng.standard_normal(2)])
     reg["weighted_sum"] = lambda rng: (lambda *terms: weighted_sum(terms, [1.0, 0.3, 2.5]),
                                        list(rng.standard_normal(3)))
     reg["sigmoid"] = lambda rng: (sigmoid, [rng.standard_normal((3, 4))])

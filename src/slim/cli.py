@@ -16,6 +16,7 @@ import configparser
 import json
 import math
 import os
+import platform
 import sys
 import time
 import warnings
@@ -70,6 +71,8 @@ BOUND_OPTIONS = {
     "K": (8, "landmark count"),
     "cdcp_over_umax2": (1.0, "combined constant C_d*C_p/u_max^2"),
 }
+# environment variables that size the BLAS thread pool, recorded in each manifest
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ConfigError(ValueError):
@@ -100,15 +103,27 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _numeric_environment() -> dict:
+    """What the run's arithmetic and thread pools depend on: the Python,
+    numpy and BLAS versions, the BLAS thread variables (None when unset) and
+    the usable CPU count that sizes the k-means and co-occurrence pools."""
+    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+            "usable_cpus": L._usable_cpus()}
+
+
 @contextmanager
 def run_record(command: str, args, config: dict, artifacts: list[str], seed: int | None):
-    """Writes ``manifest.json`` to ``args.out`` on entry, and again however
-    the block ends, with the finish time, elapsed seconds, ``status``
-    ("ok" or "failed"), ``exit_code`` and ``error`` (see ``_failure``).
-    ``seed`` is None for a command that draws nothing. It is the only code
-    that creates the output directory."""
+    """Writes ``manifest.json`` to ``args.out`` on entry, with the numeric
+    environment, and again however the block ends, with the finish time,
+    elapsed seconds, ``status`` ("ok" or "failed"), ``exit_code`` and
+    ``error`` (see ``_failure``). ``seed`` is None for a command that draws
+    nothing. It is the only code that creates the output directory."""
     record = {"command": command, "config": config, "seed": seed,
               "dataset": getattr(args, "dataset", None), "out_dir": args.out,
+              "environment": _numeric_environment(),
               "started_at": _utc_now(), "finished_at": "",
               "artifacts": [os.path.join(args.out, a) for a in artifacts]}
 

@@ -239,11 +239,14 @@ def init_landmarks(embeddings: np.ndarray, k: int, seed: int,
     landmarks are the same for any CPU count.
 
     The bitwise-distinct embedding rows are found once per call. Seeding and
-    Lloyd form every distance on them and gather it back to the rows, so
-    each step's arithmetic per row, and hence the landmarks, are those of
-    the same steps over all rows. So are the costs: each row's distance to
-    its nearest landmark is gathered from its distinct row, then summed
-    over all rows.
+    Lloyd form every distance on them and gather it back to the rows, and
+    each cost gathers every row's distance to its nearest landmark from its
+    distinct row, then sums over all rows. The landmarks are thus a
+    deterministic function of the distinct rows and their order (which
+    distinct row each embedding row is), for any CPU count. They need not
+    be those of the same steps over all rows: BLAS may round a distinct
+    row's product with the centers unlike the same row's within the
+    all-rows product, and an ``argmin`` near a tie can then fall apart.
 
     Fewer than k distinct landmarks, or rows with fewer than k distinct
     values (as a seeding counts them), trigger a warning and a small jitter

@@ -111,9 +111,9 @@ def prepare_bundle(bundle: DatasetBundle, cfg: SubstructureConfig) -> list[Graph
 @dataclass
 class ModelState:
     """One model: the config that built it, the encoder ``t1 .. b2``, the
-    K x d landmarks ``u``, the classifier ``w_hidden .. b_out``, the offset
-    subtracted from classifier inputs (fitted on the training features when
-    the landmarks are initialized) and provenance such as the dataset."""
+    K x d landmarks ``u``, the classifier ``w_hidden .. b_out``, the centre
+    subtracted from every pooled feature row (fitted on the training features
+    when the landmarks are initialized) and provenance such as the dataset."""
 
     config: TrainConfig
     t1: Tensor
@@ -151,11 +151,8 @@ class ModelState:
 
 def classifier_logits(features: Tensor, state: ModelState) -> Tensor:
     # saturating hidden activation: a relu head can die wholesale during the
-    # optimizer cold start on these weak-variance features and never recover.
-    # centering removes the large shared feature baseline, whose l1 mass
-    # otherwise makes the first adaptive steps saturate every hidden unit
-    hidden = ad.tanh(ad.dense(features, state.w_hidden, state.b_hidden,
-                              shift=state.feature_center))
+    # optimizer cold start on these weak-variance features and never recover
+    hidden = ad.tanh(ad.dense(features, state.w_hidden, state.b_hidden))
     return ad.dense(hidden, state.w_out, state.b_out)
 
 
@@ -175,7 +172,7 @@ def batch_forward(batch: list[GraphData], state: ModelState,
 
     Builds a tape when ``state`` holds trainable parameters and none for
     ``state.frozen()``. Only graphs with ``pooled[i]`` set (default: all)
-    get a feature row.
+    get a feature row, centred on ``state.feature_center`` once it is fitted.
     """
     ends = np.cumsum([data.z.shape[0] for data in batch]).tolist()
     bounds = list(zip([0] + ends[:-1], ends))
@@ -186,7 +183,8 @@ def batch_forward(batch: list[GraphData], state: ModelState,
     if keep:
         features = pooling.graph_feature_op(
             w, [bounds[i] for i in keep], [batch[i].x for i in keep],
-            [batch[i].edges for i in keep], state.config.include_means)
+            [batch[i].edges for i in keep], state.config.include_means,
+            state.feature_center)
     return BatchForward(bounds, h, w, features)
 
 
@@ -332,8 +330,8 @@ def load_model(path: str) -> ModelState:
             for key in ("activation", "include_means"):   # format 2 copies of config keys
                 meta.pop(key, None)
             config = TrainConfig(**meta.pop("config"))
-            params = {name: Tensor(data[name], requires_grad=True) for name in PARAMETERS}
-            center = data["feature_center"]
+            arrays = {name: data[name] for name in (*PARAMETERS, "feature_center")}
+        _check_shapes(config, arrays)
     except (KeyError, TypeError, ValueError, EOFError, NotImplementedError, OSError,
             tokenize.TokenError, zipfile.BadZipFile) as exc:
         # an empty file ends before numpy's format check (EOFError); a cut one
@@ -342,5 +340,33 @@ def load_model(path: str) -> ModelState:
         # or an offset before the file's start (OSError), and a damaged
         # array header can fail numpy's tokenizing of it (TokenError)
         raise ValueError(f"{path}: {exc}") from exc
-    return ModelState(config=config, **params,
+    center = arrays.pop("feature_center")
+    return ModelState(config=config,
+                      **{name: Tensor(a, requires_grad=True) for name, a in arrays.items()},
                       feature_center=None if center.size == 0 else center, meta=meta)
+
+
+def _check_shapes(cfg: TrainConfig, arrays: dict):
+    """Raise ValueError naming the first array of a model file whose shape
+    disagrees with the config or with the arrays before it. The substructure
+    width is read from ``t1``'s rows, the feature width from ``w_hidden``'s
+    and the class count from ``w_out``'s columns."""
+    def size(name, axis):
+        return arrays[name].shape[axis] if arrays[name].ndim else 0
+
+    width_in, width, classes = size("t1", 0), size("w_hidden", 0), size("w_out", -1)
+    hidden, fc = cfg.resolve_hidden(width_in), cfg.classifier_hidden
+    # the node-type count c that include_means' k + c k extra entries imply
+    c = max(1, (width - cfg.k * (cfg.k + 1) // 2) // cfg.k - 1)
+    expected = {"t1": (width_in, hidden), "b1": (hidden,), "t2": (hidden, cfg.latent),
+                "b2": (cfg.latent,), "u": (cfg.k, cfg.latent),
+                "w_hidden": (pooling.feature_width(cfg.k, c, cfg.include_means), fc),
+                "b_hidden": (fc,), "w_out": (fc, classes), "b_out": (classes,)}
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"array {name} has shape {arrays[name].shape}, but the config "
+                             f"and the arrays before it give {shape}")
+    center = arrays["feature_center"]
+    if center.size and center.shape != (width,):
+        raise ValueError(f"array feature_center has shape {center.shape}, but w_hidden "
+                         f"has {width} rows")

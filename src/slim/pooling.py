@@ -83,13 +83,15 @@ def pool_graph(w: np.ndarray, src: np.ndarray,
 
 def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
                      xs: Sequence[np.ndarray], edges: Sequence[np.ndarray],
-                     include_means: bool = False) -> Tensor:
+                     include_means: bool = False,
+                     center: np.ndarray | None = None) -> Tensor:
     """Differentiable pooled feature rows (len(bounds) x width) of a batch.
 
     ``w`` stacks the assignments of several graphs; graph i owns the rows
     ``bounds[i]`` and has node types ``xs[i]`` and the directed edge list
     ``edges[i]`` of ``Graph.edges``. Rows outside every bound get no
-    gradient.
+    gradient. A ``center`` (one entry per feature) is subtracted from every
+    row; a constant, it leaves the gradient unchanged.
 
     Fused into a single tape node that runs ``pool_graph`` per graph. The
     backward needs only AV, the neighbour sums of V, so it keeps only s and
@@ -113,6 +115,11 @@ def graph_feature_op(w: Tensor, bounds: Sequence[tuple[int, int]],
             row[n_tri + k :] = (x.T @ v).reshape(-1)
         if keep:
             saved.append((s, v))
+    if center is not None:
+        # the classifier's inputs are mean-centred: the large shared baseline
+        # of the interaction features, through its l1 mass, otherwise makes
+        # the first adaptive steps saturate every hidden unit
+        out -= center
 
     def backward(g):
         dw = np.zeros_like(wv)

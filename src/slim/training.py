@@ -234,11 +234,18 @@ def _where(epoch: int, batch: int, idx: np.ndarray) -> str:
 
 @dataclass
 class CVResult:
+    """The fold-averaged selection (``selected_epoch``, the accuracy of each
+    fold there, their mean and std, and the fold-averaged curve), and each
+    fold's own best epoch (the first of its highest accuracies) and that
+    accuracy, which the selection does not use."""
+
     per_fold: list[float]
     mean: float
     std: float
     selected_epoch: int
     epoch_curve: list[float]
+    fold_best_epochs: list[int]
+    fold_best_accuracies: list[float]
 
 
 def _run_fold(args):
@@ -299,6 +306,8 @@ def _cross_validate_graphs(graphs: list[M.GraphData], bundle: DatasetBundle,
         std=float(per_fold.std()),
         selected_epoch=selected,
         epoch_curve=[float(a) for a in epoch_curve],
+        fold_best_epochs=[int(e) for e in acc.argmax(axis=1)],
+        fold_best_accuracies=[float(a) for a in acc.max(axis=1)],
     )
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import re
 import shutil
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slim import cli
+from slim import landmarks as L
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
@@ -58,6 +60,23 @@ class TestCv:
         assert any(p.endswith("cv_result.json") for p in manifest["artifacts"])
         summary = capsys.readouterr().out
         assert "SYN" in summary and "±" in summary
+
+    def test_each_fold_records_its_own_best_epoch(self, tu_root, tmp_path):
+        out = tmp_path / "out"
+        assert run(["cv", "--dataset", "SYN", "--data-root", tu_root, "--folds", "3",
+                    "--out", out] + FAST + ["--epochs", "4"]) == 0
+        result = json.loads((out / "cv_result.json").read_text())
+        curves = [[] for _ in range(3)]
+        for line in (out / "epochs.jsonl").read_text().splitlines():
+            row = json.loads(line)
+            assert row["epoch"] == len(curves[row["fold"]])
+            curves[row["fold"]].append(row["val_accuracy"])
+        best = [curve.index(max(curve)) for curve in curves]   # the first best epoch
+        assert result["fold_best_epochs"] == best
+        assert result["fold_best_accuracies"] == [c[e] for c, e in zip(curves, best)]
+        # the fold-averaged selection is kept beside them
+        assert result["per_fold"] == [c[result["selected_epoch"]] for c in curves]
+        assert all(a >= b for a, b in zip(result["fold_best_accuracies"], result["per_fold"]))
 
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         code = run(["cv", "--dataset", "NOPE", "--data-root", tmp_path / "nothing",
@@ -317,6 +336,23 @@ class TestRunRecord:
         assert manifest["finished_at"] >= manifest["started_at"] != ""
         assert manifest["elapsed_s"] >= 0
 
+    def test_the_numeric_environment_is_recorded(self, tu_root, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setattr(L, "_usable_cpus", lambda: 3)
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", out] + FAST) == 0
+        env = self.read(out)["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        assert env["blas"] == f"{blas['name']} {blas['version']}"
+        assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                       "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+                                       "MKL_NUM_THREADS": None}
+        assert env["usable_cpus"] == 3
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_failed_run_records_its_stderr_line(self, tu_root, tmp_path, capsys):
         # one step at this rate leaves finite parameters near 1e300 whose
@@ -483,10 +519,13 @@ class TestInspect:
                              adjacency_of(g))
         for dumped, want in ((p, pf.p), (m, pf.m), (cmat, pf.c), (cn, pf.c_norm)):
             np.testing.assert_allclose(dumped, want, rtol=1e-9, atol=0)
-        # and the classifier reads the same C_norm
+        # and the classifier reads the same C_norm, as its scaled triangle
+        # minus the feature centre; %.10g rounds relative to the dumped
+        # value, so the tolerance stays relative to it
         mask, scale = upper_triangle(k)
         row = next(M.forward_chunks([data], state)).features.value[0]
-        np.testing.assert_allclose(cn[mask] * scale, row, rtol=1e-9, atol=0)
+        dumped = cn[mask] * scale
+        assert np.all(np.abs(row - (dumped - state.feature_center)) <= 1e-9 * np.abs(dumped))
 
     @pytest.mark.parametrize("bad", [{"hops": 11}, {"variant": "bogus"},
                                      {"layer_decay": 0}, {"hops": None},
@@ -521,6 +560,29 @@ class TestInspect:
         assert len(err) == 1
         assert err[0].startswith("configuration error") and "corrupt.npz" in err[0]
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["u", "feature_center"])
+    def test_misshapen_array_is_configuration_error(self, tu_root, tmp_path, capsys, name):
+        # a landmark matrix two columns too wide, or a centre one entry short
+        model_dir = tmp_path / "m"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", model_dir] + FAST) == 0
+        corrupt = tmp_path / "corrupt.npz"
+        with np.load(model_dir / "model.npz") as data:
+            arrays = dict(data)
+        if name == "u":
+            arrays["u"] = np.hstack([arrays["u"], np.zeros((len(arrays["u"]), 2))])
+        else:
+            arrays["feature_center"] = arrays["feature_center"][1:]
+        np.savez(corrupt, **arrays)
+        capsys.readouterr()
+        code = run(["inspect", "--dataset", "SYN", "--data-root", tu_root,
+                    "--model", corrupt, "--out", tmp_path / "o"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"configuration error: {corrupt}: array {name} has shape")
+        assert not (tmp_path / "o").exists()
 
     def test_library_saved_model_dumps_its_own_w(self, tu_root, tmp_path):
         # trained and saved through the library at a radius other than the

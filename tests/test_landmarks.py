@@ -681,6 +681,26 @@ class TestRestartPoolMatchesTheSequentialLoop:
                 init_landmarks_oracle(points, k, seed, restarts=restarts))
 
 
+class TestLandmarksOfTheDistinctRows:
+    def test_a_function_of_the_distinct_rows_for_any_cpu_count(self, monkeypatch):
+        # 300 distinct tanh rows, each repeated twice, against 4 centers: this
+        # BLAS rounds many products of the 300 distinct rows with the centers
+        # unlike the same rows' products within all 600, so the landmarks are
+        # not always those of the all-rows steps. They are one function of the
+        # distinct rows and their order, on every call and any CPU count
+        rng = np.random.default_rng(0)
+        points = np.repeat(np.tanh(rng.standard_normal((300, 32)) * 2.0), 2, axis=0)
+        rows, inverse = _distinct_rows(points)
+        centers = 2.0 * points[rng.choice(len(points), 4, replace=False)]
+        assert (np.matmul(rows, centers.T)[inverse] != np.matmul(points, centers.T)).any()
+        runs = []
+        for cpu_count in (1, 4, 1, 4):
+            monkeypatch.setattr(landmarks, "_usable_cpus", lambda n=cpu_count: n)
+            runs.append(init_landmarks(points, 4, seed=7))
+        for landmarks_of_run in runs[1:]:
+            assert landmarks_of_run.tobytes() == runs[0].tobytes()
+
+
 class TestRestartPool:
     @pytest.mark.parametrize("restarts,cpu_count,workers",
                              [(4, 1, 1), (4, 2, 2), (2, 16, 2), (0, 8, 1)])

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import typing
 from dataclasses import asdict, fields, replace
 
@@ -154,6 +155,24 @@ class TestPredictPaths:
                                                r"\[2, 6\]$"):
             M.accuracy(poisoned, state)
 
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_classifier_copies_no_feature_batch(self, rng, taped):
+        # the centre is subtracted where the rows are pooled, so the head
+        # reads the feature batch as it is
+        cfg = TrainConfig(k=300, latent=2, hidden=2, classifier_hidden=4)
+        state = init_state(cfg, 3, 1, 2, rng)
+        state.feature_center = rng.standard_normal(state.w_hidden.shape[0])
+        features = ad.constant(rng.standard_normal((M.CLASSIFY_ROWS, len(state.feature_center))))
+        head = state if taped else state.frozen()
+        tracemalloc.start()
+        try:
+            logits = M.classifier_logits(features, head)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (M.CLASSIFY_ROWS, 2) and logits.requires_grad == taped
+        assert peak < features.value.nbytes
+
     def test_accuracy_bounds(self, small_setup):
         _, _, graphs, state = small_setup
         acc = M.accuracy(graphs, state)
@@ -262,6 +281,32 @@ class TestSerialization:
             else:
                 with pytest.raises(ValueError, match="dof"):
                     M.load_model(path)
+
+    @pytest.mark.parametrize("name, reshape", [
+        ("u", lambda a: np.zeros((a.shape[0], a.shape[1] + 2))),   # wider than latent
+        ("t1", lambda a: a[:, 1:]),         # narrower than the hidden width
+        ("b1", lambda a: a[1:]),            # disagrees with t1
+        ("t2", lambda a: a.T),
+        ("b2", lambda a: a[None]),
+        ("w_hidden", lambda a: a[1:]),      # no feature width at k=5
+        ("b_hidden", lambda a: np.zeros(a.shape[0] + 1)),
+        ("w_out", lambda a: a[1:]),         # disagrees with b_hidden
+        ("b_out", lambda a: np.zeros(a.shape[0] + 1)),   # disagrees with w_out
+        ("b_out", lambda a: np.zeros(())),
+        ("feature_center", lambda a: np.zeros(a.shape[0] - 1)),
+        ("feature_center", lambda a: a[None]),
+    ])
+    def test_array_shapes_are_checked(self, small_setup, tmp_path, rng, name, reshape):
+        _, _, _, state = small_setup
+        state.feature_center = rng.standard_normal(state.w_hidden.shape[0])
+        path = str(tmp_path / "model.npz")
+        M.save_model(path, state)
+        M.load_model(path)
+        blob = dict(np.load(path))
+        blob[name] = reshape(blob[name])
+        np.savez(path, **blob)
+        with pytest.raises(ValueError, match=rf"^{path}: array {name} has shape "):
+            M.load_model(path)
 
     def test_version_check(self, small_setup, tmp_path):
         _, _, _, state = small_setup

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from slim import autodiff as ad
+from slim import model as M
 from slim.autodiff import Tensor, grad_check
 from slim.datasets import Graph, one_hot_features
 from slim.embedding import encode, encode_values
@@ -11,7 +12,10 @@ from slim.pooling import (
     feature_width,
     graph_feature_op,
     pool_graph,
+    upper_triangle,
 )
+from slim.synthetic import make_bundle
+from slim.training import TrainConfig, init_state
 
 from conftest import (adjacency_of, assign_values, directed_edges, encoder_model,
                       graph_feature, pooled_features, random_graph, unfold_triangle)
@@ -166,6 +170,47 @@ class TestGraphFeature:
         w = assign_values(rng.standard_normal((g.node_count, 3)),
                           rng.standard_normal((4, 3)))
         assert feature_row(x, w, adjacency_of(g), True).shape == (feature_width(4, c, True),)
+
+
+class TestCenteredRows:
+    @pytest.mark.parametrize("include_means", [False, True])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_rows_are_the_raw_rows_minus_the_center(self, rng, include_means, taped):
+        # batch_forward pools raw rows before the centre is fitted and centred
+        # rows after, bit for bit the raw ones minus the centre, with the
+        # same gradient
+        bundle = make_bundle(n_graphs=5, seed=3)
+        cfg = TrainConfig(k=4, latent=3, hidden=5, classifier_hidden=3,
+                          include_means=include_means)
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+        c = bundle.node_label_count
+        state = init_state(cfg, graphs[0].z.shape[1], c, bundle.class_count, rng)
+        state.u.value = rng.standard_normal(state.u.shape)
+        center = rng.standard_normal(feature_width(cfg.k, c, include_means))
+        seed = rng.standard_normal((len(graphs), len(center)))
+        runs = []
+        for fitted in (None, center):
+            state.feature_center = fitted
+            state.zero_grad()
+            fwd = M.batch_forward(graphs, state if taped else state.frozen())
+            assert fwd.features.requires_grad == taped
+            if taped:
+                fwd.features.backward(seed)
+            runs.append((fwd.features.value,
+                         [None if p.grad is None else p.grad.copy()
+                          for p in state.parameters()]))
+        (raw, raw_grads), (centred, centred_grads) = runs
+        mask, scale = upper_triangle(cfg.k)
+        for row, (r0, r1), data in zip(raw, fwd.bounds, graphs, strict=True):
+            c_norm = pool_graph(fwd.w.value[r0:r1], *data.edges)[3]
+            assert row[:len(scale)].tobytes() == (c_norm[mask] * scale).tobytes()
+        assert centred.tobytes() == (raw - center).tobytes()
+        for got, want in zip(centred_grads, raw_grads, strict=True):
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert any(g is not None for g in centred_grads) == taped
 
 
 def _pipeline_features(g, x, encoder, u, include_means=False):
