@@ -105,9 +105,9 @@ def _utc_now() -> str:
 
 def _numeric_environment() -> dict:
     """What the run's arithmetic and thread pools depend on: the Python,
-    numpy and BLAS versions, the BLAS thread variables (None when unset) and
-    the usable CPU count that sizes the k-means and co-occurrence pools."""
-    blas = np.__config__.CONFIG.get("Build Dependencies", {}).get("blas", {})
+    numpy and BLAS versions ("? ?" unless numpy's Meson build records it),
+    the BLAS thread variables (None when unset) and the usable CPU count."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
             "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
@@ -389,7 +389,7 @@ def _end_to_end_report(step: float, tolerance: float):
     target = L.target_distribution(M.batch_forward([data], state.frozen()).w.value)
 
     def loss_direct(*params):
-        total, _ = M.joint_loss([data], state.with_parameters(params), 0.01, 0.01, [target])
+        total, _ = M.joint_loss([data], state.with_parameters(params), [target])
         return total
 
     inputs = [p.value.copy() for p in state.parameters()]

@@ -108,12 +108,26 @@ def prepare_bundle(bundle: DatasetBundle, cfg: SubstructureConfig) -> list[Graph
     return [prepare_graph(g, bundle.node_label_count, cfg) for g in bundle.graphs]
 
 
+def parameter_shapes(cfg: TrainConfig, width_in: int, c: int, classes: int) -> dict:
+    """The shape of every parameter, in PARAMETERS order, of a model of
+    ``cfg`` for ``width_in``-wide substructure rows, ``c`` node types and
+    ``classes`` classes."""
+    hidden, fc = cfg.resolve_hidden(width_in), cfg.classifier_hidden
+    return {"t1": (width_in, hidden), "b1": (hidden,), "t2": (hidden, cfg.latent),
+            "b2": (cfg.latent,), "u": (cfg.k, cfg.latent),
+            "w_hidden": (pooling.feature_width(cfg.k, c, cfg.include_means), fc),
+            "b_hidden": (fc,), "w_out": (fc, classes), "b_out": (classes,)}
+
+
 @dataclass
 class ModelState:
     """One model: the config that built it, the encoder ``t1 .. b2``, the
     K x d landmarks ``u``, the classifier ``w_hidden .. b_out``, the centre
     subtracted from every pooled feature row (fitted on the training features
-    when the landmarks are initialized) and provenance such as the dataset."""
+    when the landmarks are initialized) and provenance such as the dataset.
+    Made, it raises ValueError naming the first array whose shape disagrees
+    with ``parameter_shapes`` at the substructure width of ``t1``'s rows, the
+    feature width of ``w_hidden``'s and the class count of ``w_out``'s columns."""
 
     config: TrainConfig
     t1: Tensor
@@ -127,6 +141,25 @@ class ModelState:
     b_out: Tensor
     feature_center: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        def size(name, axis):
+            shape = getattr(self, name).shape
+            return shape[axis] if shape else 0
+
+        cfg, width = self.config, size("w_hidden", 0)
+        # the node-type count c that include_means' k + c k extra entries imply
+        c = max(1, (width - cfg.k * (cfg.k + 1) // 2) // cfg.k - 1)
+        expected = parameter_shapes(cfg, size("t1", 0), c, size("w_out", -1))
+        for name, shape in expected.items():
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise ValueError(f"array {name} has shape {actual}, but the config and the "
+                                 f"arrays before it give {shape}")
+        center = self.feature_center
+        if center is not None and np.shape(center) != (width,):
+            raise ValueError(f"array feature_center has shape {np.shape(center)}, but w_hidden "
+                             f"has {width} rows")
 
     def parameters(self) -> list[Tensor]:
         return [getattr(self, name) for name in PARAMETERS]
@@ -197,10 +230,10 @@ class LossBreakdown:
 
 
 def joint_loss(batch: list[GraphData], state: ModelState,
-               lambda_embed: float, lambda_cluster: float,
                targets_w: list[np.ndarray] | None = None,
                labeled: list[bool] | None = None) -> tuple[Tensor, LossBreakdown]:
-    """Mean cross-entropy over labeled graphs plus weighted unsupervised terms.
+    """Mean cross-entropy over labeled graphs plus the unsupervised terms,
+    weighted by the config's ``lambda_embed`` and ``lambda_cluster``.
 
     The co-occurrence and clustering terms sum over every graph in the batch
     (labeled or not); ``targets_w`` holds the per-graph sharpened targets
@@ -220,14 +253,14 @@ def joint_loss(batch: list[GraphData], state: ModelState,
         ce = ad.cross_entropy(logits, [d.label for d, lab in zip(batch, labeled) if lab])
         ce_value = float(ce.value)
         parts.append((ce, 1.0))
-    if lambda_embed > 0:
+    if state.config.lambda_embed > 0:
         embed = embedding.cooccurrence_op(fwd.h, fwd.bounds, [d.edges for d in batch])
         embed_value = float(embed.value)
-        parts.append((embed, lambda_embed))
-    if lambda_cluster > 0 and targets_w is not None:
+        parts.append((embed, state.config.lambda_embed))
+    if state.config.lambda_cluster > 0 and targets_w is not None:
         cluster = landmarks.cluster_loss(fwd.w, np.vstack(targets_w))
         cluster_value = float(cluster.value)
-        parts.append((cluster, lambda_cluster))
+        parts.append((cluster, state.config.lambda_cluster))
     if not parts:
         raise ValueError("joint_loss: no labeled graphs and no active unsupervised terms")
     total = ad.weighted_sum(*zip(*parts))
@@ -331,7 +364,10 @@ def load_model(path: str) -> ModelState:
                 meta.pop(key, None)
             config = TrainConfig(**meta.pop("config"))
             arrays = {name: data[name] for name in (*PARAMETERS, "feature_center")}
-        _check_shapes(config, arrays)
+            center = arrays.pop("feature_center")
+            return ModelState(config=config, feature_center=None if center.size == 0 else center,
+                              meta=meta, **{name: Tensor(a, requires_grad=True)
+                                            for name, a in arrays.items()})
     except (KeyError, TypeError, ValueError, EOFError, NotImplementedError, OSError,
             tokenize.TokenError, zipfile.BadZipFile) as exc:
         # an empty file ends before numpy's format check (EOFError); a cut one
@@ -340,33 +376,3 @@ def load_model(path: str) -> ModelState:
         # or an offset before the file's start (OSError), and a damaged
         # array header can fail numpy's tokenizing of it (TokenError)
         raise ValueError(f"{path}: {exc}") from exc
-    center = arrays.pop("feature_center")
-    return ModelState(config=config,
-                      **{name: Tensor(a, requires_grad=True) for name, a in arrays.items()},
-                      feature_center=None if center.size == 0 else center, meta=meta)
-
-
-def _check_shapes(cfg: TrainConfig, arrays: dict):
-    """Raise ValueError naming the first array of a model file whose shape
-    disagrees with the config or with the arrays before it. The substructure
-    width is read from ``t1``'s rows, the feature width from ``w_hidden``'s
-    and the class count from ``w_out``'s columns."""
-    def size(name, axis):
-        return arrays[name].shape[axis] if arrays[name].ndim else 0
-
-    width_in, width, classes = size("t1", 0), size("w_hidden", 0), size("w_out", -1)
-    hidden, fc = cfg.resolve_hidden(width_in), cfg.classifier_hidden
-    # the node-type count c that include_means' k + c k extra entries imply
-    c = max(1, (width - cfg.k * (cfg.k + 1) // 2) // cfg.k - 1)
-    expected = {"t1": (width_in, hidden), "b1": (hidden,), "t2": (hidden, cfg.latent),
-                "b2": (cfg.latent,), "u": (cfg.k, cfg.latent),
-                "w_hidden": (pooling.feature_width(cfg.k, c, cfg.include_means), fc),
-                "b_hidden": (fc,), "w_out": (fc, classes), "b_out": (classes,)}
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"array {name} has shape {arrays[name].shape}, but the config "
-                             f"and the arrays before it give {shape}")
-    center = arrays["feature_center"]
-    if center.size and center.shape != (width,):
-        raise ValueError(f"array feature_center has shape {center.shape}, but w_hidden "
-                         f"has {width} rows")

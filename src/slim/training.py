@@ -21,7 +21,6 @@ from .datasets import DatasetBundle, FoldPlan
 from .embedding import scaled_uniform
 from .landmarks import init_landmarks, target_distribution
 from .model import TrainConfig
-from .pooling import feature_width
 
 DIVERGENCE_LIMIT = 1e6
 
@@ -113,15 +112,11 @@ def init_state(cfg: TrainConfig, width_in: int, c: int, classes: int,
     node types and ``classes`` classes. Draws ``t1``, ``t2``, ``w_hidden``
     and ``w_out`` from ``rng`` in that order; the biases and the landmarks
     start at zero."""
-    hidden, fc = cfg.resolve_hidden(width_in), cfg.classifier_hidden
-    values = dict(t1=scaled_uniform(rng, (width_in, hidden)), b1=np.zeros(hidden),
-                  t2=scaled_uniform(rng, (hidden, cfg.latent)), b2=np.zeros(cfg.latent),
-                  u=np.zeros((cfg.k, cfg.latent)),
-                  w_hidden=scaled_uniform(rng, (feature_width(cfg.k, c, cfg.include_means), fc)),
-                  b_hidden=np.zeros(fc),
-                  w_out=scaled_uniform(rng, (fc, classes)), b_out=np.zeros(classes))
-    return M.ModelState(config=cfg, **{name: Tensor(value, requires_grad=True)
-                                       for name, value in values.items()})
+    shapes = M.parameter_shapes(cfg, width_in, c, classes)
+    return M.ModelState(config=cfg, **{
+        name: Tensor(np.zeros(shape) if name == "u" or len(shape) == 1
+                     else scaled_uniform(rng, shape), requires_grad=True)
+        for name, shape in shapes.items()})
 
 
 def refresh_targets(graphs: list[M.GraphData], state: M.ModelState) -> list[np.ndarray]:
@@ -196,9 +191,7 @@ def train(train_graphs: list[M.GraphData], cfg: TrainConfig, classes: int, c: in
                 continue
             state.zero_grad()
             try:
-                loss, parts = M.joint_loss(batch, state, cfg.lambda_embed,
-                                           cfg.lambda_cluster, batch_targets,
-                                           batch_labeled)
+                loss, parts = M.joint_loss(batch, state, batch_targets, batch_labeled)
             except NumericError as exc:
                 raise NumericError(f"{exc} at {_where(epoch, b, idx)}") from exc
             if parts.total > DIVERGENCE_LIMIT:

@@ -47,7 +47,7 @@ def pipeline_ops():
             state.feature_center = np.zeros(state.w_hidden.shape[0])
             fwd = M.batch_forward(graphs, state.frozen(), [False] * len(graphs))
             targets = [target_distribution(fwd.w.value[r0:r1]) for r0, r1 in fwd.bounds]
-            total, parts = M.joint_loss(graphs, state, 0.01, 0.01, targets)
+            total, parts = M.joint_loss(graphs, state, targets)
             assert min(parts.cross_entropy, parts.embed, parts.cluster) > 0
             ops |= tape_ops(total)
     return ops

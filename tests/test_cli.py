@@ -353,6 +353,16 @@ class TestRunRecord:
                                        "MKL_NUM_THREADS": None}
         assert env["usable_cpus"] == 3
 
+    def test_a_numpy_without_its_build_config_is_recorded(self, tmp_path, monkeypatch):
+        # numpy generates np.__config__.CONFIG only in its Meson builds
+        monkeypatch.delattr(np.__config__, "CONFIG")
+        out = tmp_path / "o"
+        assert run(["coherence", "--ks", "2,8", "--seeds", "1", "--points", "32",
+                    "--out", out]) == 0
+        manifest = self.read(out)
+        assert (manifest["status"], manifest["exit_code"]) == ("ok", 0)
+        assert manifest["environment"]["blas"] == "? ?"
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_failed_run_records_its_stderr_line(self, tu_root, tmp_path, capsys):
         # one step at this rate leaves finite parameters near 1e300 whose

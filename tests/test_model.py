@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import typing
 from dataclasses import asdict, fields, replace
@@ -72,7 +73,7 @@ class TestJointLoss:
         bundle, cfg, graphs, state = small_setup
         batch = graphs[:4]
         targets = sharpened_targets(batch, state)
-        total, parts = M.joint_loss(batch, state, 0.01, 0.01, targets)
+        total, parts = M.joint_loss(batch, state, targets)
         expected, ce, embed, cluster = manual_joint_loss(batch, state, 0.01, 0.01, targets)
         assert total.value.item() == pytest.approx(expected, abs=1e-10)
         assert parts.cross_entropy == pytest.approx(ce, abs=1e-10)
@@ -81,7 +82,8 @@ class TestJointLoss:
 
     def test_zero_weights_reduce_to_cross_entropy(self, small_setup):
         _, _, graphs, state = small_setup
-        total, parts = M.joint_loss(graphs[:3], state, 0.0, 0.0)
+        unweighted = replace(state.config, lambda_embed=0.0, lambda_cluster=0.0)
+        total, parts = M.joint_loss(graphs[:3], replace(state, config=unweighted))
         assert total.value.item() == pytest.approx(parts.cross_entropy, abs=1e-12)
         assert parts.embed == 0.0 and parts.cluster == 0.0
 
@@ -95,28 +97,26 @@ class TestJointLoss:
         state = init_state(cfg, data.z.shape[1], 1, 2, rng)
         state.b_out.value = np.array([40.0, -40.0])
         w = M.batch_forward([data], state.frozen()).w.value
-        total, _ = M.joint_loss([data, data], state, 0.01, 0.01,
-                                [w.copy(), w.copy()])
+        total, _ = M.joint_loss([data, data], state, [w.copy(), w.copy()])
         assert total.value.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_batch_rejected(self, small_setup):
         _, _, _, state = small_setup
         with pytest.raises(ValueError):
-            M.joint_loss([], state, 0.01, 0.01)
+            M.joint_loss([], state)
 
     def test_non_finite_loss_aborts_with_diagnostics(self, small_setup):
         _, _, graphs, state = small_setup
         state.t1.value = np.full_like(state.t1.value, np.nan)
         with pytest.raises(NumericError):
-            M.joint_loss(graphs[:2], state, 0.01, 0.01)
+            M.joint_loss(graphs[:2], state)
 
     def test_unlabeled_graphs_skip_classification(self, small_setup):
         _, _, graphs, state = small_setup
         batch = graphs[:3]
         targets = sharpened_targets(batch, state)
-        _, parts_all = M.joint_loss(batch, state, 0.01, 0.01, targets)
-        _, parts_unl = M.joint_loss(batch, state, 0.01, 0.01, targets,
-                                    labeled=[True, False, False])
+        _, parts_all = M.joint_loss(batch, state, targets)
+        _, parts_unl = M.joint_loss(batch, state, targets, labeled=[True, False, False])
         assert parts_unl.embed == pytest.approx(parts_all.embed)
         assert parts_unl.cluster == pytest.approx(parts_all.cluster)
         assert parts_unl.cross_entropy != parts_all.cross_entropy
@@ -180,11 +180,13 @@ class TestPredictPaths:
 
 
 class TestParameters:
-    def test_with_parameters_inverts_parameters(self, small_setup):
-        _, _, _, state = small_setup
-        state.feature_center = np.arange(3.0)
+    def test_with_parameters_inverts_parameters(self, small_setup, rng):
+        bundle, cfg, graphs, _ = small_setup
+        cfg = replace(cfg, activation="sigmoid", include_means=True)
+        state = init_state(cfg, graphs[0].z.shape[1], bundle.node_label_count,
+                           bundle.class_count, rng)
+        state.feature_center = np.arange(float(state.w_hidden.shape[0]))
         state.meta["dataset"] = "unit-test"
-        state.config = replace(state.config, activation="sigmoid", include_means=True)
         params = state.parameters()
         again = state.with_parameters(params)
         assert all(a is b for a, b in zip(again.parameters(), params, strict=True))
@@ -200,6 +202,24 @@ class TestParameters:
         assert state.parameters()[0] is not fresh[0]
         with pytest.raises(ValueError, match="9 parameters"):
             state.with_parameters(fresh[:-1])
+
+    @pytest.mark.parametrize("name", M.PARAMETERS + ("feature_center",))
+    def test_a_misshapen_array_is_refused_when_made(self, small_setup, name):
+        # the check a model file gets, for a model made in code; an extra
+        # trailing axis disagrees with every table entry whatever the array
+        _, _, _, state = small_setup
+        arrays = {"feature_center": np.zeros(state.w_hidden.shape[0]),
+                  **{n: getattr(state, n) for n in M.PARAMETERS}}
+        M.ModelState(config=state.config, **arrays)
+        wrong = arrays[name]
+        wrong = wrong[..., None] if name == "feature_center" else Tensor(wrong.value[..., None])
+        message = rf"^array {name} has shape {re.escape(str(wrong.shape))}, but "
+        with pytest.raises(ValueError, match=message):
+            M.ModelState(config=state.config, **{**arrays, name: wrong})
+        if name in M.PARAMETERS:
+            with pytest.raises(ValueError, match=message):
+                state.with_parameters(wrong if p is arrays[name] else p
+                                      for p in state.parameters())
 
     def test_frozen_shares_arrays_without_grad(self, small_setup):
         _, _, _, state = small_setup

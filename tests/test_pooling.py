@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slim import autodiff as ad
 from slim import model as M
@@ -221,24 +223,49 @@ def _pipeline_features(g, x, encoder, u, include_means=False):
                             include_means)
 
 
+TYPES = 4
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """A random graph of 1-40 nodes, edgeless about one time in five, and the
+    same graph with its nodes permuted."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    a = (upper | upper.T).astype(float)
+    labels = rng.integers(0, TYPES, n)
+    perm = np.array(draw(st.permutations(range(n))))
+    return (Graph.from_adjacency(a, labels, 0),
+            Graph.from_adjacency(a[np.ix_(perm, perm)], labels[perm], 0))
+
+
+SINGLE = Graph.from_adjacency(np.zeros((1, 1)), np.array([2]), 0)
+EDGELESS = Graph.from_adjacency(np.zeros((5, 5)), np.array([0, 3, 3, 1, 0]), 0)
+
+
 class TestPermutationInvariance:
-    def test_pooled_features_invariant(self, rng):
-        encoder = encoder_model(rng, 4, 5, 3)
+    @settings(max_examples=80, deadline=None)
+    @given(relabelled_graphs(), st.booleans())
+    @example((SINGLE, SINGLE), True)
+    @example((EDGELESS, Graph.from_adjacency(np.zeros((5, 5)), np.array([3, 0, 1, 0, 3]), 0)),
+             False)
+    def test_pooled_features_invariant(self, graphs, include_means):
+        # p, C_norm and the feature row of a graph do not depend on the order
+        # of its nodes; each is compared to within 1e-12 of its largest entry
+        rng = np.random.default_rng(0)
+        encoder = encoder_model(rng, TYPES, 5, 3)
         u = Tensor(rng.standard_normal((4, 3)))
-        for _ in range(5):
-            g = random_graph(rng, n_types=4)
-            c = 4
-            x = one_hot_features(g, c)
-            perm = rng.permutation(g.node_count)
-            gp = Graph.from_adjacency(adjacency_of(g)[np.ix_(perm, perm)], g.node_labels[perm], 0)
-            xp = one_hot_features(gp, c)
-            feats = [_pipeline_features(g, x, encoder, u).value,
-                     _pipeline_features(gp, xp, encoder, u).value]
-            parts = [pooled(xi, assign(Tensor(encode_values(xi, encoder)), u).value, a)
-                     for xi, a in ((x, adjacency_of(g)), (xp, adjacency_of(gp)))]
-            for got, want in zip(parts[1], parts[0]):
-                np.testing.assert_allclose(got, want, atol=1e-6)
-            np.testing.assert_allclose(feats[1], feats[0], atol=1e-6)
+        results = []
+        for g in graphs:
+            x = one_hot_features(g, TYPES)
+            w = assign(Tensor(encode_values(x, encoder)), u).value
+            p, _, _, c_norm = pool_graph(w, *g.edges)
+            results.append((p, c_norm,
+                            _pipeline_features(g, x, encoder, u, include_means).value[0]))
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestDifferentiablePath:
