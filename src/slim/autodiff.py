@@ -271,7 +271,7 @@ def grad_check(fn: Callable[..., Tensor], inputs, step: float = 1e-5,
             numeric = (up - down) / (2.0 * step)
             a = float(analytic[idx])
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            max_err = max(max_err, err)
+            max_err = float(np.maximum(max_err, err))   # a NaN error stays, and fails
             it.iternext()
     return GradCheckReport(name, max_err, step, tolerance, max_err <= tolerance)
 

@@ -3,11 +3,13 @@
 Subcommands: cv, train, sweep-k, coherence, coherence-bound, gradcheck, inspect.
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 I/O error.
 Dataset root resolution: --data-root flag, then $SLIM_DATA_DIR, then ./data.
-Config files are plain "key = value" text with [section] headers; explicit
-command-line flags win over the file, the file wins over built-in defaults.
-The training keys are the field names of ``training.TrainConfig``, the
-coherence keys those of ``COHERENCE_OPTIONS`` and ``BOUND_OPTIONS``; any
-other key is a configuration error.
+Config files are plain "key = value" text with [section] headers; the keys
+of every section count, [DEFAULT]'s too. Explicit command-line flags win over
+the file, the file wins over built-in defaults (``build_config``). A
+command's keys are the field names of its config class, which checks itself:
+``training.TrainConfig`` for cv, train and sweep-k, ``coherence.SweepConfig``
+for coherence and ``coherence.BoundConfig`` for coherence-bound; any other key
+is a configuration error. --jobs starts at most one worker per fold.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -57,19 +59,20 @@ TRAIN_FLAGS = {
     "semi_supervised": "add unlabeled held-out graphs to the unsupervised terms (cv, sweep-k)",
     "include_means": "append densities and landmark means to the classifier feature",
 }
-# coherence sweep and bound options: name -> (default, help); each is a flag and a key
-COHERENCE_OPTIONS = {
-    "seed": (0, "first seed of the sweep"),
-    "ks": ("2,4,8,16,32,64,128,256", "comma-separated K values"),
-    "seeds": (10, "seeds per K"),
-    "components": (4, "mixture components"),
-    "scale": (0.5, "mixture component scale"),
-    "points": (1024, "points per draw"),
+# the flags of coherence (every SweepConfig field) and coherence-bound (every
+# BoundConfig field), and their help
+SWEEP_FLAGS = {
+    "seed": "first seed of the sweep",
+    "ks": "comma-separated K values",
+    "seeds": "seeds per K",
+    "components": "mixture components",
+    "scale": "mixture component scale",
+    "points": "points per draw",
 }
-BOUND_OPTIONS = {
-    "d": (2, "embedding dimension"),
-    "K": (8, "landmark count"),
-    "cdcp_over_umax2": (1.0, "combined constant C_d*C_p/u_max^2"),
+BOUND_FLAGS = {
+    "d": "embedding dimension",
+    "K": "landmark count",
+    "cdcp_over_umax2": "combined constant C_d*C_p/u_max^2",
 }
 # environment variables that size the BLAS thread pool, recorded in each manifest
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -153,11 +156,23 @@ def data_root(args) -> str:
     return os.environ.get("SLIM_DATA_DIR", "data")
 
 
-def resolve_options(args, defaults: dict, check=None) -> dict:
-    """The options of ``defaults`` set by an explicit flag or, failing that,
-    by the ``--config`` file (all sections), coerced to the type of their
-    default. Keys match case-insensitively; any other key is an error. A file
-    value's ValueError, from coercion or ``check(name, value)``, names both."""
+@contextmanager
+def config_errors(prefix: str = ""):
+    """Raises a ValueError of the block as a ConfigError, after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def build_config(args, cls):
+    """``cls``, a config class that checks itself, from its fields set by an
+    explicit flag or, failing that, by the ``--config`` file (every section,
+    [DEFAULT] too), coerced to the type of their default; the rest keep their
+    default. Keys match case-insensitively; any other key is an error. Each
+    file value is checked alone against the other defaults, so its error
+    names the file and the key; the merge is then checked across fields."""
+    defaults = {f.name: f.default for f in fields(cls)}
     path = getattr(args, "config", None)
     file_values = {}
     if path:
@@ -168,7 +183,7 @@ def resolve_options(args, defaults: dict, check=None) -> dict:
             parser.read(path, encoding="utf-8")
         except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-        for section in parser.sections():
+        for section in parser:   # [DEFAULT] first, then the sections in file order
             file_values.update(parser[section])
     unknown = sorted(set(file_values) - {name.lower() for name in defaults})
     if unknown:
@@ -179,13 +194,11 @@ def resolve_options(args, defaults: dict, check=None) -> dict:
         if getattr(args, name, None) is not None:
             given[name] = getattr(args, name)
         elif name.lower() in file_values:
-            try:
+            with config_errors(f"{path}: {name}: "):
                 given[name] = _coerce(file_values[name.lower()], default)
-                if check is not None:
-                    check(name, given[name])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {name}: {exc}") from exc
-    return given
+                cls(**{name: given[name]})
+    with config_errors():
+        return cls(**given)
 
 
 def _coerce(value: str, like):
@@ -204,54 +217,6 @@ def _coerce(value: str, like):
     return value
 
 
-def table_options(args, table: dict) -> argparse.Namespace:
-    """The options of ``table`` ({name: (default, help)}): flags over
-    config-file values over the table's defaults, each range-checked alone
-    by ``_check_coherence_option``; a file value's error names the file and
-    the key."""
-    defaults = {name: default for name, (default, _) in table.items()}
-    opts = {**defaults, **resolve_options(args, defaults, check=_check_coherence_option)}
-    for name, value in opts.items():
-        _check_coherence_option(name, value)
-    return argparse.Namespace(**opts)
-
-
-def _check_coherence_option(name: str, value):
-    """Raises ConfigError when one coherence or bound option is out of range
-    on its own; checks across options follow the merge."""
-    if name == "ks":
-        k_values = _parse_int_list(value)
-        if min(k_values) < 1 or len({k for k in k_values if k >= 2}) < 2:
-            raise ConfigError("the sweep needs K >= 1 and at least two distinct K >= 2")
-    elif name in ("seeds", "components") and not value > 0:
-        raise ConfigError(f"{name} must be positive")
-    elif name == "scale" and not (math.isfinite(value) and value > 0):
-        raise ConfigError("scale must be finite and positive")
-    elif name == "seed" and value < 0:
-        raise ConfigError("seed must be non-negative")
-    elif name == "cdcp_over_umax2" and not (math.isfinite(value) and value >= 0):
-        raise ConfigError("cdcp_over_umax2 must be finite and non-negative")
-    elif name == "d" and value < 2:
-        raise ConfigError("bound requires dimension >= 2")
-    elif name == "K" and value < 2:
-        raise ConfigError("bound requires K >= 2")
-
-
-def _train_defaults() -> dict:
-    return {f.name: f.default for f in fields(training.TrainConfig)}
-
-
-def build_train_config(args) -> training.TrainConfig:
-    """Merge CLI flags over config-file values over TrainConfig defaults. Each
-    file value is checked alone first, the merge then across fields."""
-    try:
-        return training.TrainConfig(**resolve_options(
-            args, _train_defaults(),
-            check=lambda name, value: training.TrainConfig(**{name: value})))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _load_bundle(args):
     return load_tu_dataset(data_root(args), args.dataset)
 
@@ -259,10 +224,8 @@ def _load_bundle(args):
 def _fold_plan(bundle, folds: int, cfg: training.TrainConfig):
     if cfg.epochs < 1:
         raise ConfigError("cross-validation needs at least one epoch")
-    try:
+    with config_errors():
         return make_folds(bundle, folds, cfg.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +233,7 @@ def _fold_plan(bundle, folds: int, cfg: training.TrainConfig):
 
 
 def cmd_cv(args) -> int:
-    cfg = build_train_config(args)
+    cfg = build_config(args, training.TrainConfig)
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
     with run_record("cv", args, asdict(cfg), ["cv_result.json", "epochs.jsonl"], cfg.seed):
@@ -287,7 +250,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = build_train_config(args)
+    cfg = build_config(args, training.TrainConfig)
     if cfg.semi_supervised:
         raise ConfigError("semi_supervised (--semi-supervised) applies to cv and sweep-k "
                           "only: train holds out no graphs to add unlabeled")
@@ -306,21 +269,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-    if not values:
-        raise ConfigError("expected at least one integer")
-    return values
-
-
 def cmd_sweep_k(args) -> int:
-    cfg = build_train_config(args)
-    k_values = _parse_int_list(args.ks)
-    if any(k < 1 for k in k_values):
-        raise ConfigError("K values must be positive")
+    cfg = build_config(args, training.TrainConfig)
+    with config_errors():   # each K as TrainConfig checks its k
+        k_values = [replace(cfg, k=k).k for k in coh.parse_int_list(args.ks)]
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
     with run_record("sweep-k", args, asdict(cfg), ["sweep.csv"], cfg.seed):
@@ -332,17 +284,16 @@ def cmd_sweep_k(args) -> int:
 
 
 def cmd_coherence(args) -> int:
-    opts = table_options(args, COHERENCE_OPTIONS)
-    k_values = _parse_int_list(opts.ks)
-    if max(k_values) > opts.points:
+    opts = build_config(args, coh.SweepConfig)
+    if max(opts.ks) > opts.points:
         raise ConfigError("--points must be at least the largest K")
     generator = coh.GaussianMixture.default_2d(components=opts.components, scale=opts.scale,
                                                points=opts.points)
     seeds = list(range(opts.seed, opts.seed + opts.seeds))
-    config = {"d": generator.d, "ks": k_values, "seeds": seeds, "components": opts.components,
+    config = {"d": generator.d, "ks": opts.ks, "seeds": seeds, "components": opts.components,
               "scale": opts.scale, "points": opts.points}
     with run_record("coherence", args, config, ["coherence.csv"], opts.seed):
-        cells = coh.empirical_coherence_sweep(generator, k_values, seeds)
+        cells = coh.empirical_coherence_sweep(generator, opts.ks, seeds)
         with open(os.path.join(args.out, "coherence.csv"), "w", encoding="utf-8") as fh:
             fh.write("K,seed,coherence,distortion,bound\n")
             for cell in cells:
@@ -356,9 +307,8 @@ def cmd_coherence(args) -> int:
 
 
 def cmd_coherence_bound(args) -> int:
-    opts = table_options(args, BOUND_OPTIONS)
-    bound = coh.bound_from_ratio(opts.d, opts.K, opts.cdcp_over_umax2)
-    print(f"theorem lower bound (d={opts.d}, K={opts.K}): {bound:.4f}")
+    opts = build_config(args, coh.BoundConfig)
+    print(f"theorem lower bound (d={opts.d}, K={opts.K}): {opts.bound():.4f}")
     return EXIT_OK
 
 
@@ -400,10 +350,8 @@ def _end_to_end_report(step: float, tolerance: float):
 def cmd_inspect(args) -> int:
     if not os.path.isfile(args.model):
         raise DatasetError(f"model file not found: {args.model}")
-    try:
+    with config_errors():
         state = M.load_model(args.model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     bundle = _load_bundle(args)
     if not 0 <= args.graph < len(bundle.graphs):
         raise ConfigError(f"graph index {args.graph} out of range")
@@ -464,13 +412,15 @@ def positive_float(text: str) -> float:
     return value
 
 
-def _add_options(p, options: dict, choices: dict | None = None):
-    """The flags resolve_options reads: --config, and one flag per option of
-    ``options`` ({name: (default, help)}), typed by its default. The flag
-    itself defaults to None, so resolve_options can tell a given flag from
-    an omitted one."""
+def _add_options(p, cls, helps: dict, choices: dict | None = None):
+    """The flags build_config reads for ``cls``: --config, and one flag per
+    field named in ``helps`` ({name: help}), typed by the field's default.
+    The flag itself defaults to None, so build_config can tell a given flag
+    from an omitted one."""
+    defaults = {f.name: f.default for f in fields(cls)}
     p.add_argument("--config", default=None, help="key = value config file")
-    for name, (default, help_text) in options.items():
+    for name, help_text in helps.items():
+        default = defaults[name]
         if isinstance(default, bool):
             kind = dict(action="store_const", const=True)
         elif isinstance(default, Enum):
@@ -482,12 +432,6 @@ def _add_options(p, options: dict, choices: dict | None = None):
         p.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
                        help=f"{help_text} (default: {getattr(default, 'value', default)})",
                        **kind)
-
-
-def _add_train_flags(p):
-    defaults = _train_defaults()
-    _add_options(p, {name: (defaults[name], text) for name, text in TRAIN_FLAGS.items()},
-                 choices={"optimizer": M.OPTIMIZERS})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument("--jobs", type=positive_int, default=L._usable_cpus(),
                       help="parallel workers for folds/sweep cells")
     train_options = argparse.ArgumentParser(add_help=False)
-    _add_train_flags(train_options)
+    _add_options(train_options, training.TrainConfig, TRAIN_FLAGS,
+                 choices={"optimizer": M.OPTIMIZERS})
 
     def command(name, help_text, fn, *parents):
         p = sub.add_parser(name, help=help_text, parents=parents,
@@ -530,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("coherence", "coherence of k-means landmarks on a Gaussian mixture",
                 cmd_coherence, out)
-    _add_options(p, COHERENCE_OPTIONS)
+    _add_options(p, coh.SweepConfig, SWEEP_FLAGS)
 
     p = command("coherence-bound", "analytic lower bound on squared coherence",
                 cmd_coherence_bound)
-    _add_options(p, BOUND_OPTIONS)
+    _add_options(p, coh.BoundConfig, BOUND_FLAGS)
 
     p = command("gradcheck", "finite-difference check of every op", cmd_gradcheck)
     p.add_argument("--step", type=positive_float, default=1e-5,

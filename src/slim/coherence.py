@@ -66,10 +66,7 @@ class BoundParams:
     c_p: float
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("bound constants require dimension >= 2")
-        if self.k < 2:
-            raise ValueError("bound requires at least two landmarks")
+        bound_from_ratio(self.d, self.k, 0.0)   # refuses d < 2 and K < 2
         if self.u_max <= 0:
             raise ValueError("u_max must be positive")
 
@@ -101,6 +98,8 @@ def bound_from_ratio(d: int, k: int, ratio: float) -> float:
         raise ValueError("bound requires dimension >= 2")
     if k < 2:
         raise ValueError("bound requires K >= 2")
+    if not (math.isfinite(ratio) and ratio >= 0):
+        raise ValueError("cdcp_over_umax2 must be finite and non-negative")
     shells = math.floor((k / 2.0) ** (1.0 / d))
     return 1.0 - (4.0 * ratio / k ** (1.0 / d)) * (1.0 / shells + 1.0)
 
@@ -108,6 +107,21 @@ def bound_from_ratio(d: int, k: int, ratio: float) -> float:
 def theorem_lower_bound(bp: BoundParams) -> float:
     """Analytic lower bound on the squared mutual coherence of K landmarks."""
     return bound_from_ratio(bp.d, bp.k, bp.ratio)
+
+
+@dataclass(frozen=True)
+class BoundConfig:
+    """The options of ``slim coherence-bound``, checked by ``bound_from_ratio``."""
+
+    d: int = 2
+    K: int = 8
+    cdcp_over_umax2: float = 1.0
+
+    def __post_init__(self):
+        self.bound()
+
+    def bound(self) -> float:
+        return bound_from_ratio(self.d, self.K, self.cdcp_over_umax2)
 
 
 def distortion(h: np.ndarray, u: np.ndarray) -> float:
@@ -119,6 +133,44 @@ def distortion(h: np.ndarray, u: np.ndarray) -> float:
 
 # ---------------------------------------------------------------------------
 # synthetic sweep
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; empty entries are skipped."""
+    try:
+        values = tuple(int(v) for v in text.split(",") if v.strip())
+    except ValueError as exc:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise ValueError("expected at least one integer")
+    return values
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The options of ``slim coherence``, each checked alone; ``ks`` may be
+    given as a comma-separated list. That ``points`` covers the largest K is
+    a check across fields, left to the caller."""
+
+    seed: int = 0
+    ks: tuple[int, ...] | str = "2,4,8,16,32,64,128,256"
+    seeds: int = 10
+    components: int = 4
+    scale: float = 0.5
+    points: int = 1024
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if isinstance(self.ks, str):
+            object.__setattr__(self, "ks", parse_int_list(self.ks))
+        if min(self.ks, default=0) < 1 or len({k for k in self.ks if k >= 2}) < 2:
+            raise ValueError("the sweep needs K >= 1 and at least two distinct K >= 2")
+        for name in ("seeds", "components"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
 
 
 @dataclass(frozen=True)

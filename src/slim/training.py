@@ -278,7 +278,7 @@ def _cross_validate_graphs(graphs: list[M.GraphData], bundle: DatasetBundle,
                       bundle.node_label_count, train_idx, val_idx,
                       fold_seeds[fold]))
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             fold_histories = list(pool.map(_run_fold, tasks))
     else:
         fold_histories = [_run_fold(t) for t in tasks]

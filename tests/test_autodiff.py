@@ -226,17 +226,31 @@ class TestGradCheckHarness:
         assert report.max_relative_error <= 1e-9
 
     def test_corrupted_backward_is_caught(self, rng):
-        def broken_sigmoid(a):
-            x = a.value
-            v = 1.0 / (1.0 + np.exp(-x))
-            out = Tensor(v)
-            out.requires_grad = True
-            out._parents = (a,)
-            out._backward = lambda g: a._accumulate(g * v)  # missing (1 - v) factor
-            return out
+        def op(forward, backward):
+            """An op of one input: ``forward(x)`` and a backward that
+            accumulates ``g * backward(x, value)``."""
 
-        report = grad_check(broken_sigmoid, [rng.standard_normal((3, 3))], name="broken")
-        assert not report.passed
+            def apply(a):
+                v = forward(a.value)
+                out = Tensor(v)
+                out.requires_grad = True
+                out._parents = (a,)
+                out._backward = lambda g: a._accumulate(g * backward(a.value, v))
+                return out
+
+            return apply
+
+        broken = {
+            # sigmoid missing its (1 - v) factor
+            "broken_sigmoid": op(lambda x: 1.0 / (1.0 + np.exp(-x)), lambda x, v: v),
+            # tanh whose backward is NaN, and an op whose forward is
+            "nan_backward": op(np.tanh, lambda x, v: (1.0 - v * v) * np.nan),
+            "nan_forward": op(lambda x: x * np.nan, lambda x, v: np.ones_like(x)),
+        }
+        for name, fn in broken.items():
+            report = grad_check(fn, [rng.standard_normal((3, 3))], name=name)
+            assert not report.passed, name
+            assert not report.max_relative_error <= report.tolerance, name
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):

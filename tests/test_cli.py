@@ -14,11 +14,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slim import cli
+from slim import coherence as coh
 from slim import landmarks as L
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError
-from slim.cli import BOUND_OPTIONS, COHERENCE_OPTIONS, _coerce, build_parser, main
+from slim.cli import _coerce, build_parser, main
 from slim.datasets import load_tu_dataset, save_tu_dataset
 from slim.embedding import encode_values
 from slim.pooling import upper_triangle
@@ -775,6 +776,29 @@ class TestOptionNames:
         assert fields - dests == {"layer_decay", "activation", "classifier_hidden",
                                   "kmeans_restarts"}
 
+    @pytest.mark.parametrize("command, cls", [("coherence", coh.SweepConfig),
+                                              ("coherence-bound", coh.BoundConfig)])
+    def test_coherence_flags_are_config_fields(self, command, cls):
+        dests = {a.dest for a in subparser(command)._actions} - COMMON_DESTS
+        assert dests == {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize("line, error", [("bogus = 3", "unknown key(s) bogus; "),
+                                             ("d = 1", "d: bound requires dimension >= 2")])
+    def test_default_section_keys_count(self, tmp_path, capsys, line, error):
+        cfg_file = tmp_path / "bound.cfg"
+        cfg_file.write_text(f"[DEFAULT]\n{line}\n", encoding="utf-8")
+        assert run(["coherence-bound", "--config", cfg_file]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"configuration error: {cfg_file}: {error}")
+
+    def test_a_default_section_training_key_reaches_the_manifest(self, tu_root, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[DEFAULT]\nbatch_size = 7\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["train", "--dataset", "SYN", "--data-root", tu_root,
+                    "--config", cfg_file, "--out", out] + FAST) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["batch_size"] == 7
+
 
 def subparser(command):
     choices = next(a for a in build_parser()._actions if a.dest == "command").choices
@@ -813,10 +837,10 @@ class TestHelp:
             assert f"(default: {getattr(default, 'value', default)})" in text, text
 
     def test_coherence_defaults_shown_once_from_its_table(self, capsys, monkeypatch):
-        for command, table in (("coherence", COHERENCE_OPTIONS),
-                               ("coherence-bound", BOUND_OPTIONS)):
+        for command, cls in (("coherence", coh.SweepConfig),
+                             ("coherence-bound", coh.BoundConfig)):
             helps = help_lines(command, capsys, monkeypatch)
-            for name, (default, _) in table.items():
+            for name, default in ((f.name, f.default) for f in dataclasses.fields(cls)):
                 text = helps["--" + name.replace("_", "-")]
                 assert text.count("default:") == 1, text
                 assert f"(default: {default})" in text, text
@@ -960,7 +984,8 @@ def config_line():
                                        "layer_wise", "%", "%(k)s", ""]),
                       st.text(max_size=6))
     line = st.one_of(st.tuples(key, st.sampled_from([" = ", ": ", "="]), value).map("".join),
-                     st.sampled_from(["[train]", "[other]", "", "# note", "  indented"]),
+                     st.sampled_from(["[train]", "[other]", "[DEFAULT]", "", "# note",
+                                      "  indented"]),
                      st.text(max_size=8))
     return line.map(lambda text: text.encode("utf-8"))
 
@@ -980,8 +1005,8 @@ def fuzz_base_config(root) -> training.TrainConfig:
     """The config that ``FUZZ_CONFIG`` itself gives."""
     path = root / "clean.cfg"
     path.write_bytes(FUZZ_CONFIG)
-    return cli.build_train_config(build_parser().parse_args(
-        ["train", "--dataset", "SYN", "--config", str(path)]))
+    return cli.build_config(build_parser().parse_args(
+        ["train", "--dataset", "SYN", "--config", str(path)]), training.TrainConfig)
 
 
 def one_config_error_line(err: str) -> bool:
@@ -1004,7 +1029,7 @@ class TestFuzzConfigFiles:
         argv = ["train", "--dataset", "SYN", "--data-root", str(data_root),
                 "--config", str(path), "--out", str(out)]
         try:
-            cfg = cli.build_train_config(build_parser().parse_args(argv))
+            cfg = cli.build_config(build_parser().parse_args(argv), training.TrainConfig)
         except cli.ConfigError:
             cfg = None
         removed = deleted_option(edits)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from slim.coherence import (
+    BoundConfig,
     BoundParams,
     GaussianMixture,
+    SweepConfig,
     bound_from_ratio,
     distortion,
     empirical_coherence_sweep,
@@ -120,6 +122,16 @@ class TestTheoremBound:
         with pytest.raises(ValueError):
             bound_from_ratio(2, 1, 1.0)
 
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -1.0])
+    def test_requires_a_finite_non_negative_ratio(self, ratio):
+        with pytest.raises(ValueError, match="cdcp_over_umax2"):
+            bound_from_ratio(2, 8, ratio)
+        with pytest.raises(ValueError, match="cdcp_over_umax2"):
+            BoundConfig(cdcp_over_umax2=ratio)
+
+    def test_bound_config_gives_the_bound_of_its_fields(self):
+        assert BoundConfig(d=3, K=16, cdcp_over_umax2=0.5).bound() == bound_from_ratio(3, 16, 0.5)
+
     def test_bound_params_constants(self):
         bp = BoundParams(d=2, k=8, u_max=1.0, c_p=1.0)
         assert bp.v_d == pytest.approx(math.pi, abs=1e-12)
@@ -134,6 +146,17 @@ class TestTheoremBound:
             BoundParams(d=2, k=1, u_max=1.0, c_p=1.0)
         with pytest.raises(ValueError):
             BoundParams(d=2, k=8, u_max=0.0, c_p=1.0)
+
+
+class TestSweepConfig:
+    def test_ks_is_read_from_a_comma_separated_list(self):
+        assert SweepConfig(ks=" 8, 2,,32").ks == (8, 2, 32)
+        assert SweepConfig(ks=(2, 8)) == SweepConfig(ks="2,8")
+
+    @pytest.mark.parametrize("ks", [(), (2,), (2, 2, 1), (0, 2, 4), "2,x", ","])
+    def test_a_sweep_without_two_distinct_ks_is_refused(self, ks):
+        with pytest.raises(ValueError):
+            SweepConfig(ks=ks)
 
 
 class TestDistortion:

@@ -449,6 +449,32 @@ class TestCrossValidate:
         par = cross_validate(bundle, cfg, plan, jobs=2)
         assert seq.per_fold == par.per_fold
 
+    def test_the_fold_pool_starts_at_most_one_worker_per_fold(self, monkeypatch):
+        bundle = make_bundle(n_graphs=12, seed=5)
+        cfg = tiny_cfg(epochs=2, seed=3)
+        plan = make_folds(bundle, 2, seed=1)
+        workers = []
+
+        class InProcessPool:
+            """Records the worker count asked for and runs the folds here."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        sequential = cross_validate(bundle, cfg, plan, jobs=1)
+        monkeypatch.setattr(training, "ProcessPoolExecutor", InProcessPool)
+        assert cross_validate(bundle, cfg, plan, jobs=4) == sequential
+        assert workers == [2]
+
     def test_metrics_jsonl(self, tmp_path):
         bundle = make_bundle(n_graphs=16, seed=5)
         cfg = tiny_cfg(epochs=2)
