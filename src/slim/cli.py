@@ -9,7 +9,9 @@ the file, the file wins over built-in defaults (``build_config``). A
 command's keys are the field names of its config class, which checks itself:
 ``training.TrainConfig`` for cv, train and sweep-k, ``coherence.SweepConfig``
 for coherence and ``coherence.BoundConfig`` for coherence-bound; any other key
-is a configuration error. --jobs starts at most one worker per fold.
+is a configuration error. --jobs starts at most one worker per fold. The
+rules across options are asked of their owners before the run directory is
+made: ``training.check_cv_epochs`` and ``coherence.check_points``.
 """
 from __future__ import annotations
 
@@ -150,12 +152,6 @@ def run_record(command: str, args, config: dict, artifacts: list[str], seed: int
         write()
 
 
-def data_root(args) -> str:
-    if getattr(args, "data_root", None):
-        return args.data_root
-    return os.environ.get("SLIM_DATA_DIR", "data")
-
-
 @contextmanager
 def config_errors(prefix: str = ""):
     """Raises a ValueError of the block as a ConfigError, after ``prefix``."""
@@ -202,29 +198,24 @@ def build_config(args, cls):
 
 
 def _coerce(value: str, like):
-    if isinstance(like, bool):
-        spelling = value.strip().lower()
-        if spelling not in configparser.ConfigParser.BOOLEAN_STATES:
-            raise ConfigError(f"expected a bool, got {value!r}")
-        return configparser.ConfigParser.BOOLEAN_STATES[spelling]
     try:
-        if isinstance(like, int):
-            return int(value)
-        if isinstance(like, float):
-            return float(value)
-    except ValueError as exc:
+        if isinstance(like, bool):
+            return configparser.ConfigParser.BOOLEAN_STATES[value.strip().lower()]
+        if isinstance(like, (int, float)):
+            return type(like)(value)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"expected a {type(like).__name__}, got {value!r}") from exc
     return value
 
 
 def _load_bundle(args):
-    return load_tu_dataset(data_root(args), args.dataset)
+    return load_tu_dataset(args.data_root or os.environ.get("SLIM_DATA_DIR", "data"),
+                           args.dataset)
 
 
 def _fold_plan(bundle, folds: int, cfg: training.TrainConfig):
-    if cfg.epochs < 1:
-        raise ConfigError("cross-validation needs at least one epoch")
     with config_errors():
+        training.check_cv_epochs(cfg)
         return make_folds(bundle, folds, cfg.seed)
 
 
@@ -285,8 +276,8 @@ def cmd_sweep_k(args) -> int:
 
 def cmd_coherence(args) -> int:
     opts = build_config(args, coh.SweepConfig)
-    if max(opts.ks) > opts.points:
-        raise ConfigError("--points must be at least the largest K")
+    with config_errors():
+        coh.check_points(opts.ks, opts.points)
     generator = coh.GaussianMixture.default_2d(components=opts.components, scale=opts.scale,
                                                points=opts.points)
     seeds = list(range(opts.seed, opts.seed + opts.seeds))
@@ -294,10 +285,7 @@ def cmd_coherence(args) -> int:
               "scale": opts.scale, "points": opts.points}
     with run_record("coherence", args, config, ["coherence.csv"], opts.seed):
         cells = coh.empirical_coherence_sweep(generator, opts.ks, seeds)
-        with open(os.path.join(args.out, "coherence.csv"), "w", encoding="utf-8") as fh:
-            fh.write("K,seed,coherence,distortion,bound\n")
-            for cell in cells:
-                fh.write(cell.csv_row() + "\n")
+        coh.write_coherence_csv(cells, os.path.join(args.out, "coherence.csv"))
         summary = coh.sweep_summary(cells)
         defined = [row for row in summary if row["mean_coherence"] is not None]
         rho = coh.spearman([row["k"] for row in defined],

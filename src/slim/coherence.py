@@ -10,6 +10,7 @@ same trend on synthetic Gaussian mixtures via k-means landmarks.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,11 +147,26 @@ def parse_int_list(text: str) -> tuple[int, ...]:
     return values
 
 
+def distinct_ks(k_values) -> list[int]:
+    """The K values a sweep runs, each once, ascending; warns if some K repeats."""
+    ks = sorted(set(int(k) for k in k_values))
+    if len(ks) < len(k_values):
+        warnings.warn("duplicate K values removed from sweep", stacklevel=3)
+    return ks
+
+
+def check_points(k_values, points: int):
+    """Refuses a sweep whose draws of ``points`` points cannot seat its largest K."""
+    if max(k_values) > points:
+        raise ValueError(f"points per draw ({points}) must be at least the largest K "
+                         f"({max(k_values)})")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """The options of ``slim coherence``, each checked alone; ``ks`` may be
     given as a comma-separated list. That ``points`` covers the largest K is
-    a check across fields, left to the caller."""
+    a check across fields, ``check_points``, left to the caller."""
 
     seed: int = 0
     ks: tuple[int, ...] | str = "2,4,8,16,32,64,128,256"
@@ -227,17 +243,21 @@ class SweepCell:
     distortion: float
     bound: float | None
 
-    def csv_row(self) -> str:
-        coh = "" if self.coherence is None else f"{self.coherence:.6f}"
-        bound = "" if self.bound is None else f"{self.bound:.6f}"
-        return f"{self.k},{self.seed},{coh},{self.distortion:.6f},{bound}"
+
+def write_coherence_csv(cells: list[SweepCell], path: str):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("K,seed,coherence,distortion,bound\n")
+        for c in cells:
+            coh, bound = ("" if x is None else f"{x:.6f}" for x in (c.coherence, c.bound))
+            fh.write(f"{c.k},{c.seed},{coh},{c.distortion:.6f},{bound}\n")
 
 
 def empirical_coherence_sweep(generator: GaussianMixture, k_values: list[int],
                               seeds: list[int]) -> list[SweepCell]:
-    """k-means landmarks on fresh mixture draws, one cell per (K, seed)."""
-    if max(k_values) > generator.points:
-        raise ValueError("generator must produce at least max(K) points per draw")
+    """k-means landmarks on fresh mixture draws, one cell per (K, seed), for
+    each distinct K in ascending order (``distinct_ks``)."""
+    k_values = distinct_ks(k_values)
+    check_points(k_values, generator.points)
     c_p = generator.estimate_c_p() if generator.d <= 3 else None
     cells = []
     for k in k_values:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,89 +138,82 @@ def _require(path: str):
     return path
 
 
-def _load_ints(path: str, delimiter: str | None = None) -> np.ndarray | None:
-    """The integers of a text file as a 2-D array (one row per non-empty
-    line), or None when some line does not parse as ``np.loadtxt`` reads it
-    or the file is not ASCII: numpy's parser reads some non-ASCII characters
-    as digits (U+976DD as 620205), and can crash the process on them."""
+def _read_ints(path: str, width: int = 1, check=None) -> np.ndarray:
+    """The integers of a TU file, one row of ``width`` per non-empty line,
+    split at commas when ``width`` > 1. ``check(rows)`` gives the index and
+    message of the first row that breaks a rule of the file, or None.
+
+    Raises ParseError naming the first line that is not ``width`` integers,
+    holds one outside the int64 range, or breaks a rule.
+    """
+    delimiter, form = (None, "an integer") if width == 1 else (",", "'i, j'")
     with open(path, "rb") as fh:
         # blocks under glibc's 128 KiB mmap threshold: freeing a larger buffer
         # raises it, and later loads and trainings then fragment the heap
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            if not block.isascii():
-                return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # loadtxt on a file with no data
-        try:
-            return np.loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None,
+        ascii_only = all(block.isascii() for block in iter(lambda: fh.read(1 << 16), b""))
+    rows = None
+    # numpy's parser reads some non-ASCII characters as digits (U+976DD as
+    # 620205), and can crash the process on them
+    if ascii_only:
+        with warnings.catch_warnings(), suppress(ValueError):
+            warnings.simplefilter("ignore", UserWarning)  # loadtxt on a file with no data
+            rows = np.loadtxt(path, dtype=np.int64, delimiter=delimiter, comments=None,
                               ndmin=2, encoding="utf-8")
-        except ValueError:
-            return None
-
-
-def _int_column(path: str) -> np.ndarray:
-    """One integer per non-empty line.
-
-    Raises ParseError naming the first line that is not one integer or
-    lies outside the int64 range.
-    """
-    values = _load_ints(path)
     # a 2-D read keeps a one-line "1 2" file from passing as a column of two
-    if values is not None and values.shape[1] == 1:
-        return values[:, 0]
-    # some line is malformed, or uses a spelling only int() accepts: read
-    # line by line to report the first bad line
-    values = []
+    if rows is not None and (rows.size == 0 or rows.shape[1] == width):
+        rows = rows.reshape(-1, width)
+        if check is None or check(rows) is None:
+            return rows
+    # some line is malformed, uses a spelling only int() accepts, or breaks a
+    # rule: read line by line to report the first bad line
+    rows, line_nos, fault = [], [], None
     for line_no, line in enumerate(_read_lines(path), start=1):
         if not line:
             continue
         try:
-            value = int(line)
+            row = [int(text) for text in line.split(delimiter)]
         except ValueError:
-            raise ParseError(f"{path} line {line_no}: expected an integer, got {line!r}") from None
-        if not -2**63 <= value < 2**63:
-            raise ParseError(f"{path} line {line_no}: {line!r} does not fit in 64 bits")
-        values.append(value)
-    return np.array(values, dtype=np.int64)
+            row = []
+        if len(row) != width:
+            fault = line_no, f"expected {form}, got {line!r}"
+            break
+        if not all(-2**63 <= value < 2**63 for value in row):
+            fault = line_no, f"{line!r} does not fit in 64 bits"
+            break
+        rows.append(row)
+        line_nos.append(line_no)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, width)
+    broken = None if check is None else check(rows)
+    if broken is not None:   # a row read before the line that ended the loop
+        fault = line_nos[broken[0]], broken[1]
+    if fault is not None:
+        raise ParseError(f"{path} line {fault[0]}: {fault[1]}")
+    return rows
+
+
+def _int_column(path: str) -> np.ndarray:
+    """One integer per non-empty line (see ``_read_ints``)."""
+    return _read_ints(path)[:, 0]
+
+
+def _edge_fault(pairs: np.ndarray, indicator: np.ndarray) -> tuple[int, str] | None:
+    """The index and message of the first row of 1-indexed edge ``pairs``
+    that names a node outside [1, n] or joins two graphs; None if none does."""
+    n = len(indicator)
+    graph = np.take(indicator, pairs - 1, mode="clip")
+    if pairs.size == 0 or (pairs.min() >= 1 and pairs.max() <= n
+                           and np.array_equal(graph[:, 0], graph[:, 1])):
+        return None   # the cheap test that accepts a good file
+    known = (pairs >= 1) & (pairs <= n)
+    row = int(np.argmax(~known.all(axis=1) | (graph[:, 0] != graph[:, 1])))
+    if not known[row].all():
+        return row, f"edge endpoint {pairs[row][~known[row]][0]} unknown"
+    return row, "edge joins two different graphs"
 
 
 def _densify(raw: np.ndarray) -> np.ndarray:
     """Map arbitrary integer labels onto a contiguous range starting at 0."""
     return np.unique(raw, return_inverse=True)[1].astype(np.int64, copy=False)
-
-
-def _edge_pairs(path: str, indicator: np.ndarray) -> np.ndarray:
-    """Endpoints of every non-empty line of a TU edge file: one 1-indexed
-    (u, v) row per line, in file order.
-
-    Raises ParseError naming the first line that is not "i, j", names an
-    unknown node, or joins two graphs.
-    """
-    n_nodes = len(indicator)
-    pairs = _load_ints(path, delimiter=",")
-    if pairs is not None and pairs.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    if pairs is not None and pairs.shape[1] == 2:
-        known = ((pairs >= 1) & (pairs <= n_nodes)).all()
-        if known and np.array_equal(indicator[pairs[:, 0] - 1], indicator[pairs[:, 1] - 1]):
-            return pairs
-    # some line is malformed, or uses a spelling only int() accepts: read
-    # line by line to report the first bad line
-    rows = []
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        if not line:
-            continue
-        try:
-            left, right = line.split(",")
-            u, v = int(left), int(right)
-        except ValueError:
-            raise ParseError(f"{path} line {line_no}: expected 'i, j', got {line!r}") from None
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise ParseError(f"{path} line {line_no}: edge endpoint {max(u, v)} unknown")
-        if indicator[u - 1] != indicator[v - 1]:
-            raise ParseError(f"{path} line {line_no}: edge joins two different graphs")
-        rows.append((u, v))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -262,7 +256,8 @@ def load_tu_dataset(root_path: str, name: str) -> DatasetBundle:
     local_index = np.empty(n_nodes, dtype=np.int64)
     local_index[order] = np.arange(n_nodes) - offsets[indicator[order] - 1]
 
-    pairs = _edge_pairs(_require(f"{prefix}_A.txt"), indicator) - 1
+    pairs = _read_ints(_require(f"{prefix}_A.txt"), 2,
+                       lambda rows: _edge_fault(rows, indicator)) - 1
     loops = pairs[:, 0] == pairs[:, 1]
     self_loops = int(loops.sum())
     u, v = pairs[~loops].T

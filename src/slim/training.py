@@ -17,6 +17,7 @@ import numpy as np
 
 from . import model as M
 from .autodiff import NumericError, Tensor
+from .coherence import distinct_ks
 from .datasets import DatasetBundle, FoldPlan
 from .embedding import scaled_uniform
 from .landmarks import init_landmarks, target_distribution
@@ -255,28 +256,25 @@ def _run_fold(args):
     return [asdict(m) for m in history]
 
 
-def cross_validate(bundle: DatasetBundle, cfg: TrainConfig, plan: FoldPlan,
-                   jobs: int = 1, metrics_path: str | None = None) -> CVResult:
-    """Train one model per fold; select the epoch with the best fold-averaged
-    validation accuracy and report per-fold accuracies at that epoch."""
-    return _cross_validate_graphs(M.prepare_bundle(bundle, cfg.substructure()), bundle,
-                                  cfg, plan, jobs, metrics_path)
-
-
-def _cross_validate_graphs(graphs: list[M.GraphData], bundle: DatasetBundle,
-                           cfg: TrainConfig, plan: FoldPlan, jobs: int = 1,
-                           metrics_path: str | None = None) -> CVResult:
-    """``cross_validate`` over the bundle's prepared ``graphs``."""
+def check_cv_epochs(cfg: TrainConfig):
+    """Refuses a cross-validation of ``cfg`` that trains no epoch to select."""
     if cfg.epochs < 1:
         raise ValueError("cross-validation needs at least one epoch")
-    master = np.random.SeedSequence(cfg.seed)
-    fold_seeds = master.spawn(plan.fold_count)
-    tasks = []
-    for fold in range(plan.fold_count):
-        train_idx, val_idx = plan.split(fold)
-        tasks.append((graphs, cfg, bundle.class_count,
-                      bundle.node_label_count, train_idx, val_idx,
-                      fold_seeds[fold]))
+
+
+def cross_validate(bundle: DatasetBundle, cfg: TrainConfig, plan: FoldPlan,
+                   jobs: int = 1, metrics_path: str | None = None,
+                   graphs: list[M.GraphData] | None = None) -> CVResult:
+    """Train one model per fold; select the epoch with the best fold-averaged
+    validation accuracy and report per-fold accuracies at that epoch.
+    ``graphs`` are the bundle's graphs prepared for ``cfg``; when None they
+    are prepared here."""
+    check_cv_epochs(cfg)
+    if graphs is None:
+        graphs = M.prepare_bundle(bundle, cfg.substructure())
+    fold_seeds = np.random.SeedSequence(cfg.seed).spawn(plan.fold_count)
+    tasks = [(graphs, cfg, bundle.class_count, bundle.node_label_count, *plan.split(fold),
+              seed_seq) for fold, seed_seq in enumerate(fold_seeds)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             fold_histories = list(pool.map(_run_fold, tasks))
@@ -313,15 +311,12 @@ class SweepRow:
 
 def sweep_k(bundle: DatasetBundle, cfg: TrainConfig, k_values: list[int],
             plan: FoldPlan, jobs: int = 1) -> list[SweepRow]:
-    """Cross-validate once per K (deduplicated, ascending), same seeds. The
-    substructures do not depend on K, so they are prepared once."""
-    uniq = sorted(set(int(k) for k in k_values))
-    if len(uniq) < len(k_values):
-        warnings.warn("duplicate K values removed from sweep", stacklevel=2)
+    """Cross-validate once per distinct K in ascending order (``distinct_ks``),
+    same seeds. The substructures do not depend on K, so they are prepared once."""
     graphs = M.prepare_bundle(bundle, cfg.substructure())
     rows = []
-    for k in uniq:
-        result = _cross_validate_graphs(graphs, bundle, replace(cfg, k=k), plan, jobs)
+    for k in distinct_ks(k_values):
+        result = cross_validate(bundle, replace(cfg, k=k), plan, jobs, graphs=graphs)
         rows.append(SweepRow(k=k, mean_acc=result.mean, std_acc=result.std))
     return rows
 

@@ -97,6 +97,12 @@ class TestCv:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    def test_zero_epochs_is_one_line_from_the_training_rule(self, tu_root, tmp_path, capsys):
+        assert run(["cv", "--dataset", "SYN", "--data-root", tu_root,
+                    "--out", tmp_path / "o"] + FAST + ["--epochs", "0"]) == 2
+        assert capsys.readouterr().err == ("configuration error: cross-validation needs "
+                                           "at least one epoch\n")
+
     def test_bad_optimizer_rejected_by_parser(self, tu_root, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["cv", "--dataset", "SYN", "--data-root", tu_root,
@@ -464,6 +470,21 @@ class TestCoherence:
         assert lines[0] == "K,seed,coherence,distortion,bound"
         assert len(lines) == 1 + 3 * 2
         assert "spearman" in capsys.readouterr().out
+
+    def test_too_few_points_is_one_line_and_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["coherence", "--ks", "2,8", "--points", "4", "--out", out]) == 2
+        assert capsys.readouterr().err == ("configuration error: points per draw (4) must "
+                                           "be at least the largest K (8)\n")
+        assert not out.exists()
+
+    def test_a_repeated_k_runs_once_in_ascending_order(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="duplicate K values removed from sweep"):
+            assert run(["coherence", "--ks", "4,2,2", "--seeds", "1",
+                        "--points", "64", "--out", out]) == 0
+        rows = (out / "coherence.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [2, 4]
 
     def test_sweep_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

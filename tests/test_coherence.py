@@ -17,6 +17,7 @@ from slim.coherence import (
     sweep_summary,
     theorem_lower_bound,
     unit_ball_volume,
+    write_coherence_csv,
 )
 
 
@@ -212,15 +213,25 @@ class TestEmpiricalSweep:
 
     def test_rejects_generator_smaller_than_k(self):
         gen = GaussianMixture.default_2d(points=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"points per draw \(16\) must be at least "
+                                             r"the largest K \(32\)"):
             empirical_coherence_sweep(gen, [32], seeds=[0])
 
-    def test_csv_row_format(self):
+    def test_a_repeated_k_runs_once_in_ascending_order(self):
+        gen = GaussianMixture.default_2d(points=32)
+        with pytest.warns(UserWarning, match="duplicate K values removed from sweep"):
+            cells = empirical_coherence_sweep(gen, [4, 2, 2], seeds=[0])
+        assert [c.k for c in cells] == [2, 4]
+        assert cells == empirical_coherence_sweep(gen, [2, 4], seeds=[0])
+
+    def test_csv_row_format(self, tmp_path):
         gen = GaussianMixture.default_2d(points=64)
         cells = empirical_coherence_sweep(gen, [1, 2], seeds=[0])
-        row_k1 = cells[0].csv_row()
+        write_coherence_csv(cells, tmp_path / "coherence.csv")
+        header, row_k1, row_k2 = (tmp_path / "coherence.csv").read_text().splitlines()
+        assert header == "K,seed,coherence,distortion,bound"
         assert row_k1.startswith("1,0,,")  # empty coherence and bound fields
-        row_k2 = cells[1].csv_row()
+        assert row_k1.endswith(",")
         assert len(row_k2.split(",")) == 5
 
     def test_c_p_estimate_positive(self):

@@ -68,6 +68,22 @@ class TestLoader:
         with pytest.raises(ParseError, match="line 2"):
             load_tu_dataset(root, "BADE")
 
+    @pytest.mark.parametrize("line, endpoint", [("0, 1", 0), ("-1, 2", -1), ("99, 1", 99),
+                                                ("1, 99", 99), ("2, 0", 0)])
+    def test_the_unknown_endpoint_is_named(self, tmp_path, line, endpoint):
+        root = write_raw(tmp_path, "BADE", ["1, 2", line], [1, 1], [1], [0, 0])
+        with pytest.raises(ParseError) as caught:
+            load_tu_dataset(root, "BADE")
+        assert str(caught.value).endswith(f"BADE_A.txt line 2: edge endpoint {endpoint} unknown")
+
+    @pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+    def test_an_endpoint_outside_int64_does_not_fit(self, tmp_path, value):
+        root = write_raw(tmp_path, "HUGE", ["1, 2", f"1, {value}"], [1, 1], [1], [0, 0])
+        with pytest.raises(ParseError) as caught:
+            load_tu_dataset(root, "HUGE")
+        assert str(caught.value).endswith(f"HUGE_A.txt line 2: '1, {value}' does not fit "
+                                          "in 64 bits")
+
     def test_empty_graph_rejected(self, tmp_path):
         # two labels but every node belongs to graph 1
         root = write_tu_files(tmp_path, "EMPTY", [(1, 2)], [1, 1], [1, 2], [0, 0])
@@ -288,7 +304,8 @@ def old_load_tu_dataset(root_path, name):
         except ValueError:
             raise ParseError(f"{prefix}_A.txt line {line_no}: expected 'i, j', got {line!r}") from None
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise ParseError(f"{prefix}_A.txt line {line_no}: edge endpoint {max(u, v)} unknown")
+            unknown = u if not 1 <= u <= n_nodes else v
+            raise ParseError(f"{prefix}_A.txt line {line_no}: edge endpoint {unknown} unknown")
         if indicator[u - 1] != indicator[v - 1]:
             raise ParseError(f"{prefix}_A.txt line {line_no}: edge joins two different graphs")
         if u == v:
@@ -435,6 +452,58 @@ class TestEdgeReaderMatchesLineLoop:
         (new, new_warn), (old, old_warn) = load_both(root, "NOEDGE")
         assert_same_bundle(new, old)
         assert new_warn == old_warn == []
+
+
+@st.composite
+def faulty_edge_file(draw):
+    """(edge lines, graph indicator, line number of the first fault, its
+    message): a valid edge file of a few interleaved graphs, with one fault
+    at a random line and a parse fault on a later line."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    indicator = draw(st.permutations([g for g, size in enumerate(sizes, 1)
+                                      for _ in range(size)]))
+    members = {g: [i for i, x in enumerate(indicator, 1) if x == g]
+               for g in range(1, len(sizes) + 1)}
+    n = len(indicator)
+    edge = st.sampled_from(sorted(members)).flatmap(
+        lambda g: st.tuples(st.sampled_from(members[g]), st.sampled_from(members[g])))
+    lines = draw(st.lists(st.one_of(edge.map("{0[0]}, {0[1]}".format), st.just("")),
+                          max_size=12))
+    malformed = st.sampled_from(["1 2", "1,", ", 1", "x, 1", "1.0, 2", "1, 2, 3", "#"])
+    kind = draw(st.sampled_from(["malformed", "low", "high", "cross", "int64"]))
+    event(kind)
+    if kind == "malformed":
+        bad = draw(malformed)
+        message = f"expected 'i, j', got {bad!r}"
+    elif kind == "cross":
+        g, h = draw(st.lists(st.sampled_from(sorted(members)), min_size=2, max_size=2,
+                             unique=True))
+        bad = f"{draw(st.sampled_from(members[g]))}, {draw(st.sampled_from(members[h]))}"
+        message = "edge joins two different graphs"
+    else:
+        value = draw({"low": st.integers(-2**63, 0), "high": st.integers(n + 1, 2**63 - 1),
+                      "int64": st.one_of(st.integers(max_value=-2**63 - 1),
+                                         st.integers(min_value=2**63))}[kind])
+        u, v = draw(st.permutations([value, draw(st.integers(1, n))]))
+        bad = f"{u}, {v}"
+        message = (f"{bad!r} does not fit in 64 bits" if kind == "int64"
+                   else f"edge endpoint {value} unknown")
+    at = draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    lines.insert(draw(st.integers(at + 1, len(lines))), draw(malformed))
+    return lines, indicator, at + 1, message
+
+
+class TestFirstFault:
+    @settings(max_examples=150, deadline=None)
+    @given(faulty_edge_file())
+    def test_the_first_fault_is_named(self, tmp_path_factory, case):
+        lines, indicator, line_no, message = case
+        root = write_raw(tmp_path_factory.mktemp("fault"), "BAD", lines, indicator,
+                         [0] * max(indicator), None)
+        with pytest.raises(ParseError) as caught:
+            load_tu_dataset(root, "BAD")
+        assert str(caught.value).endswith(f"BAD_A.txt line {line_no}: {message}")
 
 
 # ---------------------------------------------------------------------------
