@@ -12,6 +12,14 @@ for coherence and ``coherence.BoundConfig`` for coherence-bound; any other key
 is a configuration error. --jobs starts at most one worker per fold. The
 rules across options are asked of their owners before the run directory is
 made: ``training.check_cv_epochs`` and ``coherence.check_points``.
+
+Only this module writes a run directory (``model.npz`` is ``save_model``'s):
+``write_json`` writes manifest.json and cv_result.json, ``write_jsonl``
+epochs.jsonl and ``write_csv`` sweep.csv and coherence.csv. A sweep's K list
+is resolved once, by ``coherence.distinct_ks``, and the manifest records the
+run that was made: the config, plus ``folds`` for cv and sweep-k and the
+distinct ``ks`` for both sweeps. Every warning is one stderr line,
+``warning: <message>``.
 """
 from __future__ import annotations
 
@@ -25,7 +33,7 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -94,14 +102,23 @@ FAILURES = (
 )
 
 
+def _one_line(text) -> str:
+    return " ".join(str(text).split())   # configparser's errors span three lines
+
+
 def _failure(exc: BaseException) -> tuple[str, int | None]:
     """The stderr line and exit code ``main`` gives for ``exc``; for an
     exception outside FAILURES, the exception's type and text and no code."""
-    text = " ".join(str(exc).split())   # one line (configparser's errors span three)
+    text = _one_line(exc)
     for kind, prefix, code in FAILURES:
         if isinstance(exc, kind):
             return f"{prefix}: {text}", code
     return f"{type(exc).__name__}: {text}" if text else type(exc).__name__, None
+
+
+def _show_warning(message, *_):
+    """Shows a warning as one stderr line, ``warning: <message>``."""
+    sys.stderr.write(f"warning: {_one_line(message)}\n")
 
 
 def _utc_now() -> str:
@@ -119,6 +136,27 @@ def _numeric_environment() -> dict:
             "usable_cpus": L._usable_cpus()}
 
 
+def _write_lines(path: str, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_json(path: str, payload: dict):
+    _write_lines(path, [json.dumps(payload, indent=2, default=str)])
+
+
+def write_jsonl(path: str, records):
+    _write_lines(path, map(json.dumps, records))
+
+
+def write_csv(path: str, header: tuple[str, ...], rows):
+    """``header``, then one line per row: a None cell is empty, a float has
+    six decimals, any other value is its ``str``."""
+    _write_lines(path, [",".join(header)] + [
+        ",".join("" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
+                 for v in row) for row in rows])
+
+
 @contextmanager
 def run_record(command: str, args, config: dict, artifacts: list[str], seed: int | None):
     """Writes ``manifest.json`` to ``args.out`` on entry, with the numeric
@@ -134,9 +172,7 @@ def run_record(command: str, args, config: dict, artifacts: list[str], seed: int
 
     def write():
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2, default=str)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "manifest.json"), record)
 
     start = time.perf_counter()
     write()
@@ -227,14 +263,15 @@ def cmd_cv(args) -> int:
     cfg = build_config(args, training.TrainConfig)
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
-    with run_record("cv", args, asdict(cfg), ["cv_result.json", "epochs.jsonl"], cfg.seed):
-        result = training.cross_validate(
-            bundle, cfg, plan, jobs=args.jobs,
-            metrics_path=os.path.join(args.out, "epochs.jsonl"),
-        )
-        with open(os.path.join(args.out, "cv_result.json"), "w", encoding="utf-8") as fh:
-            json.dump(asdict(result), fh, indent=2)
-            fh.write("\n")
+    config = {**asdict(cfg), "folds": plan.fold_count}
+    with run_record("cv", args, config, ["cv_result.json", "epochs.jsonl"], cfg.seed):
+        result = training.cross_validate(bundle, cfg, plan, jobs=args.jobs)
+        summary = asdict(result)
+        histories = summary.pop("fold_histories")   # epochs.jsonl's, not cv_result.json's
+        write_jsonl(os.path.join(args.out, "epochs.jsonl"),
+                    ({"fold": fold, **m} for fold, history in enumerate(histories)
+                     for m in history))
+        write_json(os.path.join(args.out, "cv_result.json"), summary)
     print(f"{bundle.name}: {result.mean:.4f} ± {result.std:.4f} "
           f"(epoch {result.selected_epoch}, {plan.fold_count} folds)")
     return EXIT_OK
@@ -251,9 +288,7 @@ def cmd_train(args) -> int:
         state, history = training.train(graphs, cfg, bundle.class_count,
                                         bundle.node_label_count)
         state.meta["dataset"] = bundle.name
-        with open(os.path.join(args.out, "epochs.jsonl"), "w", encoding="utf-8") as fh:
-            for m in history:
-                fh.write(json.dumps(asdict(m)) + "\n")
+        write_jsonl(os.path.join(args.out, "epochs.jsonl"), (asdict(m) for m in history))
         M.save_model(os.path.join(args.out, "model.npz"), state)
         acc = M.accuracy(graphs, state)
     print(f"trained on {len(graphs)} graphs; final training accuracy {acc:.4f}")
@@ -266,9 +301,12 @@ def cmd_sweep_k(args) -> int:
         k_values = [replace(cfg, k=k).k for k in coh.parse_int_list(args.ks)]
     bundle = _load_bundle(args)
     plan = _fold_plan(bundle, args.folds, cfg)
-    with run_record("sweep-k", args, asdict(cfg), ["sweep.csv"], cfg.seed):
-        rows = training.sweep_k(bundle, cfg, k_values, plan, jobs=args.jobs)
-        training.write_sweep_csv(rows, os.path.join(args.out, "sweep.csv"))
+    ks = coh.distinct_ks(k_values)
+    config = {**asdict(cfg), "ks": ks, "folds": plan.fold_count}
+    with run_record("sweep-k", args, config, ["sweep.csv"], cfg.seed):
+        rows = training.sweep_k(bundle, cfg, ks, plan, jobs=args.jobs)
+        write_csv(os.path.join(args.out, "sweep.csv"), ("K", "mean_acc", "std_acc"),
+                  map(astuple, rows))
     for row in rows:
         print(f"K={row.k}: {row.mean_acc:.4f} ± {row.std_acc:.4f}")
     return EXIT_OK
@@ -278,14 +316,16 @@ def cmd_coherence(args) -> int:
     opts = build_config(args, coh.SweepConfig)
     with config_errors():
         coh.check_points(opts.ks, opts.points)
+    ks = coh.distinct_ks(opts.ks)
     generator = coh.GaussianMixture.default_2d(components=opts.components, scale=opts.scale,
                                                points=opts.points)
     seeds = list(range(opts.seed, opts.seed + opts.seeds))
-    config = {"d": generator.d, "ks": opts.ks, "seeds": seeds, "components": opts.components,
+    config = {"d": generator.d, "ks": ks, "seeds": seeds, "components": opts.components,
               "scale": opts.scale, "points": opts.points}
     with run_record("coherence", args, config, ["coherence.csv"], opts.seed):
-        cells = coh.empirical_coherence_sweep(generator, opts.ks, seeds)
-        coh.write_coherence_csv(cells, os.path.join(args.out, "coherence.csv"))
+        cells = coh.empirical_coherence_sweep(generator, ks, seeds)
+        write_csv(os.path.join(args.out, "coherence.csv"),
+                  ("K", "seed", "coherence", "distortion", "bound"), map(astuple, cells))
         summary = coh.sweep_summary(cells)
         defined = [row for row in summary if row["mean_coherence"] is not None]
         rho = coh.spearman([row["k"] for row in defined],
@@ -495,6 +535,8 @@ def main(argv=None) -> int:
             # NumericError and DivergenceError name every non-finite value,
             # and the one stderr line should be all a failure prints
             warnings.filterwarnings("ignore", category=RuntimeWarning, module=r"slim\.")
+            # restored when the block ends; fold workers fork with it
+            warnings.showwarning = _show_warning
             return args.fn(args)
     except tuple(kind for kind, _, _ in FAILURES) as exc:
         error, code = _failure(exc)

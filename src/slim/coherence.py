@@ -244,14 +244,6 @@ class SweepCell:
     bound: float | None
 
 
-def write_coherence_csv(cells: list[SweepCell], path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("K,seed,coherence,distortion,bound\n")
-        for c in cells:
-            coh, bound = ("" if x is None else f"{x:.6f}" for x in (c.coherence, c.bound))
-            fh.write(f"{c.k},{c.seed},{coh},{c.distortion:.6f},{bound}\n")
-
-
 def empirical_coherence_sweep(generator: GaussianMixture, k_values: list[int],
                               seeds: list[int]) -> list[SweepCell]:
     """k-means landmarks on fresh mixture draws, one cell per (K, seed), for

@@ -8,10 +8,9 @@ folds, is highest.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -229,9 +228,9 @@ def _where(epoch: int, batch: int, idx: np.ndarray) -> str:
 @dataclass
 class CVResult:
     """The fold-averaged selection (``selected_epoch``, the accuracy of each
-    fold there, their mean and std, and the fold-averaged curve), and each
-    fold's own best epoch (the first of its highest accuracies) and that
-    accuracy, which the selection does not use."""
+    fold there, their mean and std, and the fold-averaged curve); each fold's
+    own best epoch (the first of its highest accuracies) and that accuracy,
+    which the selection does not use; and each fold's per-epoch metrics."""
 
     per_fold: list[float]
     mean: float
@@ -240,6 +239,7 @@ class CVResult:
     epoch_curve: list[float]
     fold_best_epochs: list[int]
     fold_best_accuracies: list[float]
+    fold_histories: list[list[EpochMetrics]]
 
 
 def _run_fold(args):
@@ -253,7 +253,7 @@ def _run_fold(args):
         unlabeled_graphs=unlabeled,
         seed_seq=seed_seq,
     )
-    return [asdict(m) for m in history]
+    return history
 
 
 def check_cv_epochs(cfg: TrainConfig):
@@ -263,8 +263,7 @@ def check_cv_epochs(cfg: TrainConfig):
 
 
 def cross_validate(bundle: DatasetBundle, cfg: TrainConfig, plan: FoldPlan,
-                   jobs: int = 1, metrics_path: str | None = None,
-                   graphs: list[M.GraphData] | None = None) -> CVResult:
+                   jobs: int = 1, graphs: list[M.GraphData] | None = None) -> CVResult:
     """Train one model per fold; select the epoch with the best fold-averaged
     validation accuracy and report per-fold accuracies at that epoch.
     ``graphs`` are the bundle's graphs prepared for ``cfg``; when None they
@@ -281,13 +280,7 @@ def cross_validate(bundle: DatasetBundle, cfg: TrainConfig, plan: FoldPlan,
     else:
         fold_histories = [_run_fold(t) for t in tasks]
 
-    if metrics_path:
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            for fold, history in enumerate(fold_histories):
-                for m in history:
-                    fh.write(json.dumps({"fold": fold, **m}) + "\n")
-
-    acc = np.array([[m["val_accuracy"] for m in history] for history in fold_histories])
+    acc = np.array([[m.val_accuracy for m in history] for history in fold_histories])
     epoch_curve = acc.mean(axis=0)
     selected = int(np.argmax(epoch_curve))
     per_fold = acc[:, selected]
@@ -299,6 +292,7 @@ def cross_validate(bundle: DatasetBundle, cfg: TrainConfig, plan: FoldPlan,
         epoch_curve=[float(a) for a in epoch_curve],
         fold_best_epochs=[int(e) for e in acc.argmax(axis=1)],
         fold_best_accuracies=[float(a) for a in acc.max(axis=1)],
+        fold_histories=fold_histories,
     )
 
 
@@ -320,9 +314,3 @@ def sweep_k(bundle: DatasetBundle, cfg: TrainConfig, k_values: list[int],
         rows.append(SweepRow(k=k, mean_acc=result.mean, std_acc=result.std))
     return rows
 
-
-def write_sweep_csv(rows: list[SweepRow], path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("K,mean_acc,std_acc\n")
-        for row in rows:
-            fh.write(f"{row.k},{row.mean_acc:.6f},{row.std_acc:.6f}\n")

@@ -1,8 +1,9 @@
 import contextlib
 import functools
+import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -493,6 +494,40 @@ def pool_graph_oracle(w, src, dst):
     keep = src < dst
     half = v[src[keep]].T @ v[dst[keep]]
     return p, s, v, half + half.T
+
+
+# the run-directory writers as they were before the CLI held them all: one
+# per file, each with its own line or cell format
+
+
+def old_write_cv_epochs(fold_histories, path):
+    """``epochs.jsonl`` of cv; ``fold_histories`` holds each fold's
+    ``EpochMetrics`` as dicts."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for fold, history in enumerate(fold_histories):
+            for m in history:
+                fh.write(json.dumps({"fold": fold, **m}) + "\n")
+
+
+def old_write_train_epochs(history, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for m in history:
+            fh.write(json.dumps(asdict(m)) + "\n")
+
+
+def old_write_sweep_csv(rows, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("K,mean_acc,std_acc\n")
+        for row in rows:
+            fh.write(f"{row.k},{row.mean_acc:.6f},{row.std_acc:.6f}\n")
+
+
+def old_write_coherence_csv(cells, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("K,seed,coherence,distortion,bound\n")
+        for c in cells:
+            coh, bound = ("" if x is None else f"{x:.6f}" for x in (c.coherence, c.bound))
+            fh.write(f"{c.k},{c.seed},{coh},{c.distortion:.6f},{bound}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import re
@@ -25,7 +26,17 @@ from slim.embedding import encode_values
 from slim.pooling import upper_triangle
 from slim.synthetic import make_bundle
 
-from conftest import FUZZ_EDITS, adjacency_of, assign_values, mutate, pooled_features
+from conftest import (
+    FUZZ_EDITS,
+    adjacency_of,
+    assign_values,
+    mutate,
+    old_write_coherence_csv,
+    old_write_cv_epochs,
+    old_write_sweep_csv,
+    old_write_train_epochs,
+    pooled_features,
+)
 
 
 @pytest.fixture
@@ -418,6 +429,100 @@ class TestRunRecord:
         assert (manifest["status"], manifest["seed"]) == ("ok", None)
 
 
+@pytest.fixture(scope="module")
+def files_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+def cell_float():
+    """Floats as the runs give them, and the edges: -0.0, nan, infinities,
+    integral floats, numpy float64."""
+    edges = st.sampled_from([0.0, -0.0, 1.0, -2.0, 1e20, math.nan, math.inf, -math.inf])
+    value = st.one_of(edges, st.floats(), st.integers(-10**6, 10**6).map(float))
+    return st.one_of(value, value.map(np.float64))
+
+
+def epoch_metrics():
+    return st.builds(training.EpochMetrics, st.integers(0, 999), cell_float(), cell_float(),
+                     cell_float(), cell_float(), st.none() | cell_float())
+
+
+class TestRunFiles:
+    """What a run writes: the manifest records the run that was made, every
+    warning is one stderr line, and each file keeps its format. The
+    coherence cases are in ``TestCoherence``."""
+
+    @pytest.mark.parametrize("argv, recorded", [
+        (["sweep-k", "--ks", "4,2,4", "--folds", "3"], {"k": 4, "ks": [2, 4], "folds": 3}),
+        (["cv", "--folds", "3"], {"folds": 3}),
+    ])
+    def test_the_manifest_records_the_k_list_and_folds_that_ran(self, argv, recorded,
+                                                                  tu_root, tmp_path):
+        out = tmp_path / "o"
+        assert run(argv + ["--dataset", "SYN", "--data-root", tu_root, "--jobs", "1",
+                           "--out", out] + FAST) == 0
+        config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+        assert {name: config[name] for name in recorded} == recorded
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sweep-k", "--ks", "4,2,4", "--folds", "2", "--jobs", "1"] + FAST,
+         {"duplicate K values removed from sweep": 1}),
+        (["train", "--k", "600"] + FAST[2:],
+         {r"only \d+ substructure rows; lowering K to \d+": 1,
+          r"only \d+ distinct landmarks of \d+; duplicates jittered": 1}),
+        (["cv", "--folds", "2", "--jobs", "2", "--k", "600"] + FAST[2:],
+         {r"only \d+ substructure rows; lowering K to \d+": 2,
+          r"only \d+ distinct landmarks of \d+; duplicates jittered": 2}),
+    ])
+    def test_each_warning_is_one_stderr_line(self, argv, expected, tu_root, tmp_path, capfd):
+        assert run(argv + ["--dataset", "SYN", "--data-root", tu_root,
+                           "--out", tmp_path / "o"]) == 0
+        lines = capfd.readouterr().err.splitlines()   # fold workers write to the fd
+        seen = {pattern: sum(bool(re.fullmatch(f"warning: {pattern}", line)) for line in lines)
+                for pattern in expected}
+        assert seen == expected and len(lines) == sum(expected.values()), lines
+
+    def test_epoch_lines_hold_the_epoch_metrics_in_order(self, tu_root, tmp_path):
+        names = [f.name for f in dataclasses.fields(training.EpochMetrics)]
+        for command, keys in (("cv", ["fold"] + names), ("train", names)):
+            out = tmp_path / command
+            folds = ["--folds", "3", "--jobs", "1"] if command == "cv" else []
+            assert run([command, "--dataset", "SYN", "--data-root", tu_root, "--out", out]
+                       + folds + FAST) == 0
+            lines = (out / "epochs.jsonl").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == (3 if command == "cv" else 1) * 2
+            assert all(list(json.loads(line)) == keys for line in lines)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(training.SweepRow, st.integers(1, 5000), cell_float(),
+                              cell_float()), max_size=5),
+           st.lists(st.builds(coh.SweepCell, st.integers(1, 5000), st.integers(0, 99),
+                              st.none() | cell_float(), cell_float(),
+                              st.none() | cell_float()), max_size=5))
+    def test_csv_bytes_match_the_old_writers(self, files_dir, rows, cells):
+        for name, old, header, records in (
+                ("sweep", old_write_sweep_csv, ("K", "mean_acc", "std_acc"), rows),
+                ("coherence", old_write_coherence_csv,
+                 ("K", "seed", "coherence", "distortion", "bound"), cells)):
+            cli.write_csv(files_dir / f"{name}.csv", header, map(dataclasses.astuple, records))
+            old(records, files_dir / f"{name}.old")
+            assert ((files_dir / f"{name}.csv").read_bytes()
+                    == (files_dir / f"{name}.old").read_bytes())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(epoch_metrics(), max_size=3), max_size=3))
+    def test_epoch_lines_match_the_old_writers(self, files_dir, fold_histories):
+        histories = [[dataclasses.asdict(m) for m in history] for history in fold_histories]
+        cli.write_jsonl(files_dir / "cv.jsonl", ({"fold": fold, **m} for fold, history
+                                                 in enumerate(histories) for m in history))
+        old_write_cv_epochs(histories, files_dir / "cv.old")
+        assert (files_dir / "cv.jsonl").read_bytes() == (files_dir / "cv.old").read_bytes()
+        history = sum(fold_histories, [])
+        cli.write_jsonl(files_dir / "train.jsonl", map(dataclasses.asdict, history))
+        old_write_train_epochs(history, files_dir / "train.old")
+        assert (files_dir / "train.jsonl").read_bytes() == (files_dir / "train.old").read_bytes()
+
+
 class TestJobs:
     @pytest.mark.parametrize("argv", [["cv"], ["sweep-k", "--ks", "2,4"]])
     def test_default_is_the_usable_cpu_count(self, argv, monkeypatch):
@@ -478,13 +583,14 @@ class TestCoherence:
                                            "be at least the largest K (8)\n")
         assert not out.exists()
 
-    def test_a_repeated_k_runs_once_in_ascending_order(self, tmp_path):
+    def test_a_repeated_k_runs_once_in_ascending_order(self, tmp_path, capsys):
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="duplicate K values removed from sweep"):
-            assert run(["coherence", "--ks", "4,2,2", "--seeds", "1",
-                        "--points", "64", "--out", out]) == 0
+        assert run(["coherence", "--ks", "4,2,2", "--seeds", "1",
+                    "--points", "64", "--out", out]) == 0
+        assert capsys.readouterr().err == "warning: duplicate K values removed from sweep\n"
         rows = (out / "coherence.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == [2, 4]
+        assert json.loads((out / "manifest.json").read_text())["config"]["ks"] == [2, 4]
 
     def test_sweep_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -776,7 +882,8 @@ class TestOptionNames:
         assert run(["cv", "--dataset", "SYN", "--data-root", tu_root, "--folds", "2",
                     "--jobs", "1", "--config", cfg_file, "--out", out]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert config == {name: value for name, (_, value) in EVERY_FIELD.items()}
+        assert config == {**{name: value for name, (_, value) in EVERY_FIELD.items()},
+                          "folds": 2}
         # train refuses semi_supervised; every other field reaches its model
         cfg_file.write_text(cfg_file.read_text().replace("semi_supervised = yes\n", ""),
                             encoding="utf-8")

@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from slim import cli
 from slim.coherence import (
     BoundConfig,
     BoundParams,
@@ -17,8 +19,9 @@ from slim.coherence import (
     sweep_summary,
     theorem_lower_bound,
     unit_ball_volume,
-    write_coherence_csv,
 )
+
+from conftest import old_write_coherence_csv
 
 
 class TestMutualCoherence:
@@ -227,7 +230,10 @@ class TestEmpiricalSweep:
     def test_csv_row_format(self, tmp_path):
         gen = GaussianMixture.default_2d(points=64)
         cells = empirical_coherence_sweep(gen, [1, 2], seeds=[0])
-        write_coherence_csv(cells, tmp_path / "coherence.csv")
+        cli.write_csv(tmp_path / "coherence.csv", ("K", "seed", "coherence", "distortion",
+                                                    "bound"), map(astuple, cells))
+        old_write_coherence_csv(cells, tmp_path / "old.csv")
+        assert (tmp_path / "coherence.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         header, row_k1, row_k2 = (tmp_path / "coherence.csv").read_text().splitlines()
         assert header == "K,seed,coherence,distortion,bound"
         assert row_k1.startswith("1,0,,")  # empty coherence and bound fields

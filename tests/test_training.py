@@ -2,14 +2,14 @@ import json
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slim import embedding, landmarks, pooling
+from slim import cli, embedding, landmarks, pooling
 from slim import model as M
 from slim import training
 from slim.autodiff import NumericError, Tensor
@@ -26,7 +26,6 @@ from slim.training import (
     init_state,
     sweep_k,
     train,
-    write_sweep_csv,
 )
 
 from conftest import (
@@ -35,6 +34,8 @@ from conftest import (
     functional_gradients,
     lloyd_oracle,
     old_assign,
+    old_write_cv_epochs,
+    old_write_sweep_csv,
     on_points,
     pool_graph_oracle,
 )
@@ -479,12 +480,20 @@ class TestCrossValidate:
         bundle = make_bundle(n_graphs=16, seed=5)
         cfg = tiny_cfg(epochs=2)
         plan = make_folds(bundle, 4, seed=1)
-        path = str(tmp_path / "epochs.jsonl")
-        cross_validate(bundle, cfg, plan, metrics_path=path)
-        lines = [json.loads(line) for line in open(path, encoding="utf-8")]
+        result = asdict(cross_validate(bundle, cfg, plan))
+        histories = result.pop("fold_histories")
+        new, old = tmp_path / "epochs.jsonl", tmp_path / "old.jsonl"
+        cli.write_jsonl(new, ({"fold": fold, **m} for fold, history
+                              in enumerate(histories) for m in history))
+        old_write_cv_epochs(histories, old)
+        assert new.read_bytes() == old.read_bytes()
+        lines = [json.loads(line) for line in new.read_text(encoding="utf-8").splitlines()]
         assert len(lines) == 4 * cfg.epochs
         assert {"fold", "epoch", "train_loss", "loss_ce", "loss_embed",
                 "loss_cluster", "val_accuracy"} <= set(lines[0])
+        # the selection is made from these histories
+        assert [m["val_accuracy"] for m in lines
+                if m["epoch"] == result["selected_epoch"]] == result["per_fold"]
 
 
 class TestSweep:
@@ -504,11 +513,11 @@ class TestSweep:
         with pytest.warns(UserWarning, match="duplicate"):
             rows = sweep_k(bundle, cfg, [4, 2, 4], plan)
         assert [r.k for r in rows] == [2, 4]
-        path = str(tmp_path / "sweep.csv")
-        write_sweep_csv(rows, path)
-        lines = open(path, encoding="utf-8").read().splitlines()
-        assert lines[0] == "K,mean_acc,std_acc"
-        assert len(lines) == 3
+        new, old = tmp_path / "sweep.csv", tmp_path / "old.csv"
+        cli.write_csv(new, ("K", "mean_acc", "std_acc"), map(astuple, rows))
+        old_write_sweep_csv(rows, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert len(new.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_substructures_prepared_once(self, monkeypatch):
         bundle = make_bundle(n_graphs=16, seed=6)
